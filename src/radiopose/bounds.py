@@ -7,9 +7,10 @@ through the geometry Jacobian, invert, and read off PEB/RMEB. A final
 transform converts the state-domain covariance into the [rho, r] tangent
 covariance consumed by the tracking filters.
 
-Stacked parameter order (grouped layout): all delays, then per anchor the
-UE-side and anchor-side direction vectors, then per-anchor Re/Im gains.
-After projection each direction vector contributes two tangent coordinates.
+Stacked parameter order, as ``channel.fim_unconstrained`` builds it: all
+delays, then per anchor the UE-side and anchor-side direction vectors, then
+per-anchor Re/Im gains. After projection each direction vector contributes
+two tangent coordinates.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def unconstrained_state_fim(
 ) -> np.ndarray:
     """Full pipeline from signal model to the 6x6 state FIM."""
     params = [channel_params(ue, a, sig) for a in anchors]
-    f_raw = fim_unconstrained(ue, anchors, ue_array, sig, beams, param_layout="grouped")
+    f_raw = fim_unconstrained(ue, anchors, ue_array, sig, beams)
     f_proj = project_fim(f_raw, params, basis_fn)
     f_z = efim_remove_gains(f_proj)
     t_z = state_jacobian_tz(ue, anchors, basis_fn)

@@ -4,8 +4,10 @@ Fisher information of the channel geometric parameters.
 
 Anchors transmit orthogonally (time/frequency), so the received tensor and
 the FIM are block-separable across anchors. Per anchor the unconstrained
-parameter vector is [tau, t_ue(3), t_bs(3), Re(gain), Im(gain)]; two layouts
-of the stacked vector are supported (see ``param_indices``).
+parameter vector is [tau, t_ue(3), t_bs(3), Re(gain), Im(gain)]. The stacked
+vector of N anchors is grouped by parameter kind: the N delays, then per
+anchor the six direction components [t_ue, t_bs], then per anchor the two
+gain components.
 """
 
 from __future__ import annotations
@@ -106,6 +108,10 @@ class SignalConfig:
             object.__setattr__(
                 self, "bandwidth_hz", self.num_subcarriers * self.subcarrier_spacing_hz
             )
+        for name in ("carrier_hz", "subcarrier_spacing_hz", "tx_power_dbm", "noise_psd_dbm_hz",
+                     "bandwidth_hz", "clock_bias_s"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         positive = {
             "carrier_hz": self.carrier_hz,
             "subcarrier_spacing_hz": self.subcarrier_spacing_hz,
@@ -285,29 +291,9 @@ def _anchor_signal_gradient(ue, anchor, ue_array, sig, precoders, combiners) -> 
     return grad
 
 
-def param_indices(n_anchors: int, layout: str = "grouped") -> np.ndarray:
-    """Column order of the stacked parameter vector, as indices into the
-    per-anchor blocks [tau, t_ue(3), t_bs(3), Re gain, Im gain].
-
-    ``grouped``: all taus, then per-anchor direction components, then gains.
-    ``per_anchor``: anchors concatenated whole.
-    Returns an array ``idx`` such that stacked[k] = per_anchor_flat[idx[k]].
-    """
-    if layout == "per_anchor":
-        return np.arange(PARAMS_PER_ANCHOR * n_anchors)
-    if layout != "grouped":
-        raise ValueError(f"unknown layout {layout!r}")
-    taus = [PARAMS_PER_ANCHOR * n for n in range(n_anchors)]
-    dirs = []
-    gains = []
-    for n in range(n_anchors):
-        dirs.extend(PARAMS_PER_ANCHOR * n + 1 + m for m in range(6))
-        gains.extend([PARAMS_PER_ANCHOR * n + 7, PARAMS_PER_ANCHOR * n + 8])
-    return np.array(taus + dirs + gains)
-
-
-def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, param_layout: str = "grouped") -> np.ndarray:
-    """Unconstrained FIM of the channel geometric parameters, (9N, 9N).
+def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
+    """Unconstrained FIM of the channel geometric parameters, (9N, 9N), in
+    the grouped order of the module docstring.
 
     F = (2 / sigma^2) sum_{g,c} Re{conj(d mu / d eta) (d mu / d eta)^T} with
     both direction vectors carried as free 3-vectors; the sphere constraint
@@ -320,10 +306,11 @@ def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, param_layout: 
         grad = _anchor_signal_gradient(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
         flat = grad.reshape(PARAMS_PER_ANCHOR, -1)
         block = (2.0 / sig.noise_variance_w) * np.real(np.conj(flat) @ flat.T)
-        s = PARAMS_PER_ANCHOR * n
-        fim[s : s + PARAMS_PER_ANCHOR, s : s + PARAMS_PER_ANCHOR] = block
-    idx = param_indices(n_anchors, param_layout)
-    fim = fim[np.ix_(idx, idx)]
+        # stacked positions of this anchor's [tau, t_ue, t_bs, Re gain, Im gain]
+        dirs = n_anchors + 6 * n
+        gains = 7 * n_anchors + 2 * n
+        idx = np.array([n, *range(dirs, dirs + 6), gains, gains + 1])
+        fim[idx[:, None], idx] = block
     return (fim + fim.T) / 2.0
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: bounds sweeps, single tracking runs, Monte Carlo.
 
-Exit codes: 0 success, 2 configuration error, 3 unobservable geometry,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 unobservable geometry
+(including a UE on an anchor), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, UnobservableState
+from .errors import CoincidentPositions, ConfigError, UnobservableState
 from .simkit import (
     bounds_sweep,
     bounds_table,
@@ -31,17 +31,22 @@ EXIT_IO = 4
 
 
 def parse_powers(text: str):
-    """Parse 'start:step:stop' (inclusive) or a comma-separated dBm list."""
+    """Parse 'start:step:stop' (inclusive) or a comma-separated dBm list of
+    finite values."""
     try:
-        if ":" in text:
-            start, step, stop = (float(v) for v in text.split(":"))
-            if step <= 0:
-                raise ValueError("step must be positive")
-            n = int(np.floor((stop - start) / step + 1e-9)) + 1
-            if n < 1:
-                raise ValueError("empty power range")
-            return [start + k * step for k in range(n)]
-        return [float(v) for v in text.split(",") if v.strip()]
+        ranged = ":" in text
+        values = [float(v) for v in text.split(":" if ranged else ",") if ranged or v.strip()]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        if not ranged:
+            return values
+        start, step, stop = values
+        if step <= 0:
+            raise ValueError("step must be positive")
+        n = int(np.floor((stop - start) / step + 1e-9)) + 1
+        if n < 1:
+            raise ValueError("empty power range")
+        return [start + k * step for k in range(n)]
     except ValueError as exc:
         raise ConfigError(f"bad --powers specification {text!r}: {exc}") from exc
 
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnobservableState as exc:
+    except (UnobservableState, CoincidentPositions) as exc:
         print(f"unobservable geometry: {exc}", file=sys.stderr)
         return EXIT_UNOBSERVABLE
     except OSError as exc:

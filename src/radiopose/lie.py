@@ -233,18 +233,13 @@ def small_adjoint(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def se3_left_jacobian(xi: np.ndarray, mode: str = "exact_series") -> np.ndarray:
+def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
     """6x6 left Jacobian of SE(3).
 
-    ``exact_series`` sums small_adjoint powers / (n+1)! until the relative
-    size of the next term drops below 1e-14; ``first_order`` returns
-    I + small_adjoint(xi)/2.
+    Sums small_adjoint powers / (n+1)! until the relative size of the next
+    term drops below 1e-14.
     """
     ad = small_adjoint(xi)
-    if mode == "first_order":
-        return np.eye(6) + 0.5 * ad
-    if mode != "exact_series":
-        raise ValueError(f"unknown mode {mode!r}")
     acc = np.eye(6)
     term = np.eye(6)
     for n in range(1, 80):
@@ -255,9 +250,9 @@ def se3_left_jacobian(xi: np.ndarray, mode: str = "exact_series") -> np.ndarray:
     return acc
 
 
-def se3_right_jacobian(xi: np.ndarray, mode: str = "exact_series") -> np.ndarray:
+def se3_right_jacobian(xi: np.ndarray) -> np.ndarray:
     """Right Jacobian of SE(3), obtained as the left Jacobian at -xi."""
-    return se3_left_jacobian(-np.asarray(xi, dtype=float), mode=mode)
+    return se3_left_jacobian(-np.asarray(xi, dtype=float))
 
 
 def bch_compose_small(xi1: np.ndarray, xi2: np.ndarray, which_small: str = "second") -> np.ndarray:

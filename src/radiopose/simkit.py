@@ -199,8 +199,8 @@ def sample_measurement(truth: Pose, report: IcrbReport, rng, noise_scale: float 
 
     The noise covariance is the bound covariance mapped into the [rho, r]
     tangent at the true rotation; the measurement keeps the raw
-    state-domain bound so filters can apply their own transform at the
-    measured rotation.
+    state-domain bound, and its ``cov_tangent`` maps that bound at the
+    measured rotation for the filters.
     """
     sigma = measurement_covariance(report.icrb, truth.rotation)
     noise = noise_scale * (_psd_sqrt(sigma) @ rng.standard_normal(6))
@@ -286,8 +286,7 @@ def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -
             if name == "euler":
                 states[name] = (euler_state_from_pose(first.pose), np.array(first.cov_state_icrb))
             else:
-                cov0 = measurement_covariance(first.cov_state_icrb, first.pose.rotation)
-                states[name] = FilterState(first.pose, cov0)
+                states[name] = FilterState(first.pose, first.cov_tangent)
         except RadioPoseError as exc:
             failed[name] = str(exc)
 
@@ -509,61 +508,63 @@ def cdf_table(metrics: FilterMetrics) -> tuple:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    """Plain-Python (YAML-safe) form of a scenario; raises ConfigError when
+    an array is not a half-wavelength planar grid, which the file cannot hold."""
     return {
-        "seed": cfg.seed,
-        "mc_runs": cfg.mc_runs,
+        "seed": int(cfg.seed),
+        "mc_runs": int(cfg.mc_runs),
         "filter_selection": cfg.filter_selection,
-        "measurement_noise_scale": cfg.measurement_noise_scale,
-        "process_noise_rho_m": cfg.process_noise_rho_m,
-        "process_noise_rot_rad": cfg.process_noise_rot_rad,
+        "measurement_noise_scale": float(cfg.measurement_noise_scale),
+        "process_noise_rho_m": float(cfg.process_noise_rho_m),
+        "process_noise_rot_rad": float(cfg.process_noise_rot_rad),
         "signal": {
-            "carrier_hz": cfg.signal.carrier_hz,
-            "subcarrier_spacing_hz": cfg.signal.subcarrier_spacing_hz,
-            "num_subcarriers": cfg.signal.num_subcarriers,
-            "num_transmissions": cfg.signal.num_transmissions,
-            "tx_power_dbm": cfg.signal.tx_power_dbm,
-            "noise_psd_dbm_hz": cfg.signal.noise_psd_dbm_hz,
-            "bandwidth_hz": cfg.signal.bandwidth_hz,
-            "clock_bias_s": cfg.signal.clock_bias_s,
-            "rng_seed": cfg.signal.rng_seed,
+            "carrier_hz": float(cfg.signal.carrier_hz),
+            "subcarrier_spacing_hz": float(cfg.signal.subcarrier_spacing_hz),
+            "num_subcarriers": int(cfg.signal.num_subcarriers),
+            "num_transmissions": int(cfg.signal.num_transmissions),
+            "tx_power_dbm": float(cfg.signal.tx_power_dbm),
+            "noise_psd_dbm_hz": float(cfg.signal.noise_psd_dbm_hz),
+            "bandwidth_hz": float(cfg.signal.bandwidth_hz),
+            "clock_bias_s": float(cfg.signal.clock_bias_s),
+            "rng_seed": int(cfg.signal.rng_seed),
         },
         "anchors": [
             {
                 "position_m": np.asarray(a.position).tolist(),
-                "orientation_deg_zyx": np.rad2deg(
-                    _euler_for_io(a.orientation)
-                ).tolist(),
-                "array_shape": _grid_shape(a.array),
+                "orientation_deg_zyx": np.rad2deg(euler_from_rotation(a.orientation)).tolist(),
+                "array_shape": _grid_shape(a.array, cfg.signal.carrier_hz),
             }
             for a in cfg.anchors
         ],
         "ue": {
             "start_position_m": np.asarray(cfg.ue_start.position).tolist(),
-            "start_orientation_deg_zyx": np.rad2deg(_euler_for_io(cfg.ue_start.rotation)).tolist(),
-            "array_shape": _grid_shape(cfg.ue_array),
+            "start_orientation_deg_zyx": np.rad2deg(euler_from_rotation(cfg.ue_start.rotation)).tolist(),
+            "array_shape": _grid_shape(cfg.ue_array, cfg.signal.carrier_hz),
         },
         "segments": [
             {
                 "v_mps": np.asarray(s.v).tolist(),
                 "w_radps": np.asarray(s.w).tolist(),
-                "steps": s.steps,
-                "dt_s": s.dt,
+                "steps": int(s.steps),
+                "dt_s": float(s.dt),
             }
             for s in cfg.segments
         ],
     }
 
 
-def _euler_for_io(rotation: np.ndarray) -> np.ndarray:
-    return euler_from_rotation(rotation)
-
-
-def _grid_shape(array: ArrayGeometry) -> list:
-    n = array.num_elements
-    side = int(round(np.sqrt(n)))
-    if side * side == n:
-        return [side, side]
-    return [n, 1]
+def _grid_shape(array: ArrayGeometry, carrier_hz: float) -> list:
+    """[nx, ny] from the distinct element x and y coordinates; ConfigError
+    unless the elements are exactly the half-wavelength grid that
+    ``load_scenario`` rebuilds from that shape."""
+    pos = array.element_positions
+    nx, ny = (len(set(pos[:, axis].tolist())) for axis in (0, 1))
+    grid = ArrayGeometry.half_wavelength_upa(nx, ny, carrier_hz).element_positions
+    if grid.shape != pos.shape or not np.allclose(grid, pos, rtol=0.0, atol=1e-12):
+        raise ConfigError(
+            f"array of {array.num_elements} elements is not a half-wavelength {nx}x{ny} grid"
+        )
+    return [nx, ny]
 
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:

@@ -12,6 +12,7 @@ T = exp(hat(xi)) @ T_nominal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,17 @@ class PoseMeasurement:
     cov_state_icrb: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cov_state_icrb", _symmetrize(np.asarray(self.cov_state_icrb, dtype=float)))
+        cov = _symmetrize(np.asarray(self.cov_state_icrb, dtype=float))
+        cov.flags.writeable = False
+        object.__setattr__(self, "cov_state_icrb", cov)
+
+    @cached_property
+    def cov_tangent(self) -> np.ndarray:
+        """The bound mapped into the [rho, r] tangent at the measured rotation,
+        computed once and shared by every filter that consumes this measurement."""
+        cov = measurement_covariance(self.cov_state_icrb, self.pose.rotation)
+        cov.flags.writeable = False
+        return cov
 
 
 def motion_matrix(cmd: MotionCommand) -> Pose:
@@ -182,9 +193,8 @@ def fusion_update(
     max_iters: int = 50,
 ) -> FilterState:
     """Fusion measurement update, initialized at the predicted pose."""
-    cov_meas = measurement_covariance(meas.cov_state_icrb, meas.pose.rotation)
     return fuse_poses(
-        [(meas.pose, cov_meas), (pred.pose, pred.cov)],
+        [(meas.pose, meas.cov_tangent), (pred.pose, pred.cov)],
         initial=pred.pose,
         eps_threshold=eps_threshold,
         max_iters=max_iters,
@@ -208,8 +218,7 @@ def eskf_core(pred_pose: Pose, pred_cov: np.ndarray, meas_pose: Pose, meas_cov: 
 
 def eskf_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
     """Error-state Kalman measurement update."""
-    cov_meas = measurement_covariance(meas.cov_state_icrb, meas.pose.rotation)
-    return eskf_core(pred.pose, pred.cov, meas.pose, cov_meas)
+    return eskf_core(pred.pose, pred.cov, meas.pose, meas.cov_tangent)
 
 
 # ---------------------------------------------------------------------------

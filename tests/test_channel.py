@@ -223,20 +223,8 @@ class TestFimUnconstrained:
         ue, anchor, ue_array = random_geometry(rng)
         sig = small_signal()
         beams = channel.draw_beams([anchor], ue_array, sig)
-        f = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams, param_layout="per_anchor")
+        f = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams)
         assert abs(f[7, 7] - f[8, 8]) < 1e-9 * abs(f[7, 7])
-
-    def test_layouts_are_permutations(self):
-        rng = np.random.default_rng(9)
-        cfg = default_scenario()
-        sig = replace(cfg.signal, num_subcarriers=8, num_transmissions=2)
-        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, sig)
-        grouped = channel.fim_unconstrained(cfg.ue_start, cfg.anchors, cfg.ue_array, sig, beams)
-        per_anchor = channel.fim_unconstrained(
-            cfg.ue_start, cfg.anchors, cfg.ue_array, sig, beams, param_layout="per_anchor"
-        )
-        idx = channel.param_indices(2, "grouped")
-        np.testing.assert_allclose(grouped, per_anchor[np.ix_(idx, idx)])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -374,7 +362,7 @@ class TestFimDirectionFromAngles:
                 continue
             sig = small_signal()
             beams = channel.draw_beams([anchor], ue_array, sig)
-            f = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams, param_layout="per_anchor")
+            f = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams)
             f_t = f[1:4, 1:4]  # t_ue block
             t = par.dir_ue
             az, el = np.arctan2(t[1], t[0]), np.arcsin(t[2])
@@ -401,6 +389,12 @@ class TestConfigValidation:
     def test_nonpositive_carrier_rejected(self):
         with pytest.raises(ValueError):
             small_signal(carrier_hz=0.0)
+
+    @pytest.mark.parametrize("name", ["tx_power_dbm", "noise_psd_dbm_hz", "bandwidth_hz", "clock_bias_s"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            small_signal(**{name: value})
 
     def test_default_bandwidth_is_occupied_band(self):
         sig = channel.SignalConfig(
@@ -431,7 +425,7 @@ class TestFimAnglesPerAnchor:
             pytest.skip("polar geometry drawn")
         sig = small_signal()
         beams = channel.draw_beams([anchor], ue_array, sig)
-        f9 = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams, param_layout="per_anchor")
+        f9 = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams)
         f7 = channel.fim_angles_per_anchor(f9, par.dir_ue, par.dir_bs)
         scale = np.abs(f7).max()
         assert f7.shape == (7, 7)

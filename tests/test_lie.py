@@ -240,19 +240,8 @@ class TestAdjoint:
 
 
 class TestSe3LeftJacobian:
-    def test_zero_both_modes(self):
+    def test_zero_is_identity(self):
         np.testing.assert_allclose(lie.se3_left_jacobian(np.zeros(6)), np.eye(6))
-        np.testing.assert_allclose(
-            lie.se3_left_jacobian(np.zeros(6), mode="first_order"), np.eye(6)
-        )
-
-    def test_modes_agree_for_small_argument(self):
-        rng = np.random.default_rng(11)
-        xi = rng.standard_normal(6)
-        xi *= 0.01 / np.linalg.norm(xi)
-        exact = lie.se3_left_jacobian(xi)
-        first = lie.se3_left_jacobian(xi, mode="first_order")
-        assert np.abs(exact - first).max() < 1e-4
 
     def test_exact_matches_series_oracle(self):
         rng = np.random.default_rng(12)
@@ -269,10 +258,6 @@ class TestSe3LeftJacobian:
             np.testing.assert_allclose(
                 lie.se3_right_jacobian(xi), lie.se3_left_jacobian(-xi), atol=0
             )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            lie.se3_left_jacobian(np.zeros(6), mode="nope")
 
 
 class TestBch:

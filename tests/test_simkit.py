@@ -224,6 +224,32 @@ class TestScenarioIo:
             np.testing.assert_allclose(a.w, b.w)
             assert (a.steps, a.dt) == (b.steps, b.dt)
 
+    def test_round_trip_with_snr_calibrated_power(self, tmp_path):
+        cfg = simkit.default_scenario()
+        power = simkit.power_for_target_snr(cfg, 5.0)
+        cfg = replace(cfg, signal=replace(cfg.signal, tx_power_dbm=power))
+        path = tmp_path / "scenario.yaml"
+        simkit.save_scenario(cfg, path)
+        assert simkit.load_scenario(path).signal.tx_power_dbm == power
+
+    def test_round_trip_non_square_array(self, tmp_path):
+        cfg = simkit.default_scenario()
+        wide = channel.ArrayGeometry.half_wavelength_upa(8, 4, cfg.signal.carrier_hz)
+        anchors = (replace(cfg.anchors[0], array=wide),) + cfg.anchors[1:]
+        cfg = replace(cfg, anchors=anchors)
+        path = tmp_path / "scenario.yaml"
+        simkit.save_scenario(cfg, path)
+        loaded = simkit.load_scenario(path)
+        for a, b in zip(loaded.anchors, cfg.anchors):
+            assert np.array_equal(a.array.element_positions, b.array.element_positions)
+
+    def test_array_off_the_saved_grid_raises_config_error(self, tmp_path):
+        cfg = simkit.default_scenario()
+        spaced = channel.ArrayGeometry.upa(4, 4, 0.01)
+        anchors = (replace(cfg.anchors[0], array=spaced),) + cfg.anchors[1:]
+        with pytest.raises(ConfigError):
+            simkit.save_scenario(replace(cfg, anchors=anchors), tmp_path / "scenario.yaml")
+
     def test_missing_key_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("seed: 1\n")
@@ -276,6 +302,11 @@ class TestCli:
         with pytest.raises(ConfigError):
             cli.parse_powers("5:-1:0")
 
+    @pytest.mark.parametrize("text", ["nan", "1,inf", "0:5:inf", "nan:1:5"])
+    def test_powers_non_finite(self, text):
+        with pytest.raises(ConfigError):
+            cli.parse_powers(text)
+
     def test_track_subcommand(self, tmp_path):
         cfg_path = self._write_config(tmp_path, tiny_scenario(steps=2))
         out = tmp_path / "track.csv"
@@ -311,6 +342,18 @@ class TestCli:
         anchors = tuple(channel.AnchorConfig(a.position, a.orientation, single) for a in cfg.anchors)
         blind = replace(cfg, anchors=anchors, ue_array=single)
         cfg_path = self._write_config(tmp_path, blind)
+        rc = cli.main(["bounds", "--config", cfg_path, "--powers", "0:10:20",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+
+    def test_non_finite_powers_exit_config_error(self, tmp_path):
+        rc = cli.main(["bounds", "--powers", "nan", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+
+    def test_ue_on_anchor_exits_unobservable(self, tmp_path):
+        cfg = tiny_scenario()
+        on_anchor = lie.Pose.from_rotation_position(cfg.ue_start.rotation, cfg.anchors[0].position)
+        cfg_path = self._write_config(tmp_path, replace(cfg, ue_start=on_anchor))
         rc = cli.main(["bounds", "--config", cfg_path, "--powers", "0:10:20",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 3

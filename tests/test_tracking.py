@@ -2,10 +2,13 @@
 the Euler baseline, and the rotation RMSE metric. Scalar Kalman blends and
 Monte Carlo covariance propagation serve as the independent oracles."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from radiopose import lie, tracking
+from radiopose.bounds import measurement_covariance
 from radiopose.errors import GimbalLock, LengthMismatch
 from radiopose.lie import Pose, se3_exp, se3_log, so3_exp, so3_log
 from radiopose.tracking import FilterState, MotionCommand, PoseMeasurement
@@ -194,6 +197,42 @@ class TestOrthogonalityPreservation:
             rot = state.pose.rotation
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-10
             assert abs(np.linalg.det(rot) - 1.0) < 1e-10
+
+
+class TestMeasurementTangentCovariance:
+    def _measurement(self):
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((6, 6))
+        return PoseMeasurement(se3_exp(rng.standard_normal(6)), 1e-3 * (a @ a.T + 6 * np.eye(6)))
+
+    def test_equals_transform_at_measured_rotation(self):
+        meas = self._measurement()
+        expected = measurement_covariance(meas.cov_state_icrb, meas.pose.rotation)
+        assert np.array_equal(meas.cov_tangent, expected)
+
+    def test_read_only(self):
+        meas = self._measurement()
+        with pytest.raises(FrozenInstanceError):
+            meas.cov_tangent = np.eye(6)
+        with pytest.raises(ValueError):
+            meas.cov_tangent[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            meas.cov_state_icrb[0, 0] = 1.0
+
+    def test_fusion_and_eskf_share_one_transform(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return measurement_covariance(*args)
+
+        monkeypatch.setattr(tracking, "measurement_covariance", counting)
+        rng = np.random.default_rng(21)
+        pred = random_state(rng, cov_scale=1e-3)
+        meas = self._measurement()
+        tracking.fusion_update(pred, meas)
+        tracking.eskf_update(pred, meas)
+        assert len(calls) == 1
 
 
 class TestEulerBaseline:
