@@ -27,8 +27,8 @@ from .channel import (
     channel_params,
     fim_unconstrained,
 )
-from .errors import SingularJacobian, SingularNuisanceBlock, UnobservableState
-from .lie import Pose, hat3, se3_log, so3_left_jacobian, so3_log
+from .errors import SingularNuisanceBlock, UnobservableState
+from .lie import Pose, hat3, so3_left_jacobian, so3_log
 
 
 def tangent_basis(direction: np.ndarray) -> np.ndarray:
@@ -227,44 +227,19 @@ def translation_block_wrt_rotvec(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def measurement_jacobian(pose_or_rotation) -> np.ndarray:
-    """6x6 Jacobian d[r, p]/d[rho, r] of the pose-coordinate change.
-
-    The top rows map the rotation vector through identically; the bottom
-    rows carry J_l(r) and the closed-form derivative of the translation
-    block with respect to the rotation vector. Evaluated at (rho, r) from
-    the SE(3) log of the given pose; a bare rotation matrix uses rho = 0.
-    """
-    if isinstance(pose_or_rotation, Pose):
-        xi = se3_log(pose_or_rotation)
-        rho, r = xi[:3], xi[3:]
-    else:
-        r = so3_log(np.asarray(pose_or_rotation, dtype=float))
-        rho = np.zeros(3)
-    out = np.zeros((6, 6))
-    out[:3, 3:] = np.eye(3)
-    out[3:, :3] = so3_left_jacobian(r)
-    out[3:, 3:] = translation_block_wrt_rotvec(rho, r)
-    return out
-
-
-def measurement_covariance(icrb: np.ndarray, pose_or_rotation) -> np.ndarray:
+def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     """Transform a state-domain 6x6 covariance over [p, r] into the
-    [rho, r] tangent covariance used by the filters.
+    [rho, r] tangent covariance used by the filters, at a measured rotation.
 
-    Permutes to c = [r, p], then applies [(dc/dg) P^-1 (dc/dg).T]^-1,
-    computed in its algebraically equivalent form A P A.T with
-    A = inv(dc/dg).T so that rank-deficient inputs stay well defined.
+    With rho = 0 the pose-coordinate change acts on the rotation block
+    alone, so the transform is T @ icrb @ T.T with
+    T = diag(I3, inv(J_l(log R)).T). J_l is invertible on the whole log
+    range |r| <= pi (det J_l = 2 (1 - cos|r|) / |r|^2 >= 4 / pi^2), and the
+    congruence keeps rank-deficient inputs well defined.
     """
-    p_hat = np.asarray(icrb, dtype=float)
-    perm = np.array([3, 4, 5, 0, 1, 2])
-    p_c = p_hat[np.ix_(perm, perm)]
-    jac = measurement_jacobian(pose_or_rotation)
-    try:
-        a = np.linalg.inv(jac).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian("pose-coordinate Jacobian is singular") from exc
-    out = a @ p_c @ a.T
+    t = np.eye(6)
+    t[3:, 3:] = np.linalg.inv(so3_left_jacobian(so3_log(rotation))).T
+    out = t @ np.asarray(icrb, dtype=float) @ t.T
     return (out + out.T) / 2.0
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: bounds sweeps, single tracking runs, Monte Carlo.
 
-Exit codes: 0 success, 2 configuration error, 3 unobservable geometry
-(including a UE on an anchor), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 the computation failed:
+unobservable geometry (including a UE on an anchor) or any other radiopose
+error, for example every Monte Carlo run failing, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CoincidentPositions, ConfigError, UnobservableState
+from .errors import CoincidentPositions, ConfigError, RadioPoseError, UnobservableState
 from .simkit import (
     bounds_sweep,
     bounds_table,
@@ -28,25 +29,29 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNOBSERVABLE = 3
 EXIT_IO = 4
+MAX_POWERS = 10_000
 
 
 def parse_powers(text: str):
     """Parse 'start:step:stop' (inclusive) or a comma-separated dBm list of
-    finite values."""
+    at most MAX_POWERS finite values."""
     try:
         ranged = ":" in text
         values = [float(v) for v in text.split(":" if ranged else ",") if ranged or v.strip()]
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if not ranged:
-            return values
-        start, step, stop = values
-        if step <= 0:
-            raise ValueError("step must be positive")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
-            raise ValueError("empty power range")
-        return [start + k * step for k in range(n)]
+        if ranged:
+            start, step, stop = values
+            if step <= 0:
+                raise ValueError("step must be positive")
+            count = np.floor((stop - start) / step + 1e-9) + 1  # a float: may be huge or inf
+            if count < 1:
+                raise ValueError("empty power range")
+        else:
+            count = len(values)
+        if count > MAX_POWERS:
+            raise ValueError(f"more than {MAX_POWERS} powers")
+        return [start + k * step for k in range(int(count))] if ranged else values
     except ValueError as exc:
         raise ConfigError(f"bad --powers specification {text!r}: {exc}") from exc
 
@@ -145,6 +150,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (UnobservableState, CoincidentPositions) as exc:
         print(f"unobservable geometry: {exc}", file=sys.stderr)
+        return EXIT_UNOBSERVABLE
+    except RadioPoseError as exc:
+        print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_UNOBSERVABLE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -29,10 +29,6 @@ class UnobservableState(RadioPoseError):
     """State FIM is rank deficient; geometry does not pin down the 6D state."""
 
 
-class SingularJacobian(RadioPoseError):
-    """Covariance-transform Jacobian is singular."""
-
-
 class SingularNormalEquations(RadioPoseError):
     """Gauss-Newton normal equations are singular."""
 

@@ -32,7 +32,6 @@ from .tracking import (
     PoseMeasurement,
     eskf_update,
     euler_ekf_update,
-    euler_from_rotation,
     euler_predict,
     euler_state_from_pose,
     fusion_update,
@@ -88,6 +87,9 @@ class ScenarioConfig:
             raise ValueError("mc_runs must be >= 1")
         if self.filter_selection not in FILTER_NAMES + ("all",):
             raise ValueError(f"filter_selection must be one of {FILTER_NAMES + ('all',)}")
+        for name in ("measurement_noise_scale", "process_noise_rho_m", "process_noise_rot_rad"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
 
     @property
     def selected_filters(self) -> tuple:
@@ -262,14 +264,31 @@ def scenario_reports(cfg: ScenarioConfig, beams: BeamSet | None = None):
     return truths, reports
 
 
-def _pose_errors(est: Pose, truth: Pose):
-    pos_err = est.position - truth.position
-    rot_err = so3_log(est.rotation @ truth.rotation.T)
-    return pos_err, rot_err
+def _tangent_state(meas: PoseMeasurement) -> FilterState:
+    return FilterState(meas.pose, meas.cov_tangent)
+
+
+# Per filter: (state from the first measurement, one predict + update step,
+# estimated pose of a state). The lambdas resolve the filter functions when
+# called, so a rebinding of the module attribute is honoured.
+_FILTERS = {
+    "fusion": (_tangent_state, lambda s, cmd, m: fusion_update(predict(s, cmd), m), lambda s: s.pose),
+    "eskf": (_tangent_state, lambda s, cmd, m: eskf_update(predict(s, cmd), m), lambda s: s.pose),
+    "euler": (
+        lambda m: (euler_state_from_pose(m.pose), np.array(m.cov_state_icrb)),
+        lambda s, cmd, m: euler_ekf_update(*euler_predict(*s, cmd), m),
+        lambda s: pose_from_euler_state(s[0]),
+    ),
+}
 
 
 def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -> RunResult:
-    """Sample one measurement sequence and run the selected filters."""
+    """Sample one measurement sequence and run the selected filters.
+
+    A filter that raises a RadioPoseError stops there: its message goes to
+    ``failed`` and its estimates end at the last good step, while the other
+    filters run on.
+    """
     rng = run_rng(cfg.seed, run_index)
     measurements = [
         sample_measurement(t, r, rng, cfg.measurement_noise_scale) for t, r in zip(truths, reports)
@@ -278,39 +297,19 @@ def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -
     estimates = {name: [] for name in cfg.selected_filters}
     errors = {name: np.full((len(truths), 6), np.nan) for name in cfg.selected_filters}
     failed = {name: None for name in cfg.selected_filters}
-    states: dict = {}
 
     for name in cfg.selected_filters:
+        init, step, pose_of = _FILTERS[name]
         try:
-            first = measurements[0]
-            if name == "euler":
-                states[name] = (euler_state_from_pose(first.pose), np.array(first.cov_state_icrb))
-            else:
-                states[name] = FilterState(first.pose, first.cov_tangent)
-        except RadioPoseError as exc:
-            failed[name] = str(exc)
-
-    for k, meas in enumerate(measurements):
-        for name in cfg.selected_filters:
-            if failed[name] is not None:
-                continue
-            try:
+            state = init(measurements[0])
+            for k, meas in enumerate(measurements):
                 if k > 0:
-                    cmd = commands[k]
-                    if name == "euler":
-                        state, cov = euler_predict(*states[name], cmd)
-                        states[name] = euler_ekf_update(state, cov, meas)
-                    elif name == "fusion":
-                        states[name] = fusion_update(predict(states[name], cmd), meas)
-                    else:
-                        states[name] = eskf_update(predict(states[name], cmd), meas)
-                est_pose = (
-                    pose_from_euler_state(states[name][0]) if name == "euler" else states[name].pose
-                )
+                    state = step(state, commands[k], meas)
+                est_pose = pose_of(state)
                 estimates[name].append(est_pose)
                 errors[name][k] = se3_log(est_pose @ truths[k].inverse())
-            except RadioPoseError as exc:
-                failed[name] = str(exc)
+        except RadioPoseError as exc:
+            failed[name] = str(exc)
 
     return RunResult(
         truths=truths,
@@ -319,6 +318,16 @@ def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -
         tangent_errors=errors,
         failed=failed,
     )
+
+
+def _norms(vectors) -> np.ndarray:
+    """Euclidean norm of each vector, taken one vector at a time (a norm over
+    axis=1 sums in another order and can differ in the last bit)."""
+    return np.array([np.linalg.norm(v) for v in vectors])
+
+
+def _position_errors(poses, truths) -> np.ndarray:
+    return _norms(p.position - t.position for p, t in zip(poses, truths))
 
 
 def _metrics_from_errors(pos_err: np.ndarray, rot_err: np.ndarray) -> FilterMetrics:
@@ -344,7 +353,6 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     truths, reports = scenario_reports(cfg, beams)
     commands = segment_commands(cfg.segments, cfg.process_noise)
-    n_steps = len(truths)
 
     pos_err = {name: [] for name in cfg.selected_filters}
     rot_err = {name: [] for name in cfg.selected_filters}
@@ -358,22 +366,11 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
             n_failed += 1
             continue
         for name in cfg.selected_filters:
-            perr = np.empty(n_steps)
-            rerr = np.empty(n_steps)
-            for k in range(n_steps):
-                p, r = _pose_errors(result.estimates[name][k], truths[k])
-                perr[k] = np.linalg.norm(p)
-                rerr[k] = np.linalg.norm(r)
-            pos_err[name].append(perr)
-            rot_err[name].append(rerr)
-        mp = np.empty(n_steps)
-        mr = np.empty(n_steps)
-        for k in range(n_steps):
-            p, r = _pose_errors(result.measurements[k].pose, truths[k])
-            mp[k] = np.linalg.norm(p)
-            mr[k] = np.linalg.norm(r)
-        meas_pos_err.append(mp)
-        meas_rot_err.append(mr)
+            pos_err[name].append(_position_errors(result.estimates[name], truths))
+            rot_err[name].append(_norms(result.tangent_errors[name][:, 3:]))
+        measured = [m.pose for m in result.measurements]
+        meas_pos_err.append(_position_errors(measured, truths))
+        meas_rot_err.append(_norms(so3_log(m.rotation @ t.rotation.T) for m, t in zip(measured, truths)))
 
     if not meas_pos_err:
         raise RadioPoseError("all Monte Carlo runs failed")
@@ -531,14 +528,14 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "anchors": [
             {
                 "position_m": np.asarray(a.position).tolist(),
-                "orientation_deg_zyx": np.rad2deg(euler_from_rotation(a.orientation)).tolist(),
+                "orientation_deg_zyx": _orientation_deg_zyx(a.orientation),
                 "array_shape": _grid_shape(a.array, cfg.signal.carrier_hz),
             }
             for a in cfg.anchors
         ],
         "ue": {
             "start_position_m": np.asarray(cfg.ue_start.position).tolist(),
-            "start_orientation_deg_zyx": np.rad2deg(euler_from_rotation(cfg.ue_start.rotation)).tolist(),
+            "start_orientation_deg_zyx": _orientation_deg_zyx(cfg.ue_start.rotation),
             "array_shape": _grid_shape(cfg.ue_array, cfg.signal.carrier_hz),
         },
         "segments": [
@@ -551,6 +548,20 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             for s in cfg.segments
         ],
     }
+
+
+def _orientation_deg_zyx(rot: np.ndarray) -> list:
+    """Z-Y-X (yaw, pitch, roll) degrees that ``rotation_from_euler`` maps back
+    to ``rot``, at any pitch including +/-90 degrees.
+
+    Roll is read first and removed, which leaves Rz(yaw) Ry(pitch); yaw and
+    pitch then come from entries of that product that stay well conditioned
+    at gimbal lock, where any roll is consistent.
+    """
+    roll = np.arctan2(rot[2, 1], rot[2, 2])
+    m = rot @ rotation_from_euler(np.array([0.0, 0.0, roll])).T
+    ypr = np.array([np.arctan2(-m[0, 1], m[1, 1]), np.arctan2(-m[2, 0], m[2, 2]), roll])
+    return (np.rad2deg(ypr) + 0.0).tolist()  # + 0.0 turns -0.0 into 0.0
 
 
 def _grid_shape(array: ArrayGeometry, carrier_hz: float) -> list:

@@ -155,9 +155,11 @@ def fuse_poses(
         except np.linalg.LinAlgError as exc:
             raise SingularNormalEquations("source covariance is singular") from exc
 
+    # Each pass accumulates the normal equations at the current iterate; the
+    # pass after the last step supplies the posterior information.
     t_in = initial
     converged = False
-    for _ in range(max_iters):
+    for it in range(max_iters + 1):
         normal = np.zeros((6, 6))
         rhs = np.zeros(6)
         for (pose, _), w in zip(sources, weights):
@@ -166,19 +168,15 @@ def fuse_poses(
             aw = a.T @ w
             normal += aw @ a
             rhs += aw @ h
+        if converged or it == max_iters:
+            break
         try:
             eps = np.linalg.solve(normal, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularNormalEquations("normal equations singular") from exc
         t_in = se3_exp(eps) @ t_in
-        if np.linalg.norm(eps) < eps_threshold:
-            converged = True
-            break
+        converged = bool(np.linalg.norm(eps) < eps_threshold)
 
-    normal = np.zeros((6, 6))
-    for (pose, _), w in zip(sources, weights):
-        a = _fusion_gain(se3_log(pose @ t_in.inverse()))
-        normal += a.T @ w @ a
     try:
         post_cov = np.linalg.inv(normal)
     except np.linalg.LinAlgError as exc:

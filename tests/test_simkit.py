@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from radiopose import channel, cli, lie, simkit, tracking
-from radiopose.errors import ConfigError, LengthMismatch
+from radiopose.errors import ConfigError, LengthMismatch, SingularInnovationCovariance
 
 
 def tiny_scenario(mc_runs=2, steps=3, n_segments=2, **overrides):
@@ -46,6 +47,14 @@ class TestDefaultScenario:
         cfg = simkit.default_scenario()
         with pytest.raises(ValueError):
             replace(cfg, anchors=cfg.anchors[:1])
+
+    @pytest.mark.parametrize(
+        "name", ["measurement_noise_scale", "process_noise_rho_m", "process_noise_rot_rad"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_noise_fields_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ValueError):
+            replace(simkit.default_scenario(), **{name: value})
 
 
 class TestTrajectory:
@@ -149,6 +158,39 @@ class TestRunMonteCarlo:
             assert np.all(np.isfinite(rot_norm))
             assert rot_norm.max() <= np.pi + 1e-12
 
+    def test_failing_filter_is_isolated(self, monkeypatch):
+        cfg = tiny_scenario(mc_runs=2, steps=3)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        clean = simkit.run_single(cfg, 0, truths, reports, commands)
+
+        calls = []
+        real_update = simkit.eskf_update
+
+        def update_failing_at_step_3(pred, meas):
+            calls.append(meas)
+            if len(calls) == 3:  # updates start at step 1
+                raise SingularInnovationCovariance("injected at step 3")
+            return real_update(pred, meas)
+
+        monkeypatch.setattr(simkit, "eskf_update", update_failing_at_step_3)
+        result = simkit.run_single(cfg, 0, truths, reports, commands)
+        assert result.failed == {"fusion": None, "eskf": "injected at step 3", "euler": None}
+        assert len(result.estimates["eskf"]) == 3
+        assert np.all(np.isfinite(result.tangent_errors["eskf"][:3]))
+        assert np.all(np.isnan(result.tangent_errors["eskf"][3:]))
+        for name in ("fusion", "euler"):
+            assert len(result.estimates[name]) == len(truths)
+            for a, b in zip(result.estimates[name], clean.estimates[name]):
+                assert np.array_equal(a.matrix(), b.matrix())
+            assert np.array_equal(result.tangent_errors[name], clean.tangent_errors[name])
+
+        calls.clear()  # run 0 fails at step 3, run 1 runs clean
+        series = simkit.run_monte_carlo(cfg)
+        assert (series.n_runs, series.n_failed_runs) == (2, 1)
+        assert series.filters["fusion"].per_run_rot_rmse_rad.shape == (1,)
+
     def test_metric_series_shapes(self):
         cfg = tiny_scenario(mc_runs=2, steps=3, filter_selection="fusion")
         series = simkit.run_monte_carlo(cfg)
@@ -250,6 +292,34 @@ class TestScenarioIo:
         with pytest.raises(ConfigError):
             simkit.save_scenario(replace(cfg, anchors=anchors), tmp_path / "scenario.yaml")
 
+    @pytest.mark.parametrize("pitch_deg", [0.0, 90.0, -90.0, 89.99])
+    def test_round_trip_any_pitch(self, tmp_path, pitch_deg):
+        cfg = simkit.default_scenario()
+        pitched = tracking.rotation_from_euler(np.deg2rad([25.0, pitch_deg, -40.0]))
+        anchors = (replace(cfg.anchors[0], orientation=pitched),) + cfg.anchors[1:]
+        ue_start = lie.Pose.from_rotation_position(pitched, cfg.ue_start.position)
+        cfg = replace(cfg, anchors=anchors, ue_start=ue_start)
+        path = tmp_path / "scenario.yaml"
+        simkit.save_scenario(cfg, path)
+        raw = yaml.safe_load(path.read_text())
+        assert set(raw["anchors"][0]) == {"position_m", "orientation_deg_zyx", "array_shape"}
+        assert set(raw["ue"]) == {"start_position_m", "start_orientation_deg_zyx", "array_shape"}
+        loaded = simkit.load_scenario(path)
+        assert np.abs(loaded.anchors[0].orientation - pitched).max() < 1e-12
+        assert np.abs(loaded.ue_start.rotation - pitched).max() < 1e-12
+        assert np.abs(loaded.ue_start.position - cfg.ue_start.position).max() < 1e-12
+
+    def test_non_finite_noise_scale_raises_config_error(self, tmp_path):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["measurement_noise_scale"] = float("nan")
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        assert "measurement_noise_scale: .nan" in path.read_text()
+        with pytest.raises(ConfigError):
+            simkit.load_scenario(path)
+        rc = cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 2
+
     def test_missing_key_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("seed: 1\n")
@@ -307,6 +377,16 @@ class TestCli:
         with pytest.raises(ConfigError):
             cli.parse_powers(text)
 
+    def test_powers_count_bounded(self):
+        assert len(cli.parse_powers(f"0:1:{cli.MAX_POWERS - 1}")) == cli.MAX_POWERS
+        for text in [f"0:1:{cli.MAX_POWERS}", "0:1e-6:1", "0:1e-300:1e300", ",".join(["1"] * 10_001)]:
+            with pytest.raises(ConfigError):
+                cli.parse_powers(text)
+
+    def test_too_many_powers_exit_config_error(self, tmp_path):
+        rc = cli.main(["bounds", "--powers", "0:1e-6:1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+
     def test_track_subcommand(self, tmp_path):
         cfg_path = self._write_config(tmp_path, tiny_scenario(steps=2))
         out = tmp_path / "track.csv"
@@ -357,6 +437,18 @@ class TestCli:
         rc = cli.main(["bounds", "--config", cfg_path, "--powers", "0:10:20",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+    def test_all_runs_failed_exits_3(self, tmp_path, monkeypatch, capsys):
+        cfg_path = self._write_config(tmp_path, tiny_scenario(mc_runs=2, steps=2))
+
+        def failing_run(cfg, run_index, truths, reports, commands):
+            failed = {name: "injected" for name in cfg.selected_filters}
+            return simkit.RunResult(truths, [], {}, {}, failed)
+
+        monkeypatch.setattr(simkit, "run_single", failing_run)
+        rc = cli.main(["mc", "--config", cfg_path, "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 3
+        assert "all Monte Carlo runs failed" in capsys.readouterr().err
 
     def test_exit_code_io_error(self, tmp_path):
         cfg_path = self._write_config(tmp_path, tiny_scenario())
