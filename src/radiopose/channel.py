@@ -74,8 +74,8 @@ class AnchorConfig:
     def __post_init__(self):
         require_rotation(self.orientation)
         p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,):
-            raise ValueError("anchor position must be a 3-vector")
+        if p.shape != (3,) or not np.all(np.isfinite(p)):
+            raise ValueError("anchor position must be a finite 3-vector")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "position", p)

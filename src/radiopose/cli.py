@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,11 @@ def _cmd_mc(args) -> int:
     if series.n_failed_runs:
         msg += f" ({series.n_failed_runs} failed)"
     print(msg)
+    reasons = Counter(
+        f"{name}: {reason}" for failed in series.dropped_runs.values() for name, reason in failed.items()
+    )
+    for reason, count in reasons.most_common():
+        print(f"dropped {count} run(s), {reason}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import NearPiRotation, NotSkew
 
 _SMALL_ANGLE = 1e-8
-_SMALL_JACOBIAN_ANGLE = 1e-6
+_TAYLOR_ANGLE = 1e-2
+_Q_TAYLOR_ANGLE = 0.2
 _NEAR_PI = 1e-6
 
 
@@ -87,37 +88,31 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
     return s * (angle / np.sin(angle))
 
 
-def so3_left_jacobian(r: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3) relating algebra increments to group perturbations.
-
-    Below 1e-6 the matrix series is truncated at second order; between
-    1e-6 and 1e-2 the scalar coefficients come from their Taylor series
-    (the closed forms lose digits to cancellation there).
-    """
-    r = np.asarray(r, dtype=float)
-    angle = np.linalg.norm(r)
-    k = hat3(r)
-    if angle < _SMALL_JACOBIAN_ANGLE:
-        return np.eye(3) + 0.5 * k + (k @ k) / 6.0
-    k2 = k @ k
+def _so3_jacobian_coeffs(angle: float):
+    """(c1, c2) = ((1 - cos a)/a^2, (a - sin a)/a^3) at a = |r|, from Taylor series up
+    to a^4 below 1e-2 rad, where a - sin a cancels."""
     a2 = angle * angle
-    if angle < 1e-2:
-        c1 = 0.5 - a2 / 24.0 + a2 * a2 / 720.0  # (1 - cos a) / a^2
-        c2 = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0  # (a - sin a) / a^3
-    else:
-        c1 = 2.0 * np.sin(angle / 2.0) ** 2 / a2
-        c2 = (angle - np.sin(angle)) / (a2 * angle)
-    return np.eye(3) + c1 * k + c2 * k2
+    if angle < _TAYLOR_ANGLE:
+        return 0.5 - a2 / 24.0 + a2 * a2 / 720.0, 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
+    return 2.0 * np.sin(angle / 2.0) ** 2 / a2, (angle - np.sin(angle)) / (a2 * angle)
+
+
+def so3_left_jacobian(r: np.ndarray) -> np.ndarray:
+    """Left Jacobian of SO(3), I + c1 hat(r) + c2 hat(r)^2 (``_so3_jacobian_coeffs``)."""
+    k = hat3(r)
+    c1, c2 = _so3_jacobian_coeffs(np.linalg.norm(r))
+    return np.eye(3) + c1 * k + c2 * (k @ k)
 
 
 def require_rotation(m: np.ndarray, tol: float = 1e-10) -> None:
-    """Check orthonormality and unit determinant of a 3x3 matrix."""
+    """Check orthonormality and unit determinant of a 3x3 matrix; a non-finite
+    entry fails both checks, which are written so that NaN compares false."""
     m = np.asarray(m)
     if m.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {m.shape}")
-    if np.linalg.norm(m.T @ m - np.eye(3)) > tol:
+    if not np.linalg.norm(m.T @ m - np.eye(3)) <= tol:
         raise ValueError("matrix is not orthonormal within tolerance")
-    if abs(np.linalg.det(m) - 1.0) > tol:
+    if not abs(np.linalg.det(m) - 1.0) <= tol:
         raise ValueError("matrix determinant is not +1 within tolerance")
 
 
@@ -234,20 +229,34 @@ def small_adjoint(xi: np.ndarray) -> np.ndarray:
 
 
 def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
-    """6x6 left Jacobian of SE(3).
+    """6x6 left Jacobian of SE(3), [[J, Q], [0, J]] with J = J_l(r), in closed form.
 
-    Sums small_adjoint powers / (n+1)! until the relative size of the next
-    term drops below 1e-14.
+    Q = p/2 + q1 (k p + p k - d k) + q2 (k^2 p + p k^2 + 3 d k) - 2 q3 d k^2 is
+    Barfoot & Furgale's coupling block (IEEE T-RO 2014), reduced by k p k = -d k
+    for k = hat(r), p = hat(rho), d = r . rho. At a = |r|, q1 = (a - sin a)/a^3 =
+    c2, q2 = (a^2 + 2 cos a - 2)/(2 a^4) = (1/2 - c1)/a^2 and q3 = (2a - 3 sin a
+    + a cos a)/(2 a^5) = (3 c2 - c1)/(2 a^2); below 0.2 rad, where those forms
+    cancel, q1..q3 come from Taylor series up to a^8.
     """
-    ad = small_adjoint(xi)
-    acc = np.eye(6)
-    term = np.eye(6)
-    for n in range(1, 80):
-        term = term @ ad / (n + 1)
-        acc = acc + term
-        if np.linalg.norm(term) <= 1e-14 * np.linalg.norm(acc):
-            break
-    return acc
+    rho, r = np.asarray(xi, dtype=float).reshape(2, 3)
+    angle = np.linalg.norm(r)
+    k, p = hat3(r), hat3(rho)
+    k2, kp = k @ k, k @ p
+    k2p = k @ kp
+    d = r @ rho
+    c1, c2 = _so3_jacobian_coeffs(angle)
+    a2 = angle * angle
+    if angle < _Q_TAYLOR_ANGLE:
+        q1 = 1 / 6 - a2 * (1 / 120 - a2 * (1 / 5040 - a2 * (1 / 362880 - a2 / 39916800)))
+        q2 = 1 / 24 - a2 * (1 / 720 - a2 * (1 / 40320 - a2 * (1 / 3628800 - a2 / 479001600)))
+        q3 = 1 / 120 - a2 * (1 / 2520 - a2 * (1 / 120960 - a2 * (1 / 9979200 - a2 / 1245404160)))
+    else:
+        q1, q2, q3 = c2, (0.5 - c1) / a2, (3.0 * c2 - c1) / (2.0 * a2)
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = np.eye(3) + c1 * k + c2 * k2
+    # p k = (k p)^T and p k^2 = -(k^2 p)^T because k and p are skew
+    out[:3, 3:] = 0.5 * p + q1 * (kp + kp.T - d * k) + q2 * (k2p - k2p.T + 3.0 * d * k) - 2.0 * q3 * d * k2
+    return out
 
 
 def se3_right_jacobian(xi: np.ndarray) -> np.ndarray:

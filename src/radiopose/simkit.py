@@ -56,10 +56,13 @@ class TrajectorySegment:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        for name in ("v", "w"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,8 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "anchors", tuple(self.anchors))
         object.__setattr__(self, "segments", tuple(self.segments))
+        if not np.all(np.isfinite(self.ue_start.translation_block)):
+            raise ValueError("ue_start position must be finite")
         if len(self.anchors) < 2:
             raise ValueError("at least 2 anchors are required for observability")
         if self.mc_runs < 1:
@@ -251,7 +256,11 @@ class MetricSeries:
     filters: dict
     measurement: FilterMetrics
     n_runs: int
-    n_failed_runs: int
+    dropped_runs: dict  # run index -> {filter name: error message} of each run left out
+
+    @property
+    def n_failed_runs(self) -> int:
+        return len(self.dropped_runs)
 
 
 def scenario_reports(cfg: ScenarioConfig, beams: BeamSet | None = None):
@@ -347,8 +356,9 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
 
     The bound reports are computed once (the truth is shared by all runs);
     each run samples its own measurement noise from a per-run generator.
-    Runs in which any filter fails are counted and dropped from the
-    aggregates; the batch itself never aborts.
+    Runs in which any filter fails are dropped from the aggregates, and
+    their failure messages kept in ``dropped_runs``; the batch itself never
+    aborts.
     """
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     truths, reports = scenario_reports(cfg, beams)
@@ -358,12 +368,13 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
     rot_err = {name: [] for name in cfg.selected_filters}
     meas_pos_err = []
     meas_rot_err = []
-    n_failed = 0
+    dropped = {}
 
     for run in range(cfg.mc_runs):
         result = run_single(cfg, run, truths, reports, commands)
-        if any(msg is not None for msg in result.failed.values()):
-            n_failed += 1
+        failed = {name: msg for name, msg in result.failed.items() if msg is not None}
+        if failed:
+            dropped[run] = failed
             continue
         for name in cfg.selected_filters:
             pos_err[name].append(_position_errors(result.estimates[name], truths))
@@ -373,7 +384,8 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
         meas_rot_err.append(_norms(so3_log(m.rotation @ t.rotation.T) for m, t in zip(measured, truths)))
 
     if not meas_pos_err:
-        raise RadioPoseError("all Monte Carlo runs failed")
+        reasons = "; ".join(f"{name}: {msg}" for name, msg in dropped[0].items())
+        raise RadioPoseError(f"all Monte Carlo runs failed (run 0: {reasons})")
 
     filters = {
         name: _metrics_from_errors(np.array(pos_err[name]), np.array(rot_err[name]))
@@ -385,7 +397,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
         filters=filters,
         measurement=_metrics_from_errors(np.array(meas_pos_err), np.array(meas_rot_err)),
         n_runs=cfg.mc_runs,
-        n_failed_runs=n_failed,
+        dropped_runs=dropped,
     )
 
 

@@ -29,7 +29,6 @@ from .lie import (
     se3_exp,
     se3_left_jacobian,
     se3_log,
-    small_adjoint,
     so3_exp,
     so3_log,
 )
@@ -121,16 +120,8 @@ def predict(state: FilterState, cmd: MotionCommand) -> FilterState:
 
 
 def _fusion_gain(h: np.ndarray) -> np.ndarray:
-    """A = J_l(-h)^-1 used in the Gauss-Newton linearization.
-
-    The first-order Jacobian I - ad(h)/2 is inverted in closed form for
-    moderate errors; the exact series is used otherwise.
-    """
-    if np.linalg.norm(h) < 0.5:
-        jac = np.eye(6) - 0.5 * small_adjoint(h)
-    else:
-        jac = se3_left_jacobian(-h)
-    return np.linalg.inv(jac)
+    """A = J_l(-h)^-1, so that h = log(T_m T^-1) moves by -A eps when T <- exp(eps) T."""
+    return np.linalg.inv(se3_left_jacobian(-h))
 
 
 def fuse_poses(

@@ -251,6 +251,21 @@ class TestSe3LeftJacobian:
                 lie.se3_left_jacobian(xi), jacobian_series(lie.small_adjoint(xi), 40), atol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "angle",
+        [0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.2 - 1e-12, 0.2, 0.2 + 1e-12, 0.21, 0.5, 1.0, 2.0, 3.0, 3.14],
+    )
+    def test_closed_form_matches_60_term_series(self, angle):
+        # both sides of the 0.2 rad Taylor switch; the error is relative to max(1, max|ref|)
+        rng = np.random.default_rng(14)
+        for trans_scale in (0.1, 1.0, 10.0):
+            for _ in range(10):
+                xi = random_tangent(rng, trans_scale=trans_scale)
+                xi[3:] *= angle / np.linalg.norm(xi[3:])
+                ref = jacobian_series(lie.small_adjoint(xi), 60)
+                err = np.abs(lie.se3_left_jacobian(xi) - ref).max()
+                assert err <= 1e-14 * max(1.0, np.abs(ref).max())
+
     def test_right_jacobian_is_left_at_negated(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -306,6 +321,16 @@ class TestPose:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             lie.Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        rot = np.eye(3)
+        rot[1, 2] = value
+        with pytest.raises(ValueError):
+            lie.require_rotation(rot)
+        with pytest.raises(ValueError):
+            lie.Pose(rot, np.zeros(3))
 
     def test_position_accessor(self):
         rng = np.random.default_rng(17)

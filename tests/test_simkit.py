@@ -191,6 +191,31 @@ class TestRunMonteCarlo:
         assert (series.n_runs, series.n_failed_runs) == (2, 1)
         assert series.filters["fusion"].per_run_rot_rmse_rad.shape == (1,)
 
+    def test_dropped_run_keeps_its_reason(self, monkeypatch, tmp_path, capsys):
+        cfg = tiny_scenario(mc_runs=3, steps=3)
+        calls = []
+        real_update = simkit.eskf_update
+
+        def update_failing_in_run_1(pred, meas):
+            calls.append(meas)
+            if len(calls) == 7:  # 5 updates per run of 6 steps: call 7 is in run 1
+                raise SingularInnovationCovariance("injected in run 1")
+            return real_update(pred, meas)
+
+        monkeypatch.setattr(simkit, "eskf_update", update_failing_in_run_1)
+        series = simkit.run_monte_carlo(cfg)
+        assert series.dropped_runs == {1: {"eskf": "injected in run 1"}}
+        assert series.n_failed_runs == 1
+
+        calls.clear()
+        cfg_path = tmp_path / "cfg.yaml"
+        simkit.save_scenario(cfg, cfg_path)
+        rc = cli.main(["mc", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "dropped 1 run(s), eskf: injected in run 1" in captured.err
+        assert "2/3 runs" in captured.out
+
     def test_metric_series_shapes(self):
         cfg = tiny_scenario(mc_runs=2, steps=3, filter_selection="fusion")
         series = simkit.run_monte_carlo(cfg)
@@ -320,6 +345,35 @@ class TestScenarioIo:
         rc = cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
         assert rc == 2
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("anchors", "position_m"),
+            ("anchors", "orientation_deg_zyx"),
+            ("ue", "start_position_m"),
+            ("ue", "start_orientation_deg_zyx"),
+            ("segments", "v_mps"),
+            ("segments", "w_radps"),
+            ("segments", "dt_s"),
+        ],
+    )
+    def test_non_finite_value_raises_config_error(self, tmp_path, section, key, value):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        entry = raw[section] if section == "ue" else raw[section][0]
+        if isinstance(entry[key], list):
+            entry[key][1] = value
+        else:
+            entry[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError):
+            simkit.load_scenario(path)
+        out = str(tmp_path / "out")
+        assert cli.main(["bounds", "--config", str(path), "--powers", "0", "--out", out + ".csv"]) == 2
+        assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", out]) == 2
+
     def test_missing_key_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("seed: 1\n")
@@ -448,7 +502,7 @@ class TestCli:
         monkeypatch.setattr(simkit, "run_single", failing_run)
         rc = cli.main(["mc", "--config", cfg_path, "--out-prefix", str(tmp_path / "mc")])
         assert rc == 3
-        assert "all Monte Carlo runs failed" in capsys.readouterr().err
+        assert "all Monte Carlo runs failed (run 0: fusion: injected;" in capsys.readouterr().err
 
     def test_exit_code_io_error(self, tmp_path):
         cfg_path = self._write_config(tmp_path, tiny_scenario())

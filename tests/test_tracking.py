@@ -123,6 +123,29 @@ class TestFusion:
             grad += -2.0 * a.T @ np.linalg.solve(cov, h)
         assert np.linalg.norm(grad) < 10 * 1e-8
 
+    def test_stationary_point_of_the_fused_cost(self):
+        # The returned pose minimises sum h' W h: the central finite-difference
+        # gradient over left perturbations vanishes (independent of _fusion_gain).
+        def cost(sources, pose):
+            hs = [se3_log(p @ pose.inverse()) for p, _ in sources]
+            return sum(h @ np.linalg.solve(cov, h) for h, (_, cov) in zip(hs, sources))
+
+        rng = np.random.default_rng(15)
+        step = 1e-6
+        for _ in range(20):
+            sources = []
+            for _ in range(2):
+                a = rng.standard_normal((6, 6))
+                sources.append((se3_exp(0.3 * rng.standard_normal(6)), 0.1 * (a @ a.T + 6 * np.eye(6))))
+            out = tracking.fuse_poses(sources, initial=sources[0][0], eps_threshold=1e-10)
+            assert out.converged
+            grad = [
+                (cost(sources, se3_exp(step * e) @ out.pose) - cost(sources, se3_exp(-step * e) @ out.pose))
+                / (2 * step)
+                for e in np.eye(6)
+            ]
+            assert np.linalg.norm(grad) < 10 * 1e-8
+
     def test_reports_non_convergence(self):
         rng = np.random.default_rng(5)
         pose_a = se3_exp(rng.standard_normal(6))
