@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from radiopose import channel, simkit
+from radiopose import channel, lie, simkit
 
 out_dir = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(out_dir, exist_ok=True)
@@ -29,7 +29,7 @@ result = simkit.run_single(cfg, run_index=0, truths=truths, reports=reports, com
 print(f"{'step':>5} {'meas rot err':>13} {'fusion':>9} {'eskf':>9} {'euler':>9}")
 for k in range(0, len(truths), 12):
     meas_err = np.linalg.norm(
-        simkit.so3_log(result.measurements[k].pose.rotation @ truths[k].rotation.T)
+        lie.so3_log(result.measurements[k].pose.rotation @ truths[k].rotation.T)
     )
     row = [np.linalg.norm(result.tangent_errors[n][k, 3:]) for n in ("fusion", "eskf", "euler")]
     print(f"{k:5d} {meas_err:13.4f} {row[0]:9.4f} {row[1]:9.4f} {row[2]:9.4f}")

@@ -123,6 +123,8 @@ class SignalConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.num_subcarriers < 2:
             raise ValueError("num_subcarriers must be >= 2 for delay identifiability")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @property
     def noise_variance_w(self) -> float:

@@ -57,10 +57,19 @@ def parse_powers(text: str):
         raise ConfigError(f"bad --powers specification {text!r}: {exc}") from exc
 
 
+def _override(cfg, **changes) -> "ScenarioConfig":
+    """``replace`` for command-line overrides: a value the scenario rejects is
+    a configuration error."""
+    try:
+        return replace(cfg, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"bad command-line override: {exc}") from exc
+
+
 def _load_config(args) -> "ScenarioConfig":
     cfg = load_scenario(args.config) if args.config else default_scenario()
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = _override(cfg, seed=args.seed)
     return cfg
 
 
@@ -82,7 +91,7 @@ def _cdf_paths(out: str, names):
 
 def _cmd_track(args) -> int:
     cfg = _load_config(args)
-    cfg = replace(cfg, filter_selection=args.filter, mc_runs=1)
+    cfg = _override(cfg, filter_selection=args.filter, mc_runs=1)
     series = run_monte_carlo(cfg)
     emit_csv(metric_table(series), args.out)
     for name, path in _cdf_paths(args.out, series.filters).items():
@@ -94,9 +103,9 @@ def _cmd_track(args) -> int:
 def _cmd_mc(args) -> int:
     cfg = _load_config(args)
     if args.filter:
-        cfg = replace(cfg, filter_selection=args.filter)
+        cfg = _override(cfg, filter_selection=args.filter)
     if args.runs is not None:
-        cfg = replace(cfg, mc_runs=args.runs)
+        cfg = _override(cfg, mc_runs=args.runs)
     series = run_monte_carlo(cfg)
     rmse_path = f"{args.out_prefix}_rmse.csv"
     emit_csv(metric_table(series), rmse_path)

@@ -22,7 +22,7 @@ from .errors import NearPiRotation, NotSkew
 _SMALL_ANGLE = 1e-8
 _TAYLOR_ANGLE = 1e-2
 _Q_TAYLOR_ANGLE = 0.2
-_NEAR_PI = 1e-6
+_NEAR_PI = 1e-3
 
 
 def hat3(v: np.ndarray) -> np.ndarray:
@@ -57,15 +57,22 @@ def so3_exp(r: np.ndarray) -> np.ndarray:
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix, with norm in [0, pi].
-
-    The generic branch evaluates angle/(2 sin angle) times the antisymmetric
-    part. Near zero that ratio is replaced by its Taylor expansion; near pi
-    the axis is extracted from the dominant column of (R + I)/2 and its sign
-    fixed against the largest component of the antisymmetric residual.
-    """
+    """Axis-angle vector of a rotation matrix, with norm in [0, pi]; raises
+    ValueError unless ``rot`` is a rotation (``require_rotation``)."""
     rot = np.asarray(rot, dtype=float)
     require_rotation(rot)
+    return _so3_log(rot)
+
+
+def _so3_log(rot: np.ndarray) -> np.ndarray:
+    """``so3_log`` of a matrix already known to be a rotation.
+
+    The generic branch evaluates angle/(2 sin angle) times the antisymmetric
+    part s. Near zero that ratio is replaced by its Taylor expansion. Within
+    1e-3 of pi, where dividing by sin angle costs eps/(pi - angle), the axis
+    a comes from the exact identity ((R + R^T)/2 - cos(angle) I) /
+    (1 - cos(angle)) = a a^T, its sign from s = sin(angle) a.
+    """
     s = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]) / 2.0
     cos_angle = np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0)
     angle = np.arctan2(np.linalg.norm(s), cos_angle)
@@ -74,15 +81,11 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
         # r = (angle / sin angle) * s with the ratio expanded around 0.
         return s * (1.0 + angle**2 / 6.0 + 7.0 * angle**4 / 360.0)
     if angle > np.pi - _NEAR_PI:
-        # symmetric part of (R + I)/2; the antisymmetric residual s is kept
-        # for the sign but would pollute the axis direction at O(pi - angle)
-        sym = (rot + rot.T + 2.0 * np.eye(3)) / 4.0
-        col = int(np.argmax(np.diag(sym)))
-        axis = sym[:, col] / np.linalg.norm(sym[:, col])
-        # sin(angle) * axis equals the antisymmetric residual s; use its
-        # largest component to resolve the sign ambiguity of the column.
+        aat = ((rot + rot.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
+        col = int(np.argmax(np.diag(aat)))
+        axis = aat[:, col] / np.sqrt(aat[col, col])
         lead = int(np.argmax(np.abs(s)))
-        if np.abs(s[lead]) > 0 and np.sign(s[lead]) != np.sign(axis[lead]):
+        if s[lead] * axis[lead] < 0:
             axis = -axis
         return angle * axis
     return s * (angle / np.sin(angle))
@@ -124,7 +127,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform with the translation block convention b = R @ p."""
+    """Rigid transform with the translation block convention b = R @ p.
+
+    The constructor checks the rotation (``require_rotation``); the poses that
+    ``@``, ``inverse`` and ``se3_exp`` return are built from valid ones and
+    are not checked again.
+    """
 
     rotation: np.ndarray
     translation_block: np.ndarray
@@ -165,13 +173,24 @@ class Pose:
         return m
 
     def inverse(self) -> "Pose":
-        return Pose(self.rotation.T, -(self.rotation.T @ self.translation_block))
+        return _pose(self.rotation.T, -(self.rotation.T @ self.translation_block))
 
     def __matmul__(self, other: "Pose") -> "Pose":
-        return Pose(
+        return _pose(
             self.rotation @ other.rotation,
             self.rotation @ other.translation_block + self.translation_block,
         )
+
+
+def _pose(rotation: np.ndarray, translation_block: np.ndarray) -> Pose:
+    """Pose from float arrays computed out of already valid poses or rotation
+    vectors: frozen in place, neither copied nor checked, because the group
+    operations keep a rotation a rotation."""
+    pose = object.__new__(Pose)
+    for name, value in (("rotation", rotation), ("translation_block", translation_block)):
+        value.flags.writeable = False
+        object.__setattr__(pose, name, value)
+    return pose
 
 
 def se3_hat(xi: np.ndarray) -> np.ndarray:
@@ -193,7 +212,7 @@ def se3_exp(xi: np.ndarray) -> Pose:
     """Exponential map of SE(3): rotation by r, translation block J_l(r) @ rho."""
     xi = np.asarray(xi, dtype=float)
     rho, r = xi[:3], xi[3:]
-    return Pose(so3_exp(r), so3_left_jacobian(r) @ rho)
+    return _pose(so3_exp(r), so3_left_jacobian(r) @ rho)
 
 
 def se3_log(pose: Pose) -> np.ndarray:
@@ -202,7 +221,7 @@ def se3_log(pose: Pose) -> np.ndarray:
     Raises NearPiRotation when the rotation angle is within 1e-6 of pi,
     where J_l becomes badly conditioned.
     """
-    r = so3_log(pose.rotation)
+    r = _so3_log(pose.rotation)
     if np.linalg.norm(r) > np.pi - 1e-6:
         raise NearPiRotation("rotation angle within 1e-6 of pi")
     rho = np.linalg.solve(so3_left_jacobian(r), pose.translation_block)

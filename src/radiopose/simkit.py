@@ -25,7 +25,7 @@ from .channel import (
     noise_free_signal,
 )
 from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState
-from .lie import Pose, se3_exp, se3_log, so3_log
+from .lie import Pose, _so3_log, se3_exp, se3_log
 from .tracking import (
     FilterState,
     MotionCommand,
@@ -294,9 +294,9 @@ _FILTERS = {
 def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -> RunResult:
     """Sample one measurement sequence and run the selected filters.
 
-    A filter that raises a RadioPoseError stops there: its message goes to
-    ``failed`` and its estimates end at the last good step, while the other
-    filters run on.
+    A filter that raises a RadioPoseError, or whose estimate stops being
+    finite, stops there: its message goes to ``failed`` and its estimates end
+    at the last good step, while the other filters run on.
     """
     rng = run_rng(cfg.seed, run_index)
     measurements = [
@@ -315,8 +315,10 @@ def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -
                 if k > 0:
                     state = step(state, commands[k], meas)
                 est_pose = pose_of(state)
-                estimates[name].append(est_pose)
                 errors[name][k] = se3_log(est_pose @ truths[k].inverse())
+                if not np.all(np.isfinite(errors[name][k])):
+                    raise RadioPoseError(f"estimate is not finite at step {k}")
+                estimates[name].append(est_pose)
         except RadioPoseError as exc:
             failed[name] = str(exc)
 
@@ -381,7 +383,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
             rot_err[name].append(_norms(result.tangent_errors[name][:, 3:]))
         measured = [m.pose for m in result.measurements]
         meas_pos_err.append(_position_errors(measured, truths))
-        meas_rot_err.append(_norms(so3_log(m.rotation @ t.rotation.T) for m, t in zip(measured, truths)))
+        meas_rot_err.append(_norms(_so3_log(m.rotation @ t.rotation.T) for m, t in zip(measured, truths)))
 
     if not meas_pos_err:
         reasons = "; ".join(f"{name}: {msg}" for name, msg in dropped[0].items())

@@ -20,11 +20,13 @@ from .bounds import measurement_covariance
 from .errors import (
     GimbalLock,
     LengthMismatch,
+    RadioPoseError,
     SingularInnovationCovariance,
     SingularNormalEquations,
 )
 from .lie import (
     Pose,
+    _pose,
     adjoint,
     se3_exp,
     se3_left_jacobian,
@@ -57,7 +59,11 @@ def check_cov_tangent(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Nominal pose plus 6x6 tangent covariance (left perturbation)."""
+    """Nominal pose plus 6x6 tangent covariance (left perturbation).
+
+    The constructor checks the covariance (``check_cov_tangent``); the states
+    that ``predict`` and the updates return are symmetrized but not checked.
+    """
 
     pose: Pose
     cov: np.ndarray
@@ -69,9 +75,21 @@ class FilterState:
         object.__setattr__(self, "cov", cov)
 
 
+def _state(pose: Pose, cov: np.ndarray, converged: bool = True) -> FilterState:
+    """FilterState of a covariance the filters computed: symmetrized and frozen
+    like the constructor does, without ``check_cov_tangent``."""
+    state = object.__new__(FilterState)
+    cov = _symmetrize(cov)
+    cov.flags.writeable = False
+    for name, value in (("pose", pose), ("cov", cov), ("converged", converged)):
+        object.__setattr__(state, name, value)
+    return state
+
+
 @dataclass(frozen=True)
 class MotionCommand:
-    """Constant-velocity step: local translation velocity v, rotation rate w."""
+    """Constant-velocity step: local translation velocity v, rotation rate w,
+    and a process noise covariance that ``check_cov_tangent`` accepts."""
 
     v: np.ndarray  # m/s
     w: np.ndarray  # rad/s
@@ -83,7 +101,7 @@ class MotionCommand:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        object.__setattr__(self, "process_noise", _symmetrize(np.asarray(self.process_noise, dtype=float)))
+        object.__setattr__(self, "process_noise", check_cov_tangent(self.process_noise))
 
 
 @dataclass(frozen=True)
@@ -101,22 +119,27 @@ class PoseMeasurement:
     @cached_property
     def cov_tangent(self) -> np.ndarray:
         """The bound mapped into the [rho, r] tangent at the measured rotation,
-        computed once and shared by every filter that consumes this measurement."""
-        cov = measurement_covariance(self.cov_state_icrb, self.pose.rotation)
+        computed once and shared by every filter that consumes this measurement.
+        A measured rotation that is not finite (noise that overflowed) raises
+        RadioPoseError."""
+        try:
+            cov = measurement_covariance(self.cov_state_icrb, self.pose.rotation)
+        except ValueError as exc:
+            raise RadioPoseError(f"measured pose is not a rigid transform: {exc}") from exc
         cov.flags.writeable = False
         return cov
 
 
 def motion_matrix(cmd: MotionCommand) -> Pose:
     """Left-multiplied kinematics factor with rotation exp(dt w^) and block dt v."""
-    return Pose(so3_exp(cmd.dt * cmd.w), cmd.dt * cmd.v)
+    return _pose(so3_exp(cmd.dt * cmd.w), cmd.dt * cmd.v)
 
 
 def predict(state: FilterState, cmd: MotionCommand) -> FilterState:
     """Propagate pose and covariance one step: T <- F T, P <- Ad(F) P Ad(F)' + Q."""
     f = motion_matrix(cmd)
     ad = adjoint(f)
-    return FilterState(f @ state.pose, ad @ state.cov @ ad.T + cmd.process_noise)
+    return _state(f @ state.pose, ad @ state.cov @ ad.T + cmd.process_noise)
 
 
 def _fusion_gain(h: np.ndarray) -> np.ndarray:
@@ -172,7 +195,7 @@ def fuse_poses(
         post_cov = np.linalg.inv(normal)
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquations("posterior information matrix singular") from exc
-    return FilterState(t_in, post_cov, converged=converged)
+    return _state(t_in, post_cov, converged)
 
 
 def fusion_update(
@@ -202,7 +225,7 @@ def eskf_core(pred_pose: Pose, pred_cov: np.ndarray, meas_pose: Pose, meas_cov: 
     pose = se3_exp(delta) @ pred_pose
     sigma_eps = (np.eye(6) - gain) @ pred_cov
     jac = se3_left_jacobian(delta)
-    return FilterState(pose, jac @ _symmetrize(sigma_eps) @ jac.T)
+    return _state(pose, jac @ _symmetrize(sigma_eps) @ jac.T)
 
 
 def eskf_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
@@ -256,7 +279,8 @@ def euler_state_from_pose(pose: Pose) -> np.ndarray:
 
 def pose_from_euler_state(state: np.ndarray) -> Pose:
     state = np.asarray(state, dtype=float)
-    return Pose.from_rotation_position(rotation_from_euler(state[3:]), state[:3])
+    rot = rotation_from_euler(state[3:])
+    return _pose(rot, rot @ state[:3])
 
 
 def euler_propagate(state: np.ndarray, cmd: MotionCommand) -> np.ndarray:

@@ -396,6 +396,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_signal(**{name: value})
 
+    def test_negative_beam_seed_rejected(self):
+        with pytest.raises(ValueError):
+            small_signal(rng_seed=-1)
+
     def test_default_bandwidth_is_occupied_band(self):
         sig = channel.SignalConfig(
             carrier_hz=30e9,

@@ -119,6 +119,21 @@ class TestSo3Log:
             assert np.linalg.norm(back - lie.so3_log(lie.so3_exp(back))) < 1e-9
             assert np.linalg.norm(back - r) < 1e-9
 
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5])
+    def test_exp_of_log_exact_just_below_pi(self, gap):
+        # dividing by sin(angle) here would cost about 2e-16 / gap
+        rng = np.random.default_rng(5)
+        axes = [np.ones(3)] + list(rng.standard_normal((300, 3)))
+        for axis in axes:
+            rot = lie.so3_exp(axis / np.linalg.norm(axis) * (np.pi - gap))
+            log = lie.so3_log(rot)
+            assert abs(np.linalg.norm(log) - (np.pi - gap)) < 1e-12
+            assert np.abs(lie.so3_exp(log) - rot).max() < 1e-12
+
+    def test_rejects_non_rotation(self):
+        with pytest.raises(ValueError):
+            lie.so3_log(np.eye(3) * 1.001)
+
     def test_log_norm_at_most_pi(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

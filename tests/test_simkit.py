@@ -191,6 +191,21 @@ class TestRunMonteCarlo:
         assert (series.n_runs, series.n_failed_runs) == (2, 1)
         assert series.filters["fusion"].per_run_rot_rmse_rad.shape == (1,)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_estimate_ends_the_filter(self, monkeypatch):
+        cfg = tiny_scenario(mc_runs=1, steps=3)
+        truths, reports = simkit.scenario_reports(cfg)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+
+        def diverged(pred, meas):
+            return tracking.FilterState(lie.se3_exp(np.full(6, np.nan)), pred.cov)
+
+        monkeypatch.setattr(simkit, "eskf_update", diverged)
+        result = simkit.run_single(cfg, 0, truths, reports, commands)
+        assert result.failed == {"fusion": None, "eskf": "estimate is not finite at step 1", "euler": None}
+        assert len(result.estimates["eskf"]) == 1
+        assert np.all(np.isnan(result.tangent_errors["eskf"][1:]))
+
     def test_dropped_run_keeps_its_reason(self, monkeypatch, tmp_path, capsys):
         cfg = tiny_scenario(mc_runs=3, steps=3)
         calls = []
@@ -374,6 +389,18 @@ class TestScenarioIo:
         assert cli.main(["bounds", "--config", str(path), "--powers", "0", "--out", out + ".csv"]) == 2
         assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", out]) == 2
 
+    @pytest.mark.parametrize("command", ["bounds", "mc"])
+    def test_negative_beam_seed_raises_config_error(self, tmp_path, command):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["signal"]["rng_seed"] = -1
+        path = tmp_path / "seed.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError):
+            simkit.load_scenario(path)
+        out = str(tmp_path / "out")
+        args = {"bounds": ["--powers", "0", "--out", out + ".csv"], "mc": ["--runs", "1", "--out-prefix", out]}
+        assert cli.main([command, "--config", str(path)] + args[command]) == 2
+
     def test_missing_key_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("seed: 1\n")
@@ -503,6 +530,23 @@ class TestCli:
         rc = cli.main(["mc", "--config", cfg_path, "--out-prefix", str(tmp_path / "mc")])
         assert rc == 3
         assert "all Monte Carlo runs failed (run 0: fusion: injected;" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_bad_runs_override_exits_config_error(self, tmp_path, runs, capsys):
+        rc = cli.main(["mc", "--runs", runs, "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e6, 1e200])
+    def test_huge_measurement_noise_ends_cleanly(self, tmp_path, scale):
+        # 1e6 made the fusion posterior fail the covariance symmetry check and
+        # 1e200 overflows the sampled rotation to NaN; neither may escape as a
+        # bare exception
+        cfg = replace(simkit.default_scenario(), measurement_noise_scale=scale)
+        cfg_path = self._write_config(tmp_path, cfg)
+        rc = cli.main(["mc", "--config", cfg_path, "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
+        assert rc in (0, 3)
 
     def test_exit_code_io_error(self, tmp_path):
         cfg_path = self._write_config(tmp_path, tiny_scenario())

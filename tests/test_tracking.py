@@ -9,7 +9,7 @@ import pytest
 
 from radiopose import lie, tracking
 from radiopose.bounds import measurement_covariance
-from radiopose.errors import GimbalLock, LengthMismatch
+from radiopose.errors import GimbalLock, LengthMismatch, RadioPoseError
 from radiopose.lie import Pose, se3_exp, se3_log, so3_exp, so3_log
 from radiopose.tracking import FilterState, MotionCommand, PoseMeasurement
 
@@ -34,6 +34,12 @@ class TestPredict:
         out = tracking.predict(state, command([0, 0, 0], [0, 0, 0], q=q))
         np.testing.assert_allclose(out.pose.matrix(), state.pose.matrix(), atol=1e-15)
         np.testing.assert_allclose(out.cov, state.cov + q, atol=1e-15)
+
+    def test_process_noise_checked_where_it_enters(self):
+        # predict no longer checks the covariance it returns, so a bad process
+        # noise is rejected by the command that brings it in
+        with pytest.raises(ValueError):
+            command([0, 0, 0], [0, 0, 0], q=-1e-4 * np.eye(6))
 
     def test_pure_translation_shifts_block(self):
         state = FilterState(Pose.identity(), np.eye(6))
@@ -256,6 +262,52 @@ class TestMeasurementTangentCovariance:
         tracking.fusion_update(pred, meas)
         tracking.eskf_update(pred, meas)
         assert len(calls) == 1
+
+
+class TestChecksAtTheBoundary:
+    def test_group_operations_and_filters_do_not_recheck(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        pose, other = se3_exp(rng.standard_normal(6)), se3_exp(rng.standard_normal(6))
+        state = random_state(rng, cov_scale=1e-3)
+        a = rng.standard_normal((6, 6))
+        meas_pose = se3_exp(0.01 * rng.standard_normal(6)) @ state.pose
+        meas = PoseMeasurement(meas_pose, 1e-4 * (a @ a.T + 6 * np.eye(6)))
+        # the bound enters measurement_covariance with the measured rotation
+        # as a raw matrix, which is checked there: take it before counting
+        meas.cov_tangent
+        cmd = command([0.5, 0.0, 0.0], [0.0, 0.0, 0.3], q=1e-4 * np.eye(6))
+
+        calls = []
+        real_rotation, real_cov = lie.require_rotation, tracking.check_cov_tangent
+
+        def rotation_check(*args, **kwargs):
+            calls.append("rotation")
+            return real_rotation(*args, **kwargs)
+
+        def cov_check(*args, **kwargs):
+            calls.append("cov")
+            return real_cov(*args, **kwargs)
+
+        monkeypatch.setattr(lie, "require_rotation", rotation_check)
+        monkeypatch.setattr(tracking, "check_cov_tangent", cov_check)
+        pose @ other
+        pose.inverse()
+        se3_log(se3_exp(rng.standard_normal(6)) @ pose)
+        pred = tracking.predict(state, cmd)
+        tracking.fusion_update(pred, meas)
+        tracking.eskf_update(pred, meas)
+        assert calls == []
+
+        with pytest.raises(ValueError):
+            Pose(np.eye(3) * 1.001, np.zeros(3))
+        FilterState(pose, np.eye(6))
+        assert calls == ["rotation", "cov"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_measured_pose_is_a_radiopose_error(self):
+        meas = PoseMeasurement(se3_exp(np.array([0.0, 0.0, 0.0, np.nan, 0.0, 0.0])), np.eye(6))
+        with pytest.raises(RadioPoseError, match="measured pose"):
+            meas.cov_tangent
 
 
 class TestEulerBaseline:
