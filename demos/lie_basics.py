@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Tour of the SO(3)/SE(3) toolbox: exponential and logarithmic maps,
-Jacobians, adjoints, and the BCH composition rule.
+rigid transforms, and adjoints.
 
 Run: python demos/lie_basics.py
 """
@@ -38,12 +38,3 @@ v = rng.standard_normal(6)
 lhs = lie.adjoint(t1) @ v
 rhs = lie.se3_vee(t1.matrix() @ lie.se3_hat(v) @ t1.inverse().matrix())
 print(f"Ad(T) xi vs vee(T xi^ T^-1): max diff {np.abs(lhs - rhs).max():.2e}")
-
-print("\n=== BCH: composing group elements in the algebra ===")
-xi1 = rng.standard_normal(6)
-for scale in (0.08, 0.04, 0.02):
-    small = scale * np.array([0.3, -0.1, 0.2, 0.1, 0.2, -0.3])
-    exact = lie.se3_log(lie.se3_exp(xi1) @ lie.se3_exp(small))
-    approx = lie.bch_compose_small(xi1, small, "second")
-    print(f"|small|={scale:5.2f}: first-order BCH error {np.linalg.norm(exact - approx):.2e}")
-print("error falls ~4x per halving: the approximation is second order")

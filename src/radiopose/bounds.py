@@ -28,7 +28,7 @@ from .channel import (
     fim_unconstrained,
 )
 from .errors import SingularNuisanceBlock, UnobservableState
-from .lie import Pose, hat3, so3_left_jacobian, so3_log
+from .lie import Pose, hat3
 
 
 def tangent_basis(direction: np.ndarray) -> np.ndarray:
@@ -228,17 +228,18 @@ def translation_block_wrt_rotvec(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Transform a state-domain 6x6 covariance over [p, r] into the
-    [rho, r] tangent covariance used by the filters, at a measured rotation.
+    """Map a 6x6 bound over [delta p, theta] into the [rho, r] tangent
+    covariance used by the filters, at a measured rotation R.
 
-    With rho = 0 the pose-coordinate change acts on the rotation block
-    alone, so the transform is T @ icrb @ T.T with
-    T = diag(I3, inv(J_l(log R)).T). J_l is invertible on the whole log
-    range |r| <= pi (det J_l = 2 (1 - cos|r|) / |r|^2 >= 4 / pi^2), and the
-    congruence keeps rank-deficient inputs well defined.
+    The bound lives in the coordinates ``state_jacobian_tz`` differentiates
+    in: the global position offset delta p and the left rotation increment
+    theta (R <- exp(hat(theta)) R). With b = R p, the left perturbation
+    exp([rho, r]) moves the position by R.T J_r(r) rho and the rotation by
+    r, so to first order rho = R delta p and r = theta: the map is
+    T @ icrb @ T.T with T = diag(R, I3).
     """
     t = np.eye(6)
-    t[3:, 3:] = np.linalg.inv(so3_left_jacobian(so3_log(rotation))).T
+    t[:3, :3] = rotation
     out = t @ np.asarray(icrb, dtype=float) @ t.T
     return (out + out.T) / 2.0
 

@@ -1,4 +1,4 @@
-"""SO(3)/SE(3) primitives: hat/vee, exp/log maps, Jacobians, adjoints, BCH.
+"""SO(3)/SE(3) primitives: hat/vee, exp/log maps, Jacobians, adjoints.
 
 Conventions used throughout the package:
 
@@ -277,22 +277,3 @@ def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
     out[:3, 3:] = 0.5 * p + q1 * (kp + kp.T - d * k) + q2 * (k2p - k2p.T + 3.0 * d * k) - 2.0 * q3 * d * k2
     return out
 
-
-def se3_right_jacobian(xi: np.ndarray) -> np.ndarray:
-    """Right Jacobian of SE(3), obtained as the left Jacobian at -xi."""
-    return se3_left_jacobian(-np.asarray(xi, dtype=float))
-
-
-def bch_compose_small(xi1: np.ndarray, xi2: np.ndarray, which_small: str = "second") -> np.ndarray:
-    """First-order BCH approximation of log(exp(xi1) exp(xi2)).
-
-    The argument named by ``which_small`` must be small (norm < 0.1) for the
-    quadratic error bound to hold.
-    """
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    if which_small == "first":
-        return np.linalg.solve(se3_left_jacobian(xi2), xi1) + xi2
-    if which_small == "second":
-        return xi1 + np.linalg.solve(se3_right_jacobian(xi1), xi2)
-    raise ValueError(f"which_small must be 'first' or 'second', got {which_small!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .bounds import IcrbReport, measurement_covariance, pose_error_bounds
+from .bounds import IcrbReport, pose_error_bounds
 from .channel import (
     AnchorConfig,
     ArrayGeometry,
@@ -25,7 +25,7 @@ from .channel import (
     noise_free_signal,
 )
 from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState
-from .lie import Pose, _so3_log, se3_exp, se3_log
+from .lie import Pose, _pose, _so3_log, se3_log, so3_exp
 from .tracking import (
     FilterState,
     MotionCommand,
@@ -202,16 +202,23 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
 
 
 def sample_measurement(truth: Pose, report: IcrbReport, rng, noise_scale: float = 1.0) -> PoseMeasurement:
-    """Draw a pose measurement as a left tangent perturbation of the truth.
+    """Draw a pose measurement around the truth in the bound's own coordinates.
 
-    The noise covariance is the bound covariance mapped into the [rho, r]
-    tangent at the true rotation; the measurement keeps the raw
-    state-domain bound, and its ``cov_tangent`` maps that bound at the
-    measured rotation for the filters.
+    delta = noise_scale * S z with S S.T = icrb shifts the global position by
+    delta[:3] and turns the rotation by the left increment delta[3:]
+    (R <- exp(hat(delta[3:])) R), as in ``bounds.state_jacobian_tz``, so the
+    sampled error has the bound as covariance. Noise that overflows raises
+    RadioPoseError.
     """
-    sigma = measurement_covariance(report.icrb, truth.rotation)
-    noise = noise_scale * (_psd_sqrt(sigma) @ rng.standard_normal(6))
-    return PoseMeasurement(pose=se3_exp(noise) @ truth, cov_state_icrb=report.icrb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = noise_scale * (_psd_sqrt(report.icrb) @ rng.standard_normal(6))
+        rot = so3_exp(delta[3:]) @ truth.rotation
+        block = rot @ (truth.position + delta[:3])
+    if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(block))):
+        raise RadioPoseError(
+            f"sampled measurement is not finite: measurement_noise_scale {noise_scale:g} overflows"
+        )
+    return PoseMeasurement(pose=_pose(rot, block), cov_state_icrb=report.icrb)
 
 
 def run_rng(seed: int, run_index: int):
@@ -359,8 +366,8 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
     The bound reports are computed once (the truth is shared by all runs);
     each run samples its own measurement noise from a per-run generator.
     Runs in which any filter fails are dropped from the aggregates, and
-    their failure messages kept in ``dropped_runs``; the batch itself never
-    aborts.
+    their failure messages kept in ``dropped_runs``; a filter failure never
+    aborts the batch, but noise that ``sample_measurement`` cannot draw does.
     """
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     truths, reports = scenario_reports(cfg, beams)

@@ -3,7 +3,7 @@
 Two manifold-correct updates are provided: an iterated Gauss-Newton fusion
 of the predicted and measured poses, and an error-state Kalman filter that
 linearizes the left-tangent error. An Euler-angle EKF baseline ships for
-comparison, together with the Lie-algebra rotation RMSE metric.
+comparison.
 
 All covariances live in the left-perturbation tangent ordered [rho, r]:
 T = exp(hat(xi)) @ T_nominal.
@@ -19,8 +19,6 @@ import numpy as np
 from .bounds import measurement_covariance
 from .errors import (
     GimbalLock,
-    LengthMismatch,
-    RadioPoseError,
     SingularInnovationCovariance,
     SingularNormalEquations,
 )
@@ -32,7 +30,6 @@ from .lie import (
     se3_left_jacobian,
     se3_log,
     so3_exp,
-    so3_log,
 )
 
 _GIMBAL_GUARD = 1e-3
@@ -119,13 +116,8 @@ class PoseMeasurement:
     @cached_property
     def cov_tangent(self) -> np.ndarray:
         """The bound mapped into the [rho, r] tangent at the measured rotation,
-        computed once and shared by every filter that consumes this measurement.
-        A measured rotation that is not finite (noise that overflowed) raises
-        RadioPoseError."""
-        try:
-            cov = measurement_covariance(self.cov_state_icrb, self.pose.rotation)
-        except ValueError as exc:
-            raise RadioPoseError(f"measured pose is not a rigid transform: {exc}") from exc
+        computed once and shared by every filter that consumes this measurement."""
+        cov = measurement_covariance(self.cov_state_icrb, self.pose.rotation)
         cov.flags.writeable = False
         return cov
 
@@ -330,15 +322,3 @@ def euler_ekf_update(state: np.ndarray, cov: np.ndarray, meas: PoseMeasurement):
     new_cov = _symmetrize((np.eye(6) - gain) @ cov)
     return new_state, new_cov
 
-
-def rotation_rmse(estimates, truths) -> float:
-    """Root-mean-square of the Lie-algebra rotation errors log(R_est R_true^T)."""
-    if len(estimates) != len(truths):
-        raise LengthMismatch(f"{len(estimates)} estimates vs {len(truths)} truths")
-    if len(estimates) == 0:
-        raise LengthMismatch("need at least one pair")
-    total = 0.0
-    for est, true in zip(estimates, truths):
-        err = so3_log(np.asarray(est) @ np.asarray(true).T)
-        total += float(err @ err)
-    return float(np.sqrt(total / len(estimates)))

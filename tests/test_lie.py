@@ -281,52 +281,6 @@ class TestSe3LeftJacobian:
                 err = np.abs(lie.se3_left_jacobian(xi) - ref).max()
                 assert err <= 1e-14 * max(1.0, np.abs(ref).max())
 
-    def test_right_jacobian_is_left_at_negated(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            xi = random_tangent(rng)
-            np.testing.assert_allclose(
-                lie.se3_right_jacobian(xi), lie.se3_left_jacobian(-xi), atol=0
-            )
-
-
-class TestBch:
-    def test_zero_second_argument(self):
-        rng = np.random.default_rng(14)
-        xi1 = random_tangent(rng)
-        np.testing.assert_allclose(
-            lie.bch_compose_small(xi1, np.zeros(6), "second"), xi1, atol=1e-14
-        )
-
-    def test_commuting_case_sums(self):
-        xi1 = np.array([0, 0, 0, 0, 0, 0.4])
-        xi2 = np.array([0, 0, 0, 0, 0, 0.05])
-        np.testing.assert_allclose(
-            lie.bch_compose_small(xi1, xi2, "second"), xi1 + xi2, atol=1e-12
-        )
-
-    def test_error_against_exact_composition(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            xi1 = random_tangent(rng)
-            xi1 *= 0.01 / np.linalg.norm(xi1)
-            xi2 = random_tangent(rng)
-            exact = lie.se3_log(lie.se3_exp(xi1) @ lie.se3_exp(xi2))
-            approx = lie.bch_compose_small(xi1, xi2, "first")
-            assert np.linalg.norm(exact - approx) < 1e-3
-
-    def test_quadratic_error_scaling(self):
-        rng = np.random.default_rng(16)
-        xi1 = random_tangent(rng)
-        small = random_tangent(rng)
-        small /= np.linalg.norm(small)
-
-        def err(scale):
-            exact = lie.se3_log(lie.se3_exp(xi1) @ lie.se3_exp(scale * small))
-            return np.linalg.norm(exact - lie.bch_compose_small(xi1, scale * small, "second"))
-
-        assert err(0.08) / err(0.04) >= 3.5
-
 
 class TestPose:
     def test_rejects_non_orthonormal(self):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 from radiopose import channel, cli, lie, simkit, tracking
-from radiopose.errors import ConfigError, LengthMismatch, SingularInnovationCovariance
+from radiopose.errors import ConfigError, LengthMismatch, RadioPoseError, SingularInnovationCovariance
 
 
 def tiny_scenario(mc_runs=2, steps=3, n_segments=2, **overrides):
@@ -97,6 +98,18 @@ class TestSampleMeasurement:
             meas = simkit.sample_measurement(cfg.ue_start, report, rng)
             rot = meas.pose.rotation
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
+
+    def test_overflowing_noise_is_a_radiopose_error(self):
+        # the draw overflows at this scale: the sampler names the setting,
+        # without a numpy warning, before any filter runs
+        cfg = tiny_scenario(mc_runs=1, measurement_noise_scale=1e200)
+        truths, reports = simkit.scenario_reports(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RadioPoseError, match="measurement_noise_scale"):
+                simkit.sample_measurement(truths[0], reports[0], simkit.run_rng(0, 0), 1e200)
+            with pytest.raises(RadioPoseError, match="measurement_noise_scale"):
+                simkit.run_monte_carlo(cfg)
 
     def test_empirical_covariance_matches_transform(self):
         from radiopose.bounds import measurement_covariance
