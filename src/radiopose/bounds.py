@@ -16,6 +16,7 @@ two tangent coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from .channel import (
     fim_unconstrained,
 )
 from .errors import SingularNuisanceBlock, UnobservableState
-from .lie import Pose, hat3
+from .lie import Pose, _readonly, hat3
+
+_COND_LIMIT = 1e12
 
 
 def tangent_basis(direction: np.ndarray) -> np.ndarray:
@@ -58,7 +61,7 @@ def _direction_list(params) -> list:
     return dirs
 
 
-def projection_matrix(params, basis_fn=tangent_basis) -> np.ndarray:
+def projection_matrix(params) -> np.ndarray:
     """Block-diagonal projector (7N x 9N): identity on delays and gains,
     a 2x3 tangent basis per direction vector."""
     n = len(params)
@@ -66,18 +69,18 @@ def projection_matrix(params, basis_fn=tangent_basis) -> np.ndarray:
     out = np.zeros((7 * n, 9 * n))
     out[:n, :n] = np.eye(n)
     for k, d in enumerate(dirs):
-        out[n + 2 * k : n + 2 * k + 2, n + 3 * k : n + 3 * k + 3] = basis_fn(d)
+        out[n + 2 * k : n + 2 * k + 2, n + 3 * k : n + 3 * k + 3] = tangent_basis(d)
     out[5 * n :, 7 * n :] = np.eye(2 * n)
     return out
 
 
-def project_fim(f_unconstrained: np.ndarray, params, basis_fn=tangent_basis) -> np.ndarray:
+def project_fim(f_unconstrained: np.ndarray, params) -> np.ndarray:
     """Project the (9N, 9N) unconstrained FIM onto the constraint manifold.
 
     Delays and gains are Euclidean and pass through unchanged; each
     direction vector is reduced to two tangent coordinates.
     """
-    b = projection_matrix(params, basis_fn)
+    b = projection_matrix(params)
     out = b @ np.asarray(f_unconstrained, dtype=float) @ b.T
     return (out + out.T) / 2.0
 
@@ -111,7 +114,7 @@ def efim_remove_gains(f_projected: np.ndarray) -> np.ndarray:
     return schur_complement_keep_top(f, 5 * (f.shape[0] // 7))
 
 
-def state_jacobian_tz(ue: Pose, anchors, basis_fn=tangent_basis) -> np.ndarray:
+def state_jacobian_tz(ue: Pose, anchors) -> np.ndarray:
     """(5N, 6) Jacobian of the projected channel parameters in the state tangent.
 
     Columns 1-3 differentiate against the global UE position, columns 4-6
@@ -137,8 +140,8 @@ def state_jacobian_tz(ue: Pose, anchors, basis_fn=tangent_basis) -> np.ndarray:
         d_bs_dp = anchor.orientation.T @ proj
         # left rotation increment: d dir_ue / d theta_j = R.T (e_j x u)
         d_ue_dth = r_u.T @ hat3(u).T  # columns e_j x u, via (hat(u).T)_j = e_j x u
-        b_ue = basis_fn(dir_ue)
-        b_bs = basis_fn(dir_bs)
+        b_ue = tangent_basis(dir_ue)
+        b_bs = tangent_basis(dir_bs)
         row = n + 4 * i
         out[row : row + 2, :3] = b_ue @ d_ue_dp
         out[row : row + 2, 3:] = b_ue @ d_ue_dth
@@ -156,25 +159,34 @@ def state_fim(f_z: np.ndarray, t_z: np.ndarray) -> np.ndarray:
 class IcrbReport:
     """Inverse state FIM with the scalar position / rotation error bounds."""
 
-    icrb: np.ndarray  # 6x6 over [position(3), rotation tangent(3)]
+    icrb: np.ndarray  # 6x6 over [position(3), rotation tangent(3)], read-only copy
     peb_m: float
     rmeb_rad: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "icrb", _readonly(self.icrb))
 
-def icrb_report(f_x: np.ndarray, cond_limit: float = 1e12) -> IcrbReport:
+    @cached_property
+    def icrb_sqrt(self) -> np.ndarray:
+        """Factor S with S @ S.T = icrb from its eigendecomposition, computed
+        once per report and shared by every measurement drawn from it."""
+        eig, vec = np.linalg.eigh((self.icrb + self.icrb.T) / 2.0)
+        return _readonly(vec * np.sqrt(np.clip(eig, 0.0, None)))
+
+
+def icrb_report(f_x: np.ndarray) -> IcrbReport:
     """Invert the state FIM and derive PEB/RMEB.
 
-    Raises UnobservableState when the FIM condition number exceeds the
-    limit, which signals insufficient anchors or degenerate geometry.
+    Raises UnobservableState when the FIM condition number exceeds ``_COND_LIMIT``
+    (1e12), which signals insufficient anchors or degenerate geometry.
     """
     f = np.asarray(f_x, dtype=float)
     eig, vec = np.linalg.eigh((f + f.T) / 2.0)
-    if eig[-1] <= 0 or eig[0] <= eig[-1] / cond_limit:
+    if eig[-1] <= 0 or eig[0] <= eig[-1] / _COND_LIMIT:
         raise UnobservableState(
-            f"state FIM condition number exceeds {cond_limit:.1e}; geometry unobservable"
+            f"state FIM condition number exceeds {_COND_LIMIT:.1e}; geometry unobservable"
         )
-    floored = np.maximum(eig, 1e-15 * eig[-1])
-    icrb = (vec / floored) @ vec.T
+    icrb = (vec / eig) @ vec.T
     icrb = (icrb + icrb.T) / 2.0
     return IcrbReport(
         icrb=icrb,
@@ -244,30 +256,12 @@ def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray
     return (out + out.T) / 2.0
 
 
-def unconstrained_state_fim(
-    ue: Pose,
-    anchors,
-    ue_array: ArrayGeometry,
-    sig: SignalConfig,
-    beams: BeamSet,
-    basis_fn=tangent_basis,
-) -> np.ndarray:
-    """Full pipeline from signal model to the 6x6 state FIM."""
+def pose_error_bounds(
+    ue: Pose, anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: BeamSet
+) -> IcrbReport:
+    """ICRB report (6x6 bound, PEB, RMEB) for one pose and signal setup: the
+    full pipeline from the signal model through the 6x6 state FIM."""
     params = [channel_params(ue, a, sig) for a in anchors]
     f_raw = fim_unconstrained(ue, anchors, ue_array, sig, beams)
-    f_proj = project_fim(f_raw, params, basis_fn)
-    f_z = efim_remove_gains(f_proj)
-    t_z = state_jacobian_tz(ue, anchors, basis_fn)
-    return state_fim(f_z, t_z)
-
-
-def pose_error_bounds(
-    ue: Pose,
-    anchors,
-    ue_array: ArrayGeometry,
-    sig: SignalConfig,
-    beams: BeamSet,
-    basis_fn=tangent_basis,
-) -> IcrbReport:
-    """ICRB report (6x6 bound, PEB, RMEB) for one pose and signal setup."""
-    return icrb_report(unconstrained_state_fim(ue, anchors, ue_array, sig, beams, basis_fn))
+    f_z = efim_remove_gains(project_fim(f_raw, params))
+    return icrb_report(state_fim(f_z, state_jacobian_tz(ue, anchors)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPositions, PolarSingularity
+from .errors import CoincidentPositions, PolarSingularity, RadioPoseError
 from .lie import Pose, require_rotation
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -26,7 +26,11 @@ PARAMS_PER_ANCHOR = 9
 
 
 def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Watts of a dBm power; inf where that overflows a float."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,6 @@ class BeamSet:
 
     precoders: tuple  # one (G, n_bs_elements) complex array per anchor
     combiners: tuple  # one (G, n_ue_elements) complex array per anchor
-    seed: int = 0
 
 
 def draw_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig) -> BeamSet:
@@ -179,7 +182,7 @@ def draw_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig) -> BeamSet:
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         precoders.append(b)
         combiners.append(u)
-    return BeamSet(tuple(precoders), tuple(combiners), seed=sig.rng_seed)
+    return BeamSet(tuple(precoders), tuple(combiners))
 
 
 def direction_vectors(ue: Pose, anchor: AnchorConfig):
@@ -239,19 +242,15 @@ def _subcarrier_phases(delay_s: float, sig: SignalConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * delay_s * c_idx * sig.subcarrier_spacing_hz)
 
 
-def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet, params=None) -> np.ndarray:
+def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
     """Noise-free received tensor, shape (n_anchors, G, C).
 
     Entry (n, g, c) is gain * (combiner . a_ue) * (a_bs . precoder)
     * exp(-j 2 pi tau (c-1) df) * x, with x the per-subcarrier amplitude.
-    ``params`` overrides the per-anchor channel parameters derived from the
-    geometry (one ChannelParams per anchor).
     """
-    if params is None:
-        params = [channel_params(ue, anchor, sig) for anchor in anchors]
     out = np.zeros((len(anchors), sig.num_transmissions, sig.num_subcarriers), dtype=complex)
     for n, anchor in enumerate(anchors):
-        par = params[n]
+        par = channel_params(ue, anchor, sig)
         a_ue = steering_vector(ue_array, par.dir_ue, sig.carrier_hz)
         a_bs = steering_vector(anchor.array, par.dir_bs, sig.carrier_hz)
         ue_gain = beams.combiners[n] @ a_ue  # (G,)
@@ -299,21 +298,30 @@ def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
 
     F = (2 / sigma^2) sum_{g,c} Re{conj(d mu / d eta) (d mu / d eta)^T} with
     both direction vectors carried as free 3-vectors; the sphere constraint
-    is applied downstream. Symmetric PSD, linear in transmit power.
+    is applied downstream. Symmetric PSD, linear in transmit power; a FIM
+    that is not finite raises RadioPoseError, without numpy warnings.
     """
     n_anchors = len(anchors)
     size = PARAMS_PER_ANCHOR * n_anchors
     fim = np.zeros((size, size))
-    for n, anchor in enumerate(anchors):
-        grad = _anchor_signal_gradient(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
-        flat = grad.reshape(PARAMS_PER_ANCHOR, -1)
-        block = (2.0 / sig.noise_variance_w) * np.real(np.conj(flat) @ flat.T)
-        # stacked positions of this anchor's [tau, t_ue, t_bs, Re gain, Im gain]
-        dirs = n_anchors + 6 * n
-        gains = 7 * n_anchors + 2 * n
-        idx = np.array([n, *range(dirs, dirs + 6), gains, gains + 1])
-        fim[idx[:, None], idx] = block
-    return (fim + fim.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weight = np.float64(2.0) / sig.noise_variance_w
+        for n, anchor in enumerate(anchors):
+            grad = _anchor_signal_gradient(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
+            flat = grad.reshape(PARAMS_PER_ANCHOR, -1)
+            block = weight * np.real(np.conj(flat) @ flat.T)
+            # stacked positions of this anchor's [tau, t_ue, t_bs, Re gain, Im gain]
+            dirs = n_anchors + 6 * n
+            gains = 7 * n_anchors + 2 * n
+            idx = np.array([n, *range(dirs, dirs + 6), gains, gains + 1])
+            fim[idx[:, None], idx] = block
+        fim = (fim + fim.T) / 2.0
+    if not np.all(np.isfinite(fim)):
+        raise RadioPoseError(
+            f"Fisher information is not finite at tx_power_dbm {sig.tx_power_dbm:g}, "
+            f"noise_psd_dbm_hz {sig.noise_psd_dbm_hz:g}"
+        )
+    return fim
 
 
 def angle_jacobian(direction: np.ndarray) -> np.ndarray:

@@ -21,12 +21,13 @@ class PolarSingularity(RadioPoseError):
     """Direction vector too close to +/-z for the azimuth/elevation chart."""
 
 
-class SingularNuisanceBlock(RadioPoseError):
-    """Nuisance (gain) block of the FIM is singular even after regularization."""
-
-
 class UnobservableState(RadioPoseError):
     """State FIM is rank deficient; geometry does not pin down the 6D state."""
+
+
+class SingularNuisanceBlock(UnobservableState):
+    """Nuisance (gain) block of the FIM is singular even after regularization,
+    as when the signal carries no information."""
 
 
 class SingularNormalEquations(RadioPoseError):
@@ -46,4 +47,4 @@ class LengthMismatch(RadioPoseError):
 
 
 class ConfigError(RadioPoseError):
-    """Scenario configuration file is missing keys or fails validation."""
+    """Scenario configuration file is missing keys, has unknown ones, or fails validation."""

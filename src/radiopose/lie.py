@@ -23,6 +23,8 @@ _SMALL_ANGLE = 1e-8
 _TAYLOR_ANGLE = 1e-2
 _Q_TAYLOR_ANGLE = 0.2
 _NEAR_PI = 1e-3
+_SKEW_TOL = 1e-8
+_ROTATION_TOL = 1e-10
 
 
 def hat3(v: np.ndarray) -> np.ndarray:
@@ -31,11 +33,11 @@ def hat3(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def vee3(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Inverse of hat3. Raises NotSkew if m is not skew-symmetric within tol."""
+def vee3(m: np.ndarray) -> np.ndarray:
+    """Inverse of hat3. Raises NotSkew if m is not skew-symmetric within ``_SKEW_TOL``."""
     m = np.asarray(m, dtype=float)
-    if np.linalg.norm(m + m.T) >= tol:
-        raise NotSkew(f"matrix is not skew-symmetric within {tol}")
+    if np.linalg.norm(m + m.T) >= _SKEW_TOL:
+        raise NotSkew(f"matrix is not skew-symmetric within {_SKEW_TOL}")
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
@@ -107,15 +109,15 @@ def so3_left_jacobian(r: np.ndarray) -> np.ndarray:
     return np.eye(3) + c1 * k + c2 * (k @ k)
 
 
-def require_rotation(m: np.ndarray, tol: float = 1e-10) -> None:
-    """Check orthonormality and unit determinant of a 3x3 matrix; a non-finite
-    entry fails both checks, which are written so that NaN compares false."""
+def require_rotation(m: np.ndarray) -> None:
+    """Check orthonormality and unit determinant of a 3x3 matrix to ``_ROTATION_TOL``;
+    a non-finite entry fails both checks, which are written so that NaN compares false."""
     m = np.asarray(m)
     if m.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {m.shape}")
-    if not np.linalg.norm(m.T @ m - np.eye(3)) <= tol:
+    if not np.linalg.norm(m.T @ m - np.eye(3)) <= _ROTATION_TOL:
         raise ValueError("matrix is not orthonormal within tolerance")
-    if not abs(np.linalg.det(m) - 1.0) <= tol:
+    if not abs(np.linalg.det(m) - 1.0) <= _ROTATION_TOL:
         raise ValueError("matrix determinant is not +1 within tolerance")
 
 
@@ -202,10 +204,10 @@ def se3_hat(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def se3_vee(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def se3_vee(m: np.ndarray) -> np.ndarray:
     """Inverse of se3_hat."""
     m = np.asarray(m, dtype=float)
-    return np.concatenate([m[:3, 3], vee3(m[:3, :3], tol=tol)])
+    return np.concatenate([m[:3, 3], vee3(m[:3, :3])])
 
 
 def se3_exp(xi: np.ndarray) -> Pose:

@@ -196,22 +196,17 @@ def generate_trajectory(start: Pose, segments):
     return poses
 
 
-def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
-    eig, vec = np.linalg.eigh((cov + cov.T) / 2.0)
-    return vec * np.sqrt(np.clip(eig, 0.0, None))
-
-
 def sample_measurement(truth: Pose, report: IcrbReport, rng, noise_scale: float = 1.0) -> PoseMeasurement:
     """Draw a pose measurement around the truth in the bound's own coordinates.
 
-    delta = noise_scale * S z with S S.T = icrb shifts the global position by
-    delta[:3] and turns the rotation by the left increment delta[3:]
-    (R <- exp(hat(delta[3:])) R), as in ``bounds.state_jacobian_tz``, so the
-    sampled error has the bound as covariance. Noise that overflows raises
-    RadioPoseError.
+    delta = noise_scale * S z with S = ``report.icrb_sqrt`` (S S.T = icrb)
+    shifts the global position by delta[:3] and turns the rotation by the
+    left increment delta[3:] (R <- exp(hat(delta[3:])) R), as in
+    ``bounds.state_jacobian_tz``, so the sampled error has the bound as
+    covariance. Noise that overflows raises RadioPoseError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = noise_scale * (_psd_sqrt(report.icrb) @ rng.standard_normal(6))
+        delta = noise_scale * (report.icrb_sqrt @ rng.standard_normal(6))
         rot = so3_exp(delta[3:]) @ truth.rotation
         block = rot @ (truth.position + delta[:3])
     if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(block))):
@@ -246,7 +241,6 @@ class FilterMetrics:
     rot_rmse_rad: np.ndarray  # per step
     per_run_pos_rmse_m: np.ndarray
     per_run_rot_rmse_rad: np.ndarray
-    terminal_pos_err_m: np.ndarray
     terminal_rot_err_rad: np.ndarray
 
     def terminal_rotation_cdf(self):
@@ -355,7 +349,6 @@ def _metrics_from_errors(pos_err: np.ndarray, rot_err: np.ndarray) -> FilterMetr
         rot_rmse_rad=np.sqrt(np.mean(rot_err**2, axis=0)),
         per_run_pos_rmse_m=np.sqrt(np.mean(pos_err**2, axis=1)),
         per_run_rot_rmse_rad=np.sqrt(np.mean(rot_err**2, axis=1)),
-        terminal_pos_err_m=pos_err[:, -1].copy(),
         terminal_rot_err_rad=rot_err[:, -1].copy(),
     )
 
@@ -440,18 +433,17 @@ def bounds_sweep(cfg: ScenarioConfig, powers_dbm) -> list:
     return rows
 
 
-def mean_sample_snr_db(cfg: ScenarioConfig, pose: Pose | None = None, beams: BeamSet | None = None) -> float:
-    """Mean post-beamforming per-sample SNR over anchors, beams, subcarriers."""
-    pose = pose if pose is not None else cfg.ue_start
-    beams = beams if beams is not None else draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
-    mu = noise_free_signal(pose, cfg.anchors, cfg.ue_array, cfg.signal, beams)
+def mean_sample_snr_db(cfg: ScenarioConfig) -> float:
+    """Mean post-beamforming per-sample SNR at the start pose over anchors, beams, subcarriers."""
+    beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+    mu = noise_free_signal(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams)
     snr = float(np.mean(np.abs(mu) ** 2) / cfg.signal.noise_variance_w)
     return 10.0 * np.log10(snr)
 
 
-def power_for_target_snr(cfg: ScenarioConfig, target_snr_db: float, pose: Pose | None = None) -> float:
-    """Transmit power (dBm) at which the mean per-sample SNR hits the target."""
-    baseline = mean_sample_snr_db(cfg, pose)
+def power_for_target_snr(cfg: ScenarioConfig, target_snr_db: float) -> float:
+    """Transmit power (dBm) at which the mean per-sample SNR at the start pose hits the target."""
+    baseline = mean_sample_snr_db(cfg)
     return cfg.signal.tx_power_dbm + (target_snr_db - baseline)
 
 
@@ -618,22 +610,35 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_dict(raw)
 
 
+def _known_keys(raw, template: dict, where: str) -> dict:
+    """``raw`` as a dict; ConfigError naming each key that ``template``, what
+    ``scenario_to_dict`` writes at this level, does not have."""
+    raw = dict(raw)
+    unknown = sorted(str(k) for k in raw.keys() - template.keys())
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return raw
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
+    """Scenario from the form ``scenario_to_dict`` writes; raises ConfigError
+    on a missing, unknown or invalid key.
+
+    The keys and value types ``scenario_to_dict`` writes for the default
+    scenario are the schema. An optional key that is absent takes the
+    dataclass default.
+    """
+    template = scenario_to_dict(default_scenario())
     try:
-        sig_raw = dict(raw["signal"])
-        signal = SignalConfig(
-            carrier_hz=float(sig_raw["carrier_hz"]),
-            subcarrier_spacing_hz=float(sig_raw["subcarrier_spacing_hz"]),
-            num_subcarriers=int(sig_raw["num_subcarriers"]),
-            num_transmissions=int(sig_raw["num_transmissions"]),
-            tx_power_dbm=float(sig_raw["tx_power_dbm"]),
-            noise_psd_dbm_hz=float(sig_raw["noise_psd_dbm_hz"]),
-            bandwidth_hz=float(sig_raw["bandwidth_hz"]) if "bandwidth_hz" in sig_raw else None,
-            clock_bias_s=float(sig_raw.get("clock_bias_s", 0.0)),
-            rng_seed=int(sig_raw.get("rng_seed", 0)),
-        )
+        raw = _known_keys(raw, template, "scenario")
+        sig_raw = _known_keys(raw["signal"], template["signal"], "signal")
+        anchors_raw = [_known_keys(a, template["anchors"][0], "anchor") for a in raw["anchors"]]
+        ue_raw = _known_keys(raw["ue"], template["ue"], "ue")
+        segments_raw = [_known_keys(s, template["segments"][0], "segment") for s in raw["segments"]]
+
+        signal = SignalConfig(**{k: type(template["signal"][k])(v) for k, v in sig_raw.items()})
         anchors = []
-        for a in raw["anchors"]:
+        for a in anchors_raw:
             nx, ny = (int(v) for v in a["array_shape"])
             anchors.append(
                 AnchorConfig(
@@ -642,7 +647,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                     array=ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz),
                 )
             )
-        ue_raw = raw["ue"]
         nx, ny = (int(v) for v in ue_raw["array_shape"])
         ue_array = ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz)
         ue_start = Pose.from_rotation_position(
@@ -656,20 +660,16 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 steps=int(s["steps"]),
                 dt=float(s["dt_s"]),
             )
-            for s in raw["segments"]
+            for s in segments_raw
         ]
+        sections = ("signal", "anchors", "ue", "segments")
         return ScenarioConfig(
             anchors=tuple(anchors),
             ue_array=ue_array,
             signal=signal,
             ue_start=ue_start,
             segments=tuple(segments),
-            mc_runs=int(raw.get("mc_runs", 100)),
-            seed=int(raw.get("seed", 0)),
-            filter_selection=str(raw.get("filter_selection", "all")),
-            measurement_noise_scale=float(raw.get("measurement_noise_scale", 1.0)),
-            process_noise_rho_m=float(raw.get("process_noise_rho_m", 0.01)),
-            process_noise_rot_rad=float(raw.get("process_noise_rot_rad", 0.005)),
+            **{k: type(template[k])(v) for k, v in raw.items() if k not in sections},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario configuration: {exc}") from exc

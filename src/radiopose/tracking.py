@@ -33,6 +33,8 @@ from .lie import (
 )
 
 _GIMBAL_GUARD = 1e-3
+_FUSION_EPS = 1e-8
+_FUSION_MAX_ITERS = 50
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -139,20 +141,16 @@ def _fusion_gain(h: np.ndarray) -> np.ndarray:
     return np.linalg.inv(se3_left_jacobian(-h))
 
 
-def fuse_poses(
-    sources,
-    initial: Pose,
-    eps_threshold: float = 1e-8,
-    max_iters: int = 50,
-) -> FilterState:
+def fuse_poses(sources, initial: Pose) -> FilterState:
     """Iterated Gauss-Newton fusion of pose estimates in the tangent space.
 
     ``sources`` is a sequence of (pose, tangent covariance) pairs. Each
     iteration linearizes the errors h_m = log(T_m T_in^-1) around the
-    current iterate, solves the weighted normal equations for the step,
-    and applies it as a left perturbation. The posterior covariance is the
-    inverse normal matrix evaluated at the converged iterate. A state with
-    converged=False is returned if max_iters is hit first.
+    current iterate, solves the weighted normal equations for the step, and
+    applies it as a left perturbation, until a step is shorter than
+    ``_FUSION_EPS`` (1e-8). The posterior covariance is the inverse normal
+    matrix at the converged iterate. A state with converged=False is
+    returned after ``_FUSION_MAX_ITERS`` (50) steps without convergence.
     """
     weights = []
     for _, cov in sources:
@@ -165,7 +163,7 @@ def fuse_poses(
     # pass after the last step supplies the posterior information.
     t_in = initial
     converged = False
-    for it in range(max_iters + 1):
+    for it in range(_FUSION_MAX_ITERS + 1):
         normal = np.zeros((6, 6))
         rhs = np.zeros(6)
         for (pose, _), w in zip(sources, weights):
@@ -174,14 +172,14 @@ def fuse_poses(
             aw = a.T @ w
             normal += aw @ a
             rhs += aw @ h
-        if converged or it == max_iters:
+        if converged or it == _FUSION_MAX_ITERS:
             break
         try:
             eps = np.linalg.solve(normal, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularNormalEquations("normal equations singular") from exc
         t_in = se3_exp(eps) @ t_in
-        converged = bool(np.linalg.norm(eps) < eps_threshold)
+        converged = bool(np.linalg.norm(eps) < _FUSION_EPS)
 
     try:
         post_cov = np.linalg.inv(normal)
@@ -190,19 +188,9 @@ def fuse_poses(
     return _state(t_in, post_cov, converged)
 
 
-def fusion_update(
-    pred: FilterState,
-    meas: PoseMeasurement,
-    eps_threshold: float = 1e-8,
-    max_iters: int = 50,
-) -> FilterState:
+def fusion_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
     """Fusion measurement update, initialized at the predicted pose."""
-    return fuse_poses(
-        [(meas.pose, meas.cov_tangent), (pred.pose, pred.cov)],
-        initial=pred.pose,
-        eps_threshold=eps_threshold,
-        max_iters=max_iters,
-    )
+    return fuse_poses([(meas.pose, meas.cov_tangent), (pred.pose, pred.cov)], initial=pred.pose)
 
 
 def eskf_core(pred_pose: Pose, pred_cov: np.ndarray, meas_pose: Pose, meas_cov: np.ndarray) -> FilterState:
@@ -258,7 +246,7 @@ def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     sin_pitch = -rot[2, 0]
     if abs(sin_pitch) >= np.sin(np.pi / 2.0 - _GIMBAL_GUARD):
         raise GimbalLock("pitch within guard band of +/-pi/2")
-    pitch = np.arcsin(np.clip(sin_pitch, -1.0, 1.0))
+    pitch = np.arcsin(sin_pitch)
     yaw = np.arctan2(rot[1, 0], rot[0, 0])
     roll = np.arctan2(rot[2, 1], rot[2, 2])
     return np.array([yaw, pitch, roll])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from radiopose import channel, cli, lie, simkit, tracking
+from radiopose import bounds, channel, cli, lie, simkit, tracking
 from radiopose.errors import ConfigError, LengthMismatch, RadioPoseError, SingularInnovationCovariance
 
 
@@ -110,6 +110,18 @@ class TestSampleMeasurement:
                 simkit.sample_measurement(truths[0], reports[0], simkit.run_rng(0, 0), 1e200)
             with pytest.raises(RadioPoseError, match="measurement_noise_scale"):
                 simkit.run_monte_carlo(cfg)
+
+    def test_bound_factored_once_per_step(self, monkeypatch):
+        # every run draws from the same per-step reports, so the square-root
+        # factor of each bound is computed once per study, not once per run
+        prop = bounds.IcrbReport.__dict__["icrb_sqrt"]
+        original = prop.func
+        calls = []
+        monkeypatch.setattr(prop, "func", lambda report: calls.append(report) or original(report))
+        cfg = tiny_scenario(mc_runs=3)
+        simkit.run_monte_carlo(cfg)
+        assert len(calls) == sum(s.steps for s in cfg.segments)
+        assert not calls[0].icrb.flags.writeable and not calls[0].icrb_sqrt.flags.writeable
 
     def test_empirical_covariance_matches_transform(self):
         from radiopose.bounds import measurement_covariance
@@ -274,6 +286,14 @@ class TestBoundsSweep:
         assert all(not r["observable"] for r in rows)
         assert all(np.isnan(r["peb_m"]) for r in rows)
 
+    def test_zero_information_power_is_a_flagged_row(self):
+        # at -5000 dBm the transmit power underflows to 0 W: the gain block is
+        # singular, the row is unobservable, and the 0 dBm row is unaffected
+        cfg = simkit.default_scenario()
+        silent, loud = simkit.bounds_sweep(cfg, [-5000.0, 0.0])
+        assert not silent["observable"] and np.isnan(silent["peb_m"]) and np.isnan(silent["rmeb_rad"])
+        assert loud == simkit.bounds_sweep(cfg, [0.0])[0]
+
     def test_empty_power_list_rejected(self):
         with pytest.raises(ValueError):
             simkit.bounds_sweep(simkit.default_scenario(), [])
@@ -414,6 +434,42 @@ class TestScenarioIo:
         args = {"bounds": ["--powers", "0", "--out", out + ".csv"], "mc": ["--runs", "1", "--out-prefix", out]}
         assert cli.main([command, "--config", str(path)] + args[command]) == 2
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "measurement_noise_scal"), ("signal", "tx_power_dBm"), ("anchors", "position"),
+         ("ue", "array"), ("segments", "dt")],
+    )
+    def test_unknown_key_raises_config_error(self, tmp_path, section, key):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        entry = raw if section is None else raw[section]
+        (entry[0] if isinstance(entry, list) else entry)[key] = 7.0
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError, match=key):
+            simkit.load_scenario(path)
+        assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")]) == 2
+
+    def test_required_keys_only_take_dataclass_defaults(self, tmp_path):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        options = ("seed", "mc_runs", "filter_selection", "measurement_noise_scale",
+                   "process_noise_rho_m", "process_noise_rot_rad")
+        for key in options:
+            del raw[key]
+        for key in ("bandwidth_hz", "clock_bias_s", "rng_seed"):
+            del raw["signal"][key]
+        path = tmp_path / "bare.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        loaded = simkit.load_scenario(path)
+        bare = simkit.ScenarioConfig(
+            loaded.anchors, loaded.ue_array, loaded.signal, loaded.ue_start, loaded.segments
+        )
+        assert all(getattr(loaded, key) == getattr(bare, key) for key in options)
+        sig = loaded.signal
+        assert sig == channel.SignalConfig(
+            sig.carrier_hz, sig.subcarrier_spacing_hz, sig.num_subcarriers, sig.num_transmissions,
+            sig.tx_power_dbm, sig.noise_psd_dbm_hz,
+        )
+
     def test_missing_key_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("seed: 1\n")
@@ -519,6 +575,15 @@ class TestCli:
         rc = cli.main(["bounds", "--config", cfg_path, "--powers", "0:10:20",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+    @pytest.mark.parametrize("power", ["3000", "5000"])
+    def test_overflowing_power_exits_3(self, tmp_path, power, capsys):
+        # the FIM overflows at 3000 dBm and dBm -> W overflows a float at 5000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["bounds", f"--powers={power}", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "tx_power_dbm" in capsys.readouterr().err
 
     def test_non_finite_powers_exit_config_error(self, tmp_path):
         rc = cli.main(["bounds", "--powers", "nan", "--out", str(tmp_path / "x.csv")])

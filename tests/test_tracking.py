@@ -120,7 +120,7 @@ class TestFusion:
             pose = se3_exp(0.3 * rng.standard_normal(6))
             a = rng.standard_normal((6, 6))
             sources.append((pose, 0.1 * (a @ a.T + 6 * np.eye(6))))
-        out = tracking.fuse_poses(sources, initial=sources[0][0], eps_threshold=1e-8)
+        out = tracking.fuse_poses(sources, initial=sources[0][0])
         assert out.converged
         grad = np.zeros(6)
         for pose, cov in sources:
@@ -129,9 +129,11 @@ class TestFusion:
             grad += -2.0 * a.T @ np.linalg.solve(cov, h)
         assert np.linalg.norm(grad) < 10 * 1e-8
 
-    def test_stationary_point_of_the_fused_cost(self):
+    def test_stationary_point_of_the_fused_cost(self, monkeypatch):
         # The returned pose minimises sum h' W h: the central finite-difference
         # gradient over left perturbations vanishes (independent of _fusion_gain).
+        monkeypatch.setattr(tracking, "_FUSION_EPS", 1e-10)
+
         def cost(sources, pose):
             hs = [se3_log(p @ pose.inverse()) for p, _ in sources]
             return sum(h @ np.linalg.solve(cov, h) for h, (_, cov) in zip(hs, sources))
@@ -143,7 +145,7 @@ class TestFusion:
             for _ in range(2):
                 a = rng.standard_normal((6, 6))
                 sources.append((se3_exp(0.3 * rng.standard_normal(6)), 0.1 * (a @ a.T + 6 * np.eye(6))))
-            out = tracking.fuse_poses(sources, initial=sources[0][0], eps_threshold=1e-10)
+            out = tracking.fuse_poses(sources, initial=sources[0][0])
             assert out.converged
             grad = [
                 (cost(sources, se3_exp(step * e) @ out.pose) - cost(sources, se3_exp(-step * e) @ out.pose))
@@ -152,14 +154,13 @@ class TestFusion:
             ]
             assert np.linalg.norm(grad) < 10 * 1e-8
 
-    def test_reports_non_convergence(self):
+    def test_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(tracking, "_FUSION_MAX_ITERS", 1)
+        monkeypatch.setattr(tracking, "_FUSION_EPS", 1e-16)
         rng = np.random.default_rng(5)
         pose_a = se3_exp(rng.standard_normal(6))
         pose_b = se3_exp(rng.standard_normal(6))
-        out = tracking.fuse_poses(
-            [(pose_a, np.eye(6)), (pose_b, np.eye(6))], initial=pose_b, max_iters=1,
-            eps_threshold=1e-16,
-        )
+        out = tracking.fuse_poses([(pose_a, np.eye(6)), (pose_b, np.eye(6))], initial=pose_b)
         assert not out.converged
 
 
