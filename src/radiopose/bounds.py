@@ -25,6 +25,7 @@ from .channel import (
     ArrayGeometry,
     BeamSet,
     SignalConfig,
+    _los_geometry,
     channel_params,
     fim_unconstrained,
 )
@@ -123,13 +124,10 @@ def state_jacobian_tz(ue: Pose, anchors) -> np.ndarray:
     coordinates for the UE-side direction and two for the anchor-side one.
     """
     n = len(anchors)
-    p_u = ue.position
     r_u = ue.rotation
     out = np.zeros((5 * n, 6))
     for i, anchor in enumerate(anchors):
-        diff = p_u - anchor.position
-        dist = np.linalg.norm(diff)
-        u = diff / dist
+        u, dist = _los_geometry(ue, anchor)
         out[i, :3] = u / SPEED_OF_LIGHT
 
         proj = (np.eye(3) - np.outer(u, u)) / dist

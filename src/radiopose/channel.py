@@ -185,6 +185,16 @@ def draw_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig) -> BeamSet:
     return BeamSet(tuple(precoders), tuple(combiners))
 
 
+def _los_geometry(ue: Pose, anchor: AnchorConfig):
+    """Unit vector u from the anchor toward the UE (global frame) and the
+    distance of the LOS path; raises CoincidentPositions within 1e-6 m."""
+    diff = ue.position - anchor.position
+    dist = np.linalg.norm(diff)
+    if dist <= 1e-6:
+        raise CoincidentPositions("UE and anchor positions coincide")
+    return diff / dist, dist
+
+
 def direction_vectors(ue: Pose, anchor: AnchorConfig):
     """Local direction vectors (dir_bs, dir_ue) of the LOS path.
 
@@ -192,39 +202,27 @@ def direction_vectors(ue: Pose, anchor: AnchorConfig):
     dir_ue points from the UE toward the anchor in the UE frame, so that
     R_bs @ dir_bs = -R_ue @ dir_ue.
     """
-    diff = ue.position - anchor.position
-    dist = np.linalg.norm(diff)
-    if dist <= 1e-6:
-        raise CoincidentPositions("UE and anchor positions coincide")
-    u = diff / dist
+    u, _ = _los_geometry(ue, anchor)
     return anchor.orientation.T @ u, -(ue.rotation.T @ u)
 
 
-def delay(ue: Pose, anchor: AnchorConfig, clock_bias_s: float = 0.0) -> float:
+def delay(ue: Pose, anchor: AnchorConfig, clock_bias_s: float) -> float:
     """Signal delay: propagation time plus clock offset."""
-    dist = np.linalg.norm(ue.position - anchor.position)
-    if dist <= 0.0:
-        raise CoincidentPositions("UE and anchor positions coincide")
+    _, dist = _los_geometry(ue, anchor)
     return dist / SPEED_OF_LIGHT + clock_bias_s
 
 
-def channel_gain(ue: Pose, anchor: AnchorConfig, carrier_hz: float) -> complex:
-    """Free-space LOS gain: amplitude lambda/(4 pi d), carrier propagation phase."""
-    dist = np.linalg.norm(ue.position - anchor.position)
-    if dist <= 1e-6:
-        raise CoincidentPositions("UE and anchor positions coincide")
-    wavelength = SPEED_OF_LIGHT / carrier_hz
-    amp = wavelength / (4.0 * np.pi * dist)
-    return amp * np.exp(-2j * np.pi * carrier_hz * dist / SPEED_OF_LIGHT)
-
-
 def channel_params(ue: Pose, anchor: AnchorConfig, sig: SignalConfig) -> ChannelParams:
+    """Delay, local directions and free-space LOS gain (amplitude lambda/(4 pi d),
+    carrier propagation phase) of one link."""
+    _, dist = _los_geometry(ue, anchor)
     dir_bs, dir_ue = direction_vectors(ue, anchor)
+    amp = SPEED_OF_LIGHT / sig.carrier_hz / (4.0 * np.pi * dist)
     return ChannelParams(
         delay_s=delay(ue, anchor, sig.clock_bias_s),
         dir_ue=dir_ue,
         dir_bs=dir_bs,
-        gain=channel_gain(ue, anchor, sig.carrier_hz),
+        gain=amp * np.exp(-2j * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT),
     )
 
 

@@ -91,7 +91,7 @@ def _cdf_paths(out: str, names):
 
 def _cmd_track(args) -> int:
     cfg = _load_config(args)
-    cfg = _override(cfg, filter_selection=args.filter, mc_runs=1)
+    cfg = _override(cfg, filter_selection=args.filter or cfg.filter_selection, mc_runs=1)
     series = run_monte_carlo(cfg)
     emit_csv(metric_table(series), args.out)
     for name, path in _cdf_paths(args.out, series.filters).items():
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_track = sub.add_parser("track", help="run one tracking pass and emit per-step errors")
     p_track.add_argument("--config", default=None)
-    p_track.add_argument("--filter", default="all", choices=["fusion", "eskf", "euler", "all"])
+    p_track.add_argument("--filter", default=None, choices=["fusion", "eskf", "euler", "all"])
     p_track.add_argument("--out", required=True)
     p_track.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_track.set_defaults(func=_cmd_track)

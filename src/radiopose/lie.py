@@ -42,20 +42,14 @@ def vee3(m: np.ndarray) -> np.ndarray:
 
 
 def so3_exp(r: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: rotation matrix for an axis-angle vector.
-
-    Uses a second-order Taylor expansion of the sin/cos coefficients below
-    the small-angle threshold to avoid 0/0; the versine coefficient is
-    evaluated through the half-angle identity to dodge cancellation.
-    """
+    """Rodrigues formula I + (sin a / a) hat(r) + c1 hat(r)^2 at a = |r|, with
+    sin a / a = 1 - a^2 c2 and (c1, c2) from ``_so3_jacobian_coeffs``, which
+    switch to Taylor series where the closed forms cancel."""
     r = np.asarray(r, dtype=float)
     angle = np.linalg.norm(r)
     k = hat3(r)
-    if angle < _SMALL_ANGLE:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    k2 = k @ k
-    half_sin = np.sin(angle / 2.0)
-    return np.eye(3) + (np.sin(angle) / angle) * k + (2.0 * half_sin**2 / angle**2) * k2
+    c1, c2 = _so3_jacobian_coeffs(angle)
+    return np.eye(3) + (1.0 - angle * angle * c2) * k + c1 * (k @ k)
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .tracking import (
     FilterState,
     MotionCommand,
     PoseMeasurement,
+    _euler_from_rotation,
     eskf_update,
     euler_ekf_update,
     euler_predict,
@@ -196,7 +197,7 @@ def generate_trajectory(start: Pose, segments):
     return poses
 
 
-def sample_measurement(truth: Pose, report: IcrbReport, rng, noise_scale: float = 1.0) -> PoseMeasurement:
+def sample_measurement(truth: Pose, report: IcrbReport, rng, noise_scale: float) -> PoseMeasurement:
     """Draw a pose measurement around the truth in the bound's own coordinates.
 
     delta = noise_scale * S z with S = ``report.icrb_sqrt`` (S S.T = icrb)
@@ -264,9 +265,8 @@ class MetricSeries:
         return len(self.dropped_runs)
 
 
-def scenario_reports(cfg: ScenarioConfig, beams: BeamSet | None = None):
+def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
     """Truth trajectory with the error-bound report at every true pose."""
-    beams = beams if beams is not None else draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     truths = generate_trajectory(cfg.ue_start, cfg.segments)
     reports = [
         pose_error_bounds(pose, cfg.anchors, cfg.ue_array, cfg.signal, beams) for pose in truths
@@ -541,14 +541,14 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "anchors": [
             {
                 "position_m": np.asarray(a.position).tolist(),
-                "orientation_deg_zyx": _orientation_deg_zyx(a.orientation),
+                "orientation_deg_zyx": np.rad2deg(_euler_from_rotation(a.orientation)).tolist(),
                 "array_shape": _grid_shape(a.array, cfg.signal.carrier_hz),
             }
             for a in cfg.anchors
         ],
         "ue": {
             "start_position_m": np.asarray(cfg.ue_start.position).tolist(),
-            "start_orientation_deg_zyx": _orientation_deg_zyx(cfg.ue_start.rotation),
+            "start_orientation_deg_zyx": np.rad2deg(_euler_from_rotation(cfg.ue_start.rotation)).tolist(),
             "array_shape": _grid_shape(cfg.ue_array, cfg.signal.carrier_hz),
         },
         "segments": [
@@ -561,20 +561,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             for s in cfg.segments
         ],
     }
-
-
-def _orientation_deg_zyx(rot: np.ndarray) -> list:
-    """Z-Y-X (yaw, pitch, roll) degrees that ``rotation_from_euler`` maps back
-    to ``rot``, at any pitch including +/-90 degrees.
-
-    Roll is read first and removed, which leaves Rz(yaw) Ry(pitch); yaw and
-    pitch then come from entries of that product that stay well conditioned
-    at gimbal lock, where any roll is consistent.
-    """
-    roll = np.arctan2(rot[2, 1], rot[2, 2])
-    m = rot @ rotation_from_euler(np.array([0.0, 0.0, roll])).T
-    ypr = np.array([np.arctan2(-m[0, 1], m[1, 1]), np.arctan2(-m[2, 0], m[2, 2]), roll])
-    return (np.rad2deg(ypr) + 0.0).tolist()  # + 0.0 turns -0.0 into 0.0
 
 
 def _grid_shape(array: ArrayGeometry, carrier_hz: float) -> list:

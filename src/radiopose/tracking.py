@@ -26,6 +26,7 @@ from .lie import (
     Pose,
     _pose,
     adjoint,
+    hat3,
     se3_exp,
     se3_left_jacobian,
     se3_log,
@@ -243,13 +244,32 @@ def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     Raises GimbalLock when the pitch is within the guard band of +/-pi/2.
     """
     rot = np.asarray(rot, dtype=float)
-    sin_pitch = -rot[2, 0]
-    if abs(sin_pitch) >= np.sin(np.pi / 2.0 - _GIMBAL_GUARD):
+    if abs(rot[2, 0]) >= np.sin(np.pi / 2.0 - _GIMBAL_GUARD):
         raise GimbalLock("pitch within guard band of +/-pi/2")
-    pitch = np.arcsin(sin_pitch)
-    yaw = np.arctan2(rot[1, 0], rot[0, 0])
+    return _euler_from_rotation(rot)
+
+
+def _euler_from_rotation(rot: np.ndarray) -> np.ndarray:
+    """Z-Y-X (yaw, pitch, roll) that ``rotation_from_euler`` maps back to
+    ``rot``, at any pitch including +/-pi/2.
+
+    Roll is read first and removed, which leaves Rz(yaw) Ry(pitch); yaw and
+    pitch then come from entries of that product that stay well conditioned
+    at gimbal lock, where any roll is consistent.
+    """
     roll = np.arctan2(rot[2, 1], rot[2, 2])
-    return np.array([yaw, pitch, roll])
+    m = rot @ rotation_from_euler(np.array([0.0, 0.0, roll])).T
+    # + 0.0 turns -0.0 into 0.0, which a scenario file would print as -0.0
+    return np.array([np.arctan2(-m[0, 1], m[1, 1]), np.arctan2(-m[2, 0], m[2, 2]), roll]) + 0.0
+
+
+def euler_rate_matrix(ypr: np.ndarray) -> np.ndarray:
+    """E = [z, Rz y, Rz Ry x]: the global rotation increment per unit Z-Y-X angle
+    change, R(ypr + d) = exp(hat(E d)) R(ypr) to first order in d."""
+    yaw, pitch, _ = ypr
+    cz, sz = np.cos(yaw), np.sin(yaw)
+    cy, sy = np.cos(pitch), np.sin(pitch)
+    return np.array([[0.0, -sz, cz * cy], [0.0, cz, sz * cy], [1.0, 0.0, -sy]])
 
 
 def euler_state_from_pose(pose: Pose) -> np.ndarray:
@@ -263,27 +283,28 @@ def pose_from_euler_state(state: np.ndarray) -> Pose:
     return _pose(rot, rot @ state[:3])
 
 
-def euler_propagate(state: np.ndarray, cmd: MotionCommand) -> np.ndarray:
-    """Exact constant-velocity step expressed in the Euler-angle state."""
-    state = np.asarray(state, dtype=float)
-    rot = so3_exp(cmd.dt * cmd.w) @ rotation_from_euler(state[3:])
-    pos = rot.T @ (cmd.dt * cmd.v) + state[:3]
-    return np.concatenate([pos, euler_from_rotation(rot)])
+def _euler_transition(state: np.ndarray, cmd: MotionCommand):
+    """Propagated Euler state through the motion model of ``predict``, T <- F T,
+    and the exact Jacobian of the map [p, ypr] -> [p', ypr'].
+
+    p' = p + R'^T dt v and R' = R_w R(ypr) with R_w = exp(dt w), so a change d
+    of the angles, a global increment R_w E(ypr) d of R', moves p' by
+    R'^T hat(dt v) R_w E(ypr) d and ypr' by E(ypr')^-1 R_w E(ypr) d.
+    """
+    f = motion_matrix(cmd)
+    pose = f @ pose_from_euler_state(state)
+    new_state = euler_state_from_pose(pose)
+    rate = f.rotation @ euler_rate_matrix(state[3:])
+    jac = np.eye(6)
+    jac[:3, 3:] = pose.rotation.T @ hat3(f.translation_block) @ rate
+    jac[3:, 3:] = np.linalg.solve(euler_rate_matrix(new_state[3:]), rate)
+    return new_state, jac
 
 
 def euler_predict(state: np.ndarray, cov: np.ndarray, cmd: MotionCommand):
-    """EKF prediction with a finite-difference Jacobian of the propagation map."""
-    state = np.asarray(state, dtype=float)
-    base = euler_propagate(state, cmd)
-    jac = np.zeros((6, 6))
-    step = 1e-6
-    for j in range(6):
-        bumped = state.copy()
-        bumped[j] += step
-        diff = euler_propagate(bumped, cmd) - base
-        diff[3:] = wrap_angle(diff[3:])
-        jac[:, j] = diff / step
-    return base, _symmetrize(jac @ np.asarray(cov) @ jac.T + cmd.process_noise)
+    """EKF prediction: the exact propagation ``_euler_transition`` and P <- J P J' + Q."""
+    new_state, jac = _euler_transition(np.asarray(state, dtype=float), cmd)
+    return new_state, _symmetrize(jac @ np.asarray(cov) @ jac.T + cmd.process_noise)
 
 
 def euler_ekf_update(state: np.ndarray, cov: np.ndarray, meas: PoseMeasurement):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radiopose import channel, lie
+from radiopose import bounds, channel, lie
 from radiopose.channel import SPEED_OF_LIGHT, ArrayGeometry
 from radiopose.errors import CoincidentPositions, PolarSingularity
 from radiopose.simkit import default_scenario
@@ -99,12 +99,26 @@ class TestDelay:
 
     def test_light_second(self):
         ue = lie.Pose.from_rotation_position(np.eye(3), np.array([SPEED_OF_LIGHT, 0, 0]))
-        assert abs(channel.delay(ue, self._anchor([0, 0, 0])) - 1.0) < 1e-12
+        assert abs(channel.delay(ue, self._anchor([0, 0, 0]), 0.0) - 1.0) < 1e-12
 
     def test_default_geometry_value(self):
         ue = lie.Pose.from_rotation_position(np.eye(3), np.array([-5.0, -5.0, 0]))
-        tau = channel.delay(ue, self._anchor([5.0, 0, 0]))
+        tau = channel.delay(ue, self._anchor([5.0, 0, 0]), 0.0)
         assert abs(tau - np.sqrt(125.0) / SPEED_OF_LIGHT) < 1e-20
+
+    def test_coincidence_threshold_shared_by_every_los_quantity(self):
+        # 5e-7 m is inside the 1e-6 m coincidence radius: the delay, the
+        # directions, the channel parameters and the state Jacobian all refuse it
+        ue = lie.Pose.from_rotation_position(np.eye(3), np.array([5e-7, 0, 0]))
+        anchor = self._anchor([0, 0, 0])
+        for call in (
+            lambda: channel.delay(ue, anchor, 0.0),
+            lambda: channel.direction_vectors(ue, anchor),
+            lambda: channel.channel_params(ue, anchor, small_signal()),
+            lambda: bounds.state_jacobian_tz(ue, [anchor]),
+        ):
+            with pytest.raises(CoincidentPositions):
+                call()
 
 
 class TestSteeringVector:

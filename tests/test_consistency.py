@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from radiopose import lie, simkit, tracking
+from radiopose import channel, lie, simkit, tracking
 
 NEES_RUNS = 20
 
@@ -17,7 +17,8 @@ NEES_RUNS = 20
 def op5db():
     cfg = simkit.default_scenario()
     cfg = replace(cfg, signal=replace(cfg.signal, tx_power_dbm=simkit.power_for_target_snr(cfg, 5.0)))
-    truths, reports = simkit.scenario_reports(cfg)
+    beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+    truths, reports = simkit.scenario_reports(cfg, beams)
     return cfg, truths, reports, simkit.segment_commands(cfg.segments, cfg.process_noise)
 
 
@@ -31,7 +32,7 @@ def test_sampled_error_has_bound_covariance(op5db, step):
     n = 20_000
     err = np.empty((n, 6))
     for i in range(n):
-        meas = simkit.sample_measurement(truth, reports[step], rng).pose
+        meas = simkit.sample_measurement(truth, reports[step], rng, 1.0).pose
         err[i, :3] = meas.position - truth.position
         err[i, 3:] = lie._so3_log(meas.rotation @ truth.rotation.T)
     emp = err.T @ err / n
@@ -49,7 +50,7 @@ def test_time_averaged_nees_below_chi2_bound(op5db, update):
     total = 0.0
     for run in range(NEES_RUNS):
         rng = simkit.run_rng(cfg.seed, run)
-        meas = [simkit.sample_measurement(t, r, rng) for t, r in zip(truths, reports)]
+        meas = [simkit.sample_measurement(t, r, rng, 1.0) for t, r in zip(truths, reports)]
         state = tracking.FilterState(meas[0].pose, meas[0].cov_tangent)
         for k, truth in enumerate(truths):
             if k > 0:

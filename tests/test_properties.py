@@ -1,7 +1,7 @@
 """Property tests (hypothesis, derandomized): Lie-core identities over angles
-that include 0, both Taylor switches (1e-2 rad for the SO(3) Jacobian
-coefficients, 0.2 rad for the SE(3) coupling block) and the neighbourhood of
-pi, and the scenario save -> load round trip."""
+that include 0, the switches (1e-8 rad for the SO(3) log, 1e-2 rad for the
+SO(3) exp and Jacobian coefficients, 0.2 rad for the SE(3) coupling block)
+and the neighbourhood of pi, and the scenario save -> load round trip."""
 
 from dataclasses import replace
 
@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from radiopose import channel, lie, simkit, tracking
 
-from test_lie import jacobian_series
+from test_lie import expm_series, jacobian_series
 
 LIE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SCENARIO = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 
-_SO3_SWITCH, _SWITCH = lie._TAYLOR_ANGLE, lie._Q_TAYLOR_ANGLE
-_EDGE_ANGLES = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, _SO3_SWITCH - 1e-14, _SO3_SWITCH, _SO3_SWITCH + 1e-14,
+_LOG_SWITCH, _SO3_SWITCH, _SWITCH = lie._SMALL_ANGLE, lie._TAYLOR_ANGLE, lie._Q_TAYLOR_ANGLE
+_EDGE_ANGLES = [0.0, 1e-12, 1e-9, _LOG_SWITCH - 1e-20, _LOG_SWITCH, _LOG_SWITCH + 1e-20, 1e-6, 1e-3,
+                _SO3_SWITCH - 1e-14, _SO3_SWITCH, _SO3_SWITCH + 1e-14,
                 _SWITCH - 1e-12, _SWITCH, _SWITCH + 1e-12, np.pi - 1e-3, np.pi - 1e-5]
 
 finite = st.floats(-1.0, 1.0)
@@ -88,8 +89,10 @@ def test_left_jacobian_is_adjoint_times_jacobian_at_negated(xi):
 @LIE
 @given(rotvecs())
 def test_so3_left_jacobian_matches_series(r):
+    # so3_exp shares the Jacobian's coefficients, so both are checked here
     ref = jacobian_series(lie.hat3(r), 60)
     assert rel_err(lie.so3_left_jacobian(r), ref) <= 1e-14
+    assert rel_err(lie.so3_exp(r), expm_series(lie.hat3(r), 60)) <= 1e-14
 
 
 CHAIN = settings(derandomize=True, database=None, max_examples=10, deadline=None)

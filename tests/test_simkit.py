@@ -86,7 +86,7 @@ class TestSampleMeasurement:
         cfg = simkit.default_scenario()
         report = simkit.IcrbReport(icrb=np.zeros((6, 6)), peb_m=0.0, rmeb_rad=0.0)
         rng = simkit.run_rng(0, 0)
-        meas = simkit.sample_measurement(cfg.ue_start, report, rng)
+        meas = simkit.sample_measurement(cfg.ue_start, report, rng, 1.0)
         np.testing.assert_allclose(meas.pose.matrix(), cfg.ue_start.matrix(), atol=1e-15)
 
     def test_rotation_invariants_always_hold(self):
@@ -95,7 +95,7 @@ class TestSampleMeasurement:
         report = simkit.IcrbReport(icrb=icrb, peb_m=1.0, rmeb_rad=1.0)
         rng = simkit.run_rng(1, 0)
         for _ in range(100):
-            meas = simkit.sample_measurement(cfg.ue_start, report, rng)
+            meas = simkit.sample_measurement(cfg.ue_start, report, rng, 1.0)
             rot = meas.pose.rotation
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
 
@@ -103,7 +103,8 @@ class TestSampleMeasurement:
         # the draw overflows at this scale: the sampler names the setting,
         # without a numpy warning, before any filter runs
         cfg = tiny_scenario(mc_runs=1, measurement_noise_scale=1e200)
-        truths, reports = simkit.scenario_reports(cfg)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RadioPoseError, match="measurement_noise_scale"):
@@ -137,7 +138,7 @@ class TestSampleMeasurement:
         samples = np.empty((n, 6))
         inv = cfg.ue_start.inverse()
         for i in range(n):
-            meas = simkit.sample_measurement(cfg.ue_start, report, rng)
+            meas = simkit.sample_measurement(cfg.ue_start, report, rng, 1.0)
             samples[i] = lie.se3_log(meas.pose @ inv)
         emp = samples.T @ samples / n
         scale = np.sqrt(np.outer(np.diag(sigma), np.diag(sigma)))
@@ -219,7 +220,8 @@ class TestRunMonteCarlo:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_estimate_ends_the_filter(self, monkeypatch):
         cfg = tiny_scenario(mc_runs=1, steps=3)
-        truths, reports = simkit.scenario_reports(cfg)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
         commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
 
         def diverged(pred, meas):
@@ -546,6 +548,15 @@ class TestCli:
         assert header[:2] == ["step", "time_s"]
         assert "pos_rmse_m_fusion" in header and "rot_rmse_rad_fusion" in header
         assert (tmp_path / "track_cdf_fusion.csv").exists()
+
+    def test_track_keeps_the_scenario_filter_selection(self, tmp_path):
+        cfg_path = self._write_config(tmp_path, tiny_scenario(steps=2, filter_selection="fusion"))
+        out = tmp_path / "track.csv"
+        assert cli.main(["track", "--config", cfg_path, "--out", str(out)]) == 0
+        header = out.read_bytes().decode().split("\r\n")[0].split(",")
+        assert header == ["step", "time_s", "pos_rmse_m_fusion", "rot_rmse_rad_fusion",
+                          "pos_rmse_m_meas", "rot_rmse_rad_meas"]
+        assert sorted(p.name for p in tmp_path.glob("track_cdf_*.csv")) == ["track_cdf_fusion.csv"]
 
     def test_mc_determinism_byte_identical(self, tmp_path):
         cfg_path = self._write_config(tmp_path, tiny_scenario(mc_runs=2, steps=2))

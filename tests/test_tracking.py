@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from radiopose import lie, tracking
+from radiopose import lie, simkit, tracking
 from radiopose.bounds import measurement_covariance
 from radiopose.errors import GimbalLock
 from radiopose.lie import Pose, se3_exp, se3_log, so3_exp, so3_log
@@ -354,6 +354,58 @@ class TestEulerBaseline:
         rot = tracking.rotation_from_euler([0.0, np.pi / 2 - 1e-5, 0.0])
         with pytest.raises(GimbalLock):
             tracking.euler_from_rotation(rot)
+
+    def test_euler_rate_matrix_is_the_angle_derivative(self):
+        # R(ypr + h e_j) = exp(h E e_j) R(ypr): changing one angle turns R about
+        # a fixed global axis, column j of E, so this holds at finite h as well
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            ypr = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-1.4, 1.4), rng.uniform(-np.pi, np.pi)])
+            rate = tracking.euler_rate_matrix(ypr)
+            for j in range(3):
+                h = rng.uniform(-0.5, 0.5)
+                bumped = tracking.rotation_from_euler(ypr + h * np.eye(3)[j])
+                turned = so3_exp(h * rate[:, j]) @ tracking.rotation_from_euler(ypr)
+                assert np.abs(bumped - turned).max() < 1e-14
+
+    def test_prediction_jacobian_matches_central_differences(self):
+        # oracle: the propagation written out with scipy's Z-Y-X extraction,
+        # differenced centrally with the angle rows wrapped; yaw sits near
+        # +/-pi, so the bumped angles cross the wrap
+        from scipy.spatial.transform import Rotation as ScipyRotation
+
+        def propagate(s, cmd):
+            rot = so3_exp(cmd.dt * cmd.w) @ tracking.rotation_from_euler(s[3:])
+            ypr = ScipyRotation.from_matrix(rot).as_euler("ZYX")
+            return np.concatenate([s[:3] + rot.T @ (cmd.dt * cmd.v), ypr])
+
+        rng = np.random.default_rng(15)
+        commands = [command(seg.v, seg.w, seg.dt) for seg in simkit.default_scenario().segments]
+        commands += [command(rng.standard_normal(3), 0.05 * rng.standard_normal(3)) for _ in range(4)]
+        h = 1e-6
+        for cmd in commands:
+            for _ in range(20):
+                ypr = [tracking.wrap_angle(np.pi + rng.uniform(-0.3, 0.3)), rng.uniform(-1.4, 1.4),
+                       rng.uniform(-np.pi, np.pi)]
+                state = np.concatenate([rng.standard_normal(3), ypr])
+                new_state, jac = tracking._euler_transition(state, cmd)
+                ref = propagate(state, cmd)
+                np.testing.assert_allclose(new_state[:3], ref[:3], atol=1e-12)
+                assert np.abs(tracking.wrap_angle(new_state[3:] - ref[3:])).max() < 1e-12
+                fd = np.empty((6, 6))
+                for j in range(6):
+                    step = h * np.eye(6)[j]
+                    diff = propagate(state + step, cmd) - propagate(state - step, cmd)
+                    diff[3:] = tracking.wrap_angle(diff[3:])
+                    fd[:, j] = diff / (2.0 * h)
+                assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+
+        q = np.diag([1e-4] * 3 + [1e-5] * 3)
+        cmd = command([0.5, 0.0, 0.0], [0.0, 0.1, -0.2], q=q)
+        cov = random_state(rng).cov
+        new_state, cov_out = tracking.euler_predict(state, cov, cmd)
+        _, jac = tracking._euler_transition(state, cmd)
+        np.testing.assert_allclose(cov_out, jac @ cov @ jac.T + q, atol=1e-15)
 
     def test_angle_residuals_wrap(self):
         pose = Pose.from_rotation_position(tracking.rotation_from_euler([np.pi - 0.05, 0, 0]), np.zeros(3))
