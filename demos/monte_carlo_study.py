@@ -2,7 +2,7 @@
 """Monte Carlo comparison of the three filters at the low-SNR operating
 point: per-step RMSE aggregates and the terminal rotation-error CDF.
 
-Run: python demos/monte_carlo_study.py   (30 runs, about half a minute)
+Run: python demos/monte_carlo_study.py   (30 runs, a few seconds)
 """
 import os
 from dataclasses import replace

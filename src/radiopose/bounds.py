@@ -47,10 +47,16 @@ def tangent_basis(direction: np.ndarray) -> np.ndarray:
     axis_idx = 2 - int(np.argmin(aligned[::-1]))
     a = np.zeros(3)
     a[axis_idx] = 1.0
-    e1 = np.cross(a, t)
+    e1 = _cross(a, t)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(t, e1)
-    return np.vstack([e1, e2])
+    return np.vstack([e1, _cross(t, e1)])
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v of two 3-vectors, term for term as np.cross forms it, without its
+    per-call overhead."""
+    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
 def _direction_list(params) -> list:
@@ -246,12 +252,15 @@ def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray
     theta (R <- exp(hat(theta)) R). With b = R p, the left perturbation
     exp([rho, r]) moves the position by R.T J_r(r) rho and the rotation by
     r, so to first order rho = R delta p and r = theta: the map is
-    T @ icrb @ T.T with T = diag(R, I3).
+    T @ icrb @ T.T with T = diag(R, I3). Both arguments broadcast over
+    leading axes.
     """
-    t = np.eye(6)
-    t[:3, :3] = rotation
-    out = t @ np.asarray(icrb, dtype=float) @ t.T
-    return (out + out.T) / 2.0
+    rotation = np.asarray(rotation, dtype=float)
+    t = np.zeros(rotation.shape[:-2] + (6, 6))
+    t[..., :3, :3] = rotation
+    t[..., 3:, 3:] = np.eye(3)
+    out = t @ np.asarray(icrb, dtype=float) @ t.mT
+    return (out + out.mT) / 2.0
 
 
 def pose_error_bounds(

@@ -120,6 +120,9 @@ def _cmd_mc(args) -> int:
     )
     for reason, count in reasons.most_common():
         print(f"dropped {count} run(s), {reason}", file=sys.stderr)
+    if series.fusion_nonconverged:
+        print(f"fusion hit the Gauss-Newton iteration limit in {series.fusion_nonconverged} update(s)",
+              file=sys.stderr)
     return EXIT_OK
 
 

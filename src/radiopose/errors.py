@@ -1,8 +1,26 @@
 """Exception types raised across the radiopose package."""
 
+import numpy as np
+
 
 class RadioPoseError(Exception):
-    """Base class for all radiopose errors."""
+    """Base class for all radiopose errors.
+
+    ``rows`` is None when the error concerns the whole call. A call over a
+    leading run axis that fails in some runs only names them in ``rows``
+    (``in_rows``), so that the caller can drop those runs and go on with
+    the others.
+    """
+
+    rows = None
+
+
+def in_rows(error: RadioPoseError, failing) -> RadioPoseError:
+    """``error`` with ``rows`` set to the flat indices where the boolean array
+    ``failing`` holds; an unbatched (0-d) ``failing`` leaves the whole call."""
+    if np.ndim(failing):
+        error.rows = np.flatnonzero(failing)
+    return error
 
 
 class NotSkew(RadioPoseError):

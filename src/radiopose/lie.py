@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * Tangent vectors are ordered xi = [rho, r] with rho the translational
   part (meters) and r the rotational part (radians, axis-angle).
 * Perturbations are applied on the left: T = exp(hat(xi)) @ T_nominal.
+* The maps take leading axes, (..., 3), (..., 6) or (..., 3, 3), and treat
+  every row on its own, so one call serves a batch of Monte Carlo runs; a
+  single vector or matrix is the unbatched case. A ``Pose`` may hold such a
+  batch, and its methods broadcast over the leading axes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearPiRotation, NotSkew
+from .errors import NearPiRotation, NotSkew, in_rows
 
 _SMALL_ANGLE = 1e-8
 _TAYLOR_ANGLE = 1e-2
@@ -27,10 +31,58 @@ _SKEW_TOL = 1e-8
 _ROTATION_TOL = 1e-10
 
 
+# hat3(v) flattened is v @ _HAT; a flattened 3x3 matrix m times _LOG_TERMS
+# gives the antisymmetric differences [m21 - m12, m02 - m20, m10 - m01] and
+# the trace
+_HAT = np.zeros((3, 9))
+_HAT[[0, 1, 2], [7, 2, 3]] = 1.0
+_HAT[[0, 1, 2], [5, 6, 1]] = -1.0
+_LOG_TERMS = np.zeros((9, 4))
+_LOG_TERMS[[7, 2, 3], [0, 1, 2]] = 1.0
+_LOG_TERMS[[5, 6, 1], [0, 1, 2]] = -1.0
+_LOG_TERMS[[0, 4, 8], 3] = 1.0
+_I3 = np.eye(3)
+# Taylor coefficients of a^(2n), n = 0, 1, ...: columns c1, c2 and q1, q2, q3
+_POWERS = np.arange(5)
+_C_SERIES = np.array([[1 / 2, 1 / 6], [-1 / 24, -1 / 120], [1 / 720, 1 / 5040]])
+_Q_SERIES = np.array([
+    [1 / 6, 1 / 24, 1 / 120],
+    [-1 / 120, -1 / 720, -1 / 2520],
+    [1 / 5040, 1 / 40320, 1 / 120960],
+    [-1 / 362880, -1 / 3628800, -1 / 9979200],
+    [1 / 39916800, 1 / 479001600, 1 / 1245404160],
+])
+
+
+def _norm(v: np.ndarray):
+    """Euclidean norm over the last axis."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _m(c):
+    """A coefficient over leading axes, shaped to scale 3x3 matrices."""
+    return c[..., None, None]
+
+
+def _switch(taylor_rows, taylor, closed) -> tuple:
+    """Coefficients from ``taylor()`` in the rows where ``taylor_rows`` holds and
+    from ``closed()`` in the others. A batch whose rows all sit on one side
+    evaluates that branch alone; a mixed batch evaluates both and picks per row,
+    silencing the divisions by zero that the closed form makes in the rows it
+    does not keep."""
+    count = np.count_nonzero(taylor_rows)
+    if count == taylor_rows.size:
+        return taylor()
+    if count == 0:
+        return closed()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tuple(np.where(taylor_rows, a, b) for a, b in zip(taylor(), closed()))
+
+
 def hat3(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector, so that hat3(v) @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    v = np.asarray(v, dtype=float)
+    return (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
 
 
 def vee3(m: np.ndarray) -> np.ndarray:
@@ -41,15 +93,29 @@ def vee3(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def so3_exp(r: np.ndarray) -> np.ndarray:
-    """Rodrigues formula I + (sin a / a) hat(r) + c1 hat(r)^2 at a = |r|, with
-    sin a / a = 1 - a^2 c2 and (c1, c2) from ``_so3_jacobian_coeffs``, which
-    switch to Taylor series where the closed forms cancel."""
-    r = np.asarray(r, dtype=float)
-    angle = np.linalg.norm(r)
+def _so3_terms(r: np.ndarray):
+    """hat(r), hat(r)^2, a^2 and the coefficients (c1, c2) of
+    ``_so3_jacobian_coeffs`` at a = |r|, the scalars shaped by ``_m``."""
     k = hat3(r)
+    angle = _norm(r)
     c1, c2 = _so3_jacobian_coeffs(angle)
-    return np.eye(3) + (1.0 - angle * angle * c2) * k + c1 * (k @ k)
+    return k, k @ k, _m(angle * angle), _m(c1), _m(c2)
+
+
+def _rodrigues(k, k2, a2, c1, c2) -> np.ndarray:
+    """exp(k) = I + (sin a / a) k + c1 k^2 (``_so3_terms``), with
+    sin a / a = 1 - a^2 c2 so that one coefficient set serves exp and J_l."""
+    return _I3 + (1.0 - a2 * c2) * k + c1 * k2
+
+
+def _left_jacobian(k, k2, c1, c2) -> np.ndarray:
+    """J_l = I + c1 k + c2 k^2 (``_so3_terms``)."""
+    return _I3 + c1 * k + c2 * k2
+
+
+def so3_exp(r: np.ndarray) -> np.ndarray:
+    """Rotation matrix exp(hat(r)), the Rodrigues formula (``_rodrigues``)."""
+    return _rodrigues(*_so3_terms(np.asarray(r, dtype=float)))
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -61,46 +127,85 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
 
 
 def _so3_log(rot: np.ndarray) -> np.ndarray:
-    """``so3_log`` of a matrix already known to be a rotation.
+    """``so3_log`` of matrices already known to be rotations.
 
     The generic branch evaluates angle/(2 sin angle) times the antisymmetric
     part s. Near zero that ratio is replaced by its Taylor expansion. Within
     1e-3 of pi, where dividing by sin angle costs eps/(pi - angle), the axis
     a comes from the exact identity ((R + R^T)/2 - cos(angle) I) /
-    (1 - cos(angle)) = a a^T, its sign from s = sin(angle) a.
+    (1 - cos(angle)) = a a^T, its sign from s = sin(angle) a; such rows are
+    rare and are taken one at a time.
     """
-    s = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]) / 2.0
-    cos_angle = np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0)
-    angle = np.arctan2(np.linalg.norm(s), cos_angle)
+    terms = rot.reshape(rot.shape[:-2] + (9,)) @ _LOG_TERMS
+    s = terms[..., :3] / 2.0
+    cos_angle = (terms[..., 3] - 1.0) / 2.0
+    angle = np.arctan2(_norm(s), cos_angle)
+    # r = (angle / sin angle) * s, the ratio expanded around 0 for tiny angles
+    (ratio,) = _switch(
+        angle < _SMALL_ANGLE,
+        lambda: (1.0 + angle**2 / 6.0 + 7.0 * angle**4 / 360.0,),
+        lambda: (angle / np.sin(angle),),
+    )
+    out = s * ratio[..., None]
+    near_pi = angle > np.pi - _NEAR_PI
+    if np.count_nonzero(near_pi):
+        rows, logs = rot.reshape(-1, 3, 3), out.reshape(-1, 3)
+        cos_rows, angles, halves = np.ravel(cos_angle), np.ravel(angle), s.reshape(-1, 3)
+        for i in np.flatnonzero(near_pi):
+            m, c = rows[i], cos_rows[i]
+            aat = ((m + m.T) / 2.0 - c * _I3) / (1.0 - c)
+            col = int(np.argmax(np.diag(aat)))
+            axis = aat[:, col] / np.sqrt(aat[col, col])
+            lead = int(np.argmax(np.abs(halves[i])))
+            if halves[i, lead] * axis[lead] < 0:
+                axis = -axis
+            logs[i] = angles[i] * axis
+    return out
 
-    if angle < _SMALL_ANGLE:
-        # r = (angle / sin angle) * s with the ratio expanded around 0.
-        return s * (1.0 + angle**2 / 6.0 + 7.0 * angle**4 / 360.0)
-    if angle > np.pi - _NEAR_PI:
-        aat = ((rot + rot.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
-        col = int(np.argmax(np.diag(aat)))
-        axis = aat[:, col] / np.sqrt(aat[col, col])
-        lead = int(np.argmax(np.abs(s)))
-        if s[lead] * axis[lead] < 0:
-            axis = -axis
-        return angle * axis
-    return s * (angle / np.sin(angle))
 
-
-def _so3_jacobian_coeffs(angle: float):
+def _so3_jacobian_coeffs(angle):
     """(c1, c2) = ((1 - cos a)/a^2, (a - sin a)/a^3) at a = |r|, from Taylor series up
     to a^4 below 1e-2 rad, where a - sin a cancels."""
     a2 = angle * angle
-    if angle < _TAYLOR_ANGLE:
-        return 0.5 - a2 / 24.0 + a2 * a2 / 720.0, 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
-    return 2.0 * np.sin(angle / 2.0) ** 2 / a2, (angle - np.sin(angle)) / (a2 * angle)
+    return _switch(
+        angle < _TAYLOR_ANGLE,
+        lambda: _taylor(a2, _C_SERIES),
+        lambda: (2.0 * np.sin(angle / 2.0) ** 2 / a2, (angle - np.sin(angle)) / (a2 * angle)),
+    )
+
+
+def _taylor(a2, series: np.ndarray) -> tuple:
+    """One power series in a^2 per column of ``series`` (row n: the a^(2n)
+    coefficients), summed for every row of a2 in one product."""
+    sums = (a2[..., None] ** _POWERS[: len(series)]) @ series
+    return tuple(sums[..., i] for i in range(series.shape[1]))
 
 
 def so3_left_jacobian(r: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3), I + c1 hat(r) + c2 hat(r)^2 (``_so3_jacobian_coeffs``)."""
-    k = hat3(r)
-    c1, c2 = _so3_jacobian_coeffs(np.linalg.norm(r))
-    return np.eye(3) + c1 * k + c2 * (k @ k)
+    """Left Jacobian of SO(3), I + c1 hat(r) + c2 hat(r)^2 (``_left_jacobian``)."""
+    k, k2, _, c1, c2 = _so3_terms(np.asarray(r, dtype=float))
+    return _left_jacobian(k, k2, c1, c2)
+
+
+def _q_coeffs(angle, c1, c2):
+    """(q1, q2, q3) = ((a - sin a)/a^3, (a^2 + 2 cos a - 2)/(2 a^4),
+    (2a - 3 sin a + a cos a)/(2 a^5)) at a = |r|, written through (c1, c2) as
+    c2, (1/2 - c1)/a^2 and (3 c2 - c1)/(2 a^2); below 0.2 rad, where those
+    forms cancel, Taylor series up to a^8."""
+    a2 = angle * angle
+    return _switch(
+        angle < _Q_TAYLOR_ANGLE,
+        lambda: _taylor(a2, _Q_SERIES),
+        lambda: (c2, (0.5 - c1) / a2, (3.0 * c2 - c1) / (2.0 * a2)),
+    )
+
+
+def _so3_jacobian_inv(k, k2, c1, c2, q2):
+    """J_l(r)^-1 = I - k/2 + ((c2 - 2 q2) / (2 c1)) k^2 for k = hat(r): the
+    coefficient is 1/a^2 - (1 + cos a) / (2 a sin a) (Barfoot & Furgale,
+    IEEE T-RO 2014) written through the Taylor-switched c1, c2 and q2, whose
+    difference does not cancel. Coefficients come shaped by ``_m``."""
+    return _I3 - 0.5 * k + ((c2 - 2.0 * q2) / (2.0 * c1)) * k2
 
 
 def require_rotation(m: np.ndarray) -> None:
@@ -127,7 +232,8 @@ class Pose:
 
     The constructor checks the rotation (``require_rotation``); the poses that
     ``@``, ``inverse`` and ``se3_exp`` return are built from valid ones and
-    are not checked again.
+    are not checked again. Computed poses may carry leading axes, rotation
+    (..., 3, 3) and block (..., 3); indexing such a pose selects along them.
     """
 
     rotation: np.ndarray
@@ -144,7 +250,7 @@ class Pose:
     @property
     def position(self) -> np.ndarray:
         """Device position p = R.T @ b."""
-        return self.rotation.T @ self.translation_block
+        return np.matvec(self.rotation.mT, self.translation_block)
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -163,19 +269,24 @@ class Pose:
         return cls(m[:3, :3], m[:3, 3])
 
     def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation_block
+        m = np.zeros(self.rotation.shape[:-2] + (4, 4))
+        m[..., :3, :3] = self.rotation
+        m[..., :3, 3] = self.translation_block
+        m[..., 3, 3] = 1.0
         return m
 
     def inverse(self) -> "Pose":
-        return _pose(self.rotation.T, -(self.rotation.T @ self.translation_block))
+        rot_t = self.rotation.mT
+        return _pose(rot_t, -np.matvec(rot_t, self.translation_block))
 
     def __matmul__(self, other: "Pose") -> "Pose":
         return _pose(
             self.rotation @ other.rotation,
-            self.rotation @ other.translation_block + self.translation_block,
+            np.matvec(self.rotation, other.translation_block) + self.translation_block,
         )
+
+    def __getitem__(self, index) -> "Pose":
+        return _pose(self.rotation[index], self.translation_block[index])
 
 
 def _pose(rotation: np.ndarray, translation_block: np.ndarray) -> Pose:
@@ -207,69 +318,84 @@ def se3_vee(m: np.ndarray) -> np.ndarray:
 def se3_exp(xi: np.ndarray) -> Pose:
     """Exponential map of SE(3): rotation by r, translation block J_l(r) @ rho."""
     xi = np.asarray(xi, dtype=float)
-    rho, r = xi[:3], xi[3:]
-    return _pose(so3_exp(r), so3_left_jacobian(r) @ rho)
+    k, k2, a2, c1, c2 = _so3_terms(xi[..., 3:])
+    return _pose(_rodrigues(k, k2, a2, c1, c2), np.matvec(_left_jacobian(k, k2, c1, c2), xi[..., :3]))
 
 
 def se3_log(pose: Pose) -> np.ndarray:
-    """Logarithm of SE(3): xi = [rho, r] with rho solved from b = J_l(r) @ rho.
+    """Logarithm of SE(3): xi = [rho, r] with rho = J_l(r)^-1 @ b in closed form.
 
-    Raises NearPiRotation when the rotation angle is within 1e-6 of pi,
-    where J_l becomes badly conditioned.
+    Raises NearPiRotation when a rotation angle is within 1e-6 of pi, where
+    the log stops being unique; for a batch the error names those rows.
     """
     r = _so3_log(pose.rotation)
-    if np.linalg.norm(r) > np.pi - 1e-6:
-        raise NearPiRotation("rotation angle within 1e-6 of pi")
-    rho = np.linalg.solve(so3_left_jacobian(r), pose.translation_block)
-    return np.concatenate([rho, r])
+    angle = _norm(r)
+    near_pi = angle > np.pi - 1e-6
+    if np.count_nonzero(near_pi):
+        raise in_rows(NearPiRotation("rotation angle within 1e-6 of pi"), near_pi)
+    k = hat3(r)
+    c1, c2 = _so3_jacobian_coeffs(angle)
+    q2 = _q_coeffs(angle, c1, c2)[1]
+    jac_inv = _so3_jacobian_inv(k, k @ k, _m(c1), _m(c2), _m(q2))
+    return np.concatenate([np.matvec(jac_inv, pose.translation_block), r], axis=-1)
 
 
 def adjoint(pose: Pose) -> np.ndarray:
     """6x6 adjoint [[R, hat3(b) R], [0, R]] acting on [rho, r] tangents."""
-    out = np.zeros((6, 6))
-    out[:3, :3] = pose.rotation
-    out[:3, 3:] = hat3(pose.translation_block) @ pose.rotation
-    out[3:, 3:] = pose.rotation
+    rot = pose.rotation
+    out = np.zeros(rot.shape[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = rot
+    out[..., :3, 3:] = hat3(pose.translation_block) @ rot
     return out
 
 
 def small_adjoint(xi: np.ndarray) -> np.ndarray:
     """6x6 algebra adjoint [[hat3(r), hat3(rho)], [0, hat3(r)]]."""
     xi = np.asarray(xi, dtype=float)
-    out = np.zeros((6, 6))
-    out[:3, :3] = hat3(xi[3:])
-    out[:3, 3:] = hat3(xi[:3])
-    out[3:, 3:] = hat3(xi[3:])
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = hat3(xi[..., 3:])
+    out[..., :3, 3:] = hat3(xi[..., :3])
     return out
 
 
-def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
-    """6x6 left Jacobian of SE(3), [[J, Q], [0, J]] with J = J_l(r), in closed form.
+def _se3_jacobian_blocks(xi: np.ndarray):
+    """(J, Q, J^-1) of the SE(3) left Jacobian [[J, Q], [0, J]] at xi = [rho, r].
 
-    Q = p/2 + q1 (k p + p k - d k) + q2 (k^2 p + p k^2 + 3 d k) - 2 q3 d k^2 is
-    Barfoot & Furgale's coupling block (IEEE T-RO 2014), reduced by k p k = -d k
-    for k = hat(r), p = hat(rho), d = r . rho. At a = |r|, q1 = (a - sin a)/a^3 =
-    c2, q2 = (a^2 + 2 cos a - 2)/(2 a^4) = (1/2 - c1)/a^2 and q3 = (2a - 3 sin a
-    + a cos a)/(2 a^5) = (3 c2 - c1)/(2 a^2); below 0.2 rad, where those forms
-    cancel, q1..q3 come from Taylor series up to a^8.
+    J = J_l(r) = I + c1 k + c2 k^2 for k = hat(r) (``_so3_jacobian_coeffs``),
+    J^-1 from ``_so3_jacobian_inv``, and
+    Q = p/2 + q1 (k p + p k - d k) + q2 (k^2 p + p k^2 + 3 d k) - 2 q3 d k^2
+    Barfoot & Furgale's coupling block (IEEE T-RO 2014), reduced by
+    k p k = -d k for p = hat(rho), d = r . rho, with q1..q3 from ``_q_coeffs``.
     """
-    rho, r = np.asarray(xi, dtype=float).reshape(2, 3)
-    angle = np.linalg.norm(r)
+    xi = np.asarray(xi, dtype=float)
+    rho, r = xi[..., :3], xi[..., 3:]
+    angle = _norm(r)
     k, p = hat3(r), hat3(rho)
     k2, kp = k @ k, k @ p
     k2p = k @ kp
-    d = r @ rho
+    d = _m(np.vecdot(r, rho))
     c1, c2 = _so3_jacobian_coeffs(angle)
-    a2 = angle * angle
-    if angle < _Q_TAYLOR_ANGLE:
-        q1 = 1 / 6 - a2 * (1 / 120 - a2 * (1 / 5040 - a2 * (1 / 362880 - a2 / 39916800)))
-        q2 = 1 / 24 - a2 * (1 / 720 - a2 * (1 / 40320 - a2 * (1 / 3628800 - a2 / 479001600)))
-        q3 = 1 / 120 - a2 * (1 / 2520 - a2 * (1 / 120960 - a2 * (1 / 9979200 - a2 / 1245404160)))
-    else:
-        q1, q2, q3 = c2, (0.5 - c1) / a2, (3.0 * c2 - c1) / (2.0 * a2)
-    out = np.zeros((6, 6))
-    out[:3, :3] = out[3:, 3:] = np.eye(3) + c1 * k + c2 * k2
+    q1, q2, q3 = (_m(q) for q in _q_coeffs(angle, c1, c2))
+    c1, c2 = _m(c1), _m(c2)
     # p k = (k p)^T and p k^2 = -(k^2 p)^T because k and p are skew
-    out[:3, 3:] = 0.5 * p + q1 * (kp + kp.T - d * k) + q2 * (k2p - k2p.T + 3.0 * d * k) - 2.0 * q3 * d * k2
+    q = 0.5 * p + q1 * (kp + kp.mT - d * k) + q2 * (k2p - k2p.mT + 3.0 * d * k) - 2.0 * q3 * d * k2
+    return _left_jacobian(k, k2, c1, c2), q, _so3_jacobian_inv(k, k2, c1, c2, q2)
+
+
+def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
+    """6x6 left Jacobian of SE(3), [[J, Q], [0, J]] (``_se3_jacobian_blocks``)."""
+    jac, q, _ = _se3_jacobian_blocks(xi)
+    out = np.zeros(jac.shape[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = jac
+    out[..., :3, 3:] = q
     return out
 
+
+def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
+    """Inverse of ``se3_left_jacobian``, [[J^-1, -J^-1 Q J^-1], [0, J^-1]] in closed
+    form (``_se3_jacobian_blocks``)."""
+    _, q, jac_inv = _se3_jacobian_blocks(xi)
+    out = np.zeros(jac_inv.shape[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = jac_inv
+    out[..., :3, 3:] = -(jac_inv @ q @ jac_inv)
+    return out

@@ -4,7 +4,8 @@ measurement sampling, Monte Carlo orchestration, and CSV emission.
 Determinism: beams come from the signal seed, measurement noise from a
 counter-based generator keyed by (scenario seed, run index), so runs are
 order-independent and byte-identical output follows from identical
-(config, seed).
+(config, seed). A study runs its filters over all runs at once, one batched
+step per time step, and each run's numbers do not depend on the batch.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ from .channel import (
     draw_beams,
     noise_free_signal,
 )
-from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState
-from .lie import Pose, _pose, _so3_log, se3_log, so3_exp
+from . import tracking
+from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState, in_rows
+from .lie import Pose, _norm, _pose, _so3_log, se3_log, so3_exp
 from .tracking import (
     FilterState,
     MotionCommand,
     PoseMeasurement,
     _euler_from_rotation,
+    _state,
     eskf_update,
     euler_ekf_update,
     euler_predict,
@@ -197,24 +200,26 @@ def generate_trajectory(start: Pose, segments):
     return poses
 
 
-def sample_measurement(truth: Pose, report: IcrbReport, rng, noise_scale: float) -> PoseMeasurement:
-    """Draw a pose measurement around the truth in the bound's own coordinates.
+def sample_measurement(truth: Pose, icrb_sqrt: np.ndarray, normals: np.ndarray, noise_scale: float) -> Pose:
+    """Measured poses drawn around the truth in the bound's own coordinates.
 
-    delta = noise_scale * S z with S = ``report.icrb_sqrt`` (S S.T = icrb)
-    shifts the global position by delta[:3] and turns the rotation by the
-    left increment delta[3:] (R <- exp(hat(delta[3:])) R), as in
-    ``bounds.state_jacobian_tz``, so the sampled error has the bound as
-    covariance. Noise that overflows raises RadioPoseError.
+    delta = noise_scale * S z, with S = ``IcrbReport.icrb_sqrt`` (S S.T = icrb)
+    and z the standard ``normals``, shifts the global position by delta[:3]
+    and turns the rotation by the left increment delta[3:]
+    (R <- exp(hat(delta[3:])) R), as in ``bounds.state_jacobian_tz``, so the
+    sampled error has the bound as covariance. The arguments broadcast over
+    leading axes: K truths, (K, 6, 6) factors and (R, K, 6) normals give the
+    (R, K) measurements of a study. Noise that overflows raises RadioPoseError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = noise_scale * (report.icrb_sqrt @ rng.standard_normal(6))
-        rot = so3_exp(delta[3:]) @ truth.rotation
-        block = rot @ (truth.position + delta[:3])
+        delta = noise_scale * np.matvec(icrb_sqrt, normals)
+        rot = so3_exp(delta[..., 3:]) @ truth.rotation
+        block = np.matvec(rot, truth.position + delta[..., :3])
     if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(block))):
         raise RadioPoseError(
             f"sampled measurement is not finite: measurement_noise_scale {noise_scale:g} overflows"
         )
-    return PoseMeasurement(pose=_pose(rot, block), cov_state_icrb=report.icrb)
+    return _pose(rot, block)
 
 
 def run_rng(seed: int, run_index: int):
@@ -259,6 +264,7 @@ class MetricSeries:
     measurement: FilterMetrics
     n_runs: int
     dropped_runs: dict  # run index -> {filter name: error message} of each run left out
+    fusion_nonconverged: int = 0  # fusion updates, over all runs, that hit the Gauss-Newton limit
 
     @property
     def n_failed_runs(self) -> int:
@@ -275,71 +281,134 @@ def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
 
 
 def _tangent_state(meas: PoseMeasurement) -> FilterState:
-    return FilterState(meas.pose, meas.cov_tangent)
+    return _state(meas.pose, meas.cov_tangent)
+
+
+def _euler_state(meas: PoseMeasurement):
+    batch = meas.pose.translation_block.shape[:-1]
+    return euler_state_from_pose(meas.pose), np.broadcast_to(meas.cov_state_icrb, batch + (6, 6))
 
 
 # Per filter: (state from the first measurement, one predict + update step,
-# estimated pose of a state). The lambdas resolve the filter functions when
-# called, so a rebinding of the module attribute is honoured.
+# estimated pose of a state), each over a batch of runs. The lambdas resolve
+# the filter functions when called, so a rebinding of the module attribute
+# is honoured.
 _FILTERS = {
     "fusion": (_tangent_state, lambda s, cmd, m: fusion_update(predict(s, cmd), m), lambda s: s.pose),
     "eskf": (_tangent_state, lambda s, cmd, m: eskf_update(predict(s, cmd), m), lambda s: s.pose),
     "euler": (
-        lambda m: (euler_state_from_pose(m.pose), np.array(m.cov_state_icrb)),
+        _euler_state,
         lambda s, cmd, m: euler_ekf_update(*euler_predict(*s, cmd), m),
         lambda s: pose_from_euler_state(s[0]),
     ),
 }
 
 
+def _runs_of(state, keep: np.ndarray):
+    """The runs ``keep`` (a boolean mask) of a batched filter state."""
+    if isinstance(state, FilterState):
+        return _state(state.pose[keep], state.cov[keep])
+    return tuple(part[keep] for part in state)
+
+
+@dataclass
+class _Track:
+    """One filter over a batch of runs: estimates (R, K) and tangent errors
+    log(est truth^-1) (R, K, 6), NaN from a run's failure on; per run the
+    failure message or None; and the count of updates in which a run hit
+    the fusion Gauss-Newton limit."""
+
+    estimates: Pose
+    errors: np.ndarray
+    failed: list
+    nonconverged: int
+
+
+def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _Track:
+    """Run one filter over ``n_runs`` runs, one batched step per time step.
+
+    A step that raises a RadioPoseError, or leaves an estimate that is not
+    finite, ends the runs the error names (``RadioPoseError.rows``, all runs
+    when it names none) and is taken again for the others, whose numbers do
+    not depend on the runs beside them.
+    """
+    init, step, pose_of = _FILTERS[name]
+    n_steps = len(measurements)
+    rotation = np.full((n_runs, n_steps, 3, 3), np.nan)
+    block = np.full((n_runs, n_steps, 3), np.nan)
+    errors = np.full((n_runs, n_steps, 6), np.nan)
+    failed = [None] * n_runs
+    nonconverged = 0
+    alive = np.arange(n_runs)
+    state = None
+    for k, meas in enumerate(measurements):
+        while alive.size:
+            if alive.size < n_runs:
+                meas = PoseMeasurement(measurements[k].pose[alive], measurements[k].cov_state_icrb)
+            try:
+                new = init(meas) if k == 0 else step(state, commands[k], meas)
+                est = pose_of(new)
+                err = se3_log(est @ truth_inv[k])
+                not_finite = ~np.all(np.isfinite(err), axis=-1)
+                if np.count_nonzero(not_finite):
+                    raise in_rows(RadioPoseError(f"estimate is not finite at step {k}"), not_finite)
+                break
+            except RadioPoseError as exc:
+                ended = np.zeros(alive.size, dtype=bool)
+                ended[slice(None) if exc.rows is None else exc.rows] = True
+                for run in alive[ended]:
+                    failed[run] = str(exc)
+                alive = alive[~ended]
+                if alive.size and state is not None:
+                    state = _runs_of(state, ~ended)
+        if not alive.size:
+            break
+        state = new
+        rotation[alive, k], block[alive, k], errors[alive, k] = est.rotation, est.translation_block, err
+        if getattr(new, "iterations", None) is not None:
+            nonconverged += int(np.sum(new.iterations >= tracking._FUSION_MAX_ITERS))
+    return _Track(_pose(rotation, block), errors, failed, nonconverged)
+
+
+def _run_batch(cfg: ScenarioConfig, runs, truths, reports, commands):
+    """The runs ``runs`` (run indices) of a study in one pass: the stacked
+    truths (K,), the measurements (R, K) and a ``_Track`` per selected filter.
+
+    Each run draws its (K, 6) normals from its own generator (``run_rng``):
+    the same numbers, in the same order, as K draws of 6. A single run goes
+    through the filters without a run axis: the unbatched case of the same
+    kernels, which costs less per call than a batch of one.
+    """
+    truth = _pose(np.stack([t.rotation for t in truths]), np.stack([t.translation_block for t in truths]))
+    normals = np.stack([run_rng(cfg.seed, run).standard_normal((len(truths), 6)) for run in runs])
+    factors = np.stack([r.icrb_sqrt for r in reports])
+    measured = sample_measurement(truth, factors, normals, cfg.measurement_noise_scale)
+    rows = slice(None) if len(runs) > 1 else 0
+    steps = [PoseMeasurement(measured[rows, k], r.icrb) for k, r in enumerate(reports)]
+    tracks = {name: _track(name, len(runs), truth.inverse(), steps, commands) for name in cfg.selected_filters}
+    return truth, measured, tracks
+
+
 def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -> RunResult:
-    """Sample one measurement sequence and run the selected filters.
+    """Sample one measurement sequence and run the selected filters: the
+    one-run case of the batched pass of ``run_monte_carlo``, with the same
+    numbers as that run's row in any batch.
 
     A filter that raises a RadioPoseError, or whose estimate stops being
     finite, stops there: its message goes to ``failed`` and its estimates end
     at the last good step, while the other filters run on.
     """
-    rng = run_rng(cfg.seed, run_index)
-    measurements = [
-        sample_measurement(t, r, rng, cfg.measurement_noise_scale) for t, r in zip(truths, reports)
-    ]
-
-    estimates = {name: [] for name in cfg.selected_filters}
-    errors = {name: np.full((len(truths), 6), np.nan) for name in cfg.selected_filters}
-    failed = {name: None for name in cfg.selected_filters}
-
-    for name in cfg.selected_filters:
-        init, step, pose_of = _FILTERS[name]
-        try:
-            state = init(measurements[0])
-            for k, meas in enumerate(measurements):
-                if k > 0:
-                    state = step(state, commands[k], meas)
-                est_pose = pose_of(state)
-                errors[name][k] = se3_log(est_pose @ truths[k].inverse())
-                if not np.all(np.isfinite(errors[name][k])):
-                    raise RadioPoseError(f"estimate is not finite at step {k}")
-                estimates[name].append(est_pose)
-        except RadioPoseError as exc:
-            failed[name] = str(exc)
-
+    _, measured, tracks = _run_batch(cfg, [run_index], truths, reports, commands)
     return RunResult(
         truths=truths,
-        measurements=measurements,
-        estimates=estimates,
-        tangent_errors=errors,
-        failed=failed,
+        measurements=[PoseMeasurement(measured[0, k], r.icrb) for k, r in enumerate(reports)],
+        estimates={
+            name: [t.estimates[0, k] for k in np.flatnonzero(np.isfinite(t.errors[0, :, 0]))]
+            for name, t in tracks.items()
+        },
+        tangent_errors={name: t.errors[0] for name, t in tracks.items()},
+        failed={name: t.failed[0] for name, t in tracks.items()},
     )
-
-
-def _norms(vectors) -> np.ndarray:
-    """Euclidean norm of each vector, taken one vector at a time (a norm over
-    axis=1 sums in another order and can differ in the last bit)."""
-    return np.array([np.linalg.norm(v) for v in vectors])
-
-
-def _position_errors(poses, truths) -> np.ndarray:
-    return _norms(p.position - t.position for p, t in zip(poses, truths))
 
 
 def _metrics_from_errors(pos_err: np.ndarray, rot_err: np.ndarray) -> FilterMetrics:
@@ -357,49 +426,44 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
     """Independent tracking runs over the deterministic truth trajectory.
 
     The bound reports are computed once (the truth is shared by all runs);
-    each run samples its own measurement noise from a per-run generator.
-    Runs in which any filter fails are dropped from the aggregates, and
-    their failure messages kept in ``dropped_runs``; a filter failure never
-    aborts the batch, but noise that ``sample_measurement`` cannot draw does.
+    each run samples its own measurement noise from a per-run generator, and
+    each filter steps all runs together (``_run_batch``). Runs in which any
+    filter fails are dropped from the aggregates, and their failure messages
+    kept in ``dropped_runs``; a filter failure never aborts the batch, but
+    noise that ``sample_measurement`` cannot draw does.
     """
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     truths, reports = scenario_reports(cfg, beams)
     commands = segment_commands(cfg.segments, cfg.process_noise)
+    truth, measured, tracks = _run_batch(cfg, range(cfg.mc_runs), truths, reports, commands)
 
-    pos_err = {name: [] for name in cfg.selected_filters}
-    rot_err = {name: [] for name in cfg.selected_filters}
-    meas_pos_err = []
-    meas_rot_err = []
     dropped = {}
-
     for run in range(cfg.mc_runs):
-        result = run_single(cfg, run, truths, reports, commands)
-        failed = {name: msg for name, msg in result.failed.items() if msg is not None}
+        failed = {name: t.failed[run] for name, t in tracks.items() if t.failed[run] is not None}
         if failed:
             dropped[run] = failed
-            continue
-        for name in cfg.selected_filters:
-            pos_err[name].append(_position_errors(result.estimates[name], truths))
-            rot_err[name].append(_norms(result.tangent_errors[name][:, 3:]))
-        measured = [m.pose for m in result.measurements]
-        meas_pos_err.append(_position_errors(measured, truths))
-        meas_rot_err.append(_norms(_so3_log(m.rotation @ t.rotation.T) for m, t in zip(measured, truths)))
-
-    if not meas_pos_err:
+    kept = np.array([run not in dropped for run in range(cfg.mc_runs)])
+    if not kept.any():
         reasons = "; ".join(f"{name}: {msg}" for name, msg in dropped[0].items())
         raise RadioPoseError(f"all Monte Carlo runs failed (run 0: {reasons})")
 
     filters = {
-        name: _metrics_from_errors(np.array(pos_err[name]), np.array(rot_err[name]))
-        for name in cfg.selected_filters
+        name: _metrics_from_errors(
+            _norm(t.estimates[kept].position - truth.position), _norm(t.errors[kept, :, 3:])
+        )
+        for name, t in tracks.items()
     }
+    meas = measured[kept]
     time_s = np.cumsum([cmd.dt for cmd in commands])
     return MetricSeries(
         time_s=time_s,
         filters=filters,
-        measurement=_metrics_from_errors(np.array(meas_pos_err), np.array(meas_rot_err)),
+        measurement=_metrics_from_errors(
+            _norm(meas.position - truth.position), _norm(_so3_log(meas.rotation @ truth.rotation.mT))
+        ),
         n_runs=cfg.mc_runs,
         dropped_runs=dropped,
+        fusion_nonconverged=sum(t.nonconverged for t in tracks.values()),
     )
 
 

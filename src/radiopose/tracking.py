@@ -7,6 +7,12 @@ comparison.
 
 All covariances live in the left-perturbation tangent ordered [rho, r]:
 T = exp(hat(xi)) @ T_nominal.
+
+``predict``, the updates and the Euler EKF take states with a leading run
+axis (poses (R,), covariances (R, 6, 6), Euler states (R, 6)) and treat each
+run on its own, so one call steps a whole Monte Carlo batch; a single state
+is the unbatched case. An update that fails in some runs only raises an
+error whose ``rows`` names them.
 """
 
 from __future__ import annotations
@@ -21,14 +27,17 @@ from .errors import (
     GimbalLock,
     SingularInnovationCovariance,
     SingularNormalEquations,
+    in_rows,
 )
 from .lie import (
     Pose,
+    _norm,
     _pose,
     adjoint,
     hat3,
     se3_exp,
     se3_left_jacobian,
+    se3_left_jacobian_inv,
     se3_log,
     so3_exp,
 )
@@ -39,7 +48,27 @@ _FUSION_MAX_ITERS = 50
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + m.mT) / 2.0
+
+
+def _checked(routine, error, message: str, a: np.ndarray, *args):
+    """``routine(a, *args)``, a numpy.linalg solve or inverse over the leading
+    axes of ``a``. A singular matrix raises ``error(message)``; numpy fails a
+    stacked call as a whole, so the singular rows of a batch are found one by
+    one and named in the error's ``rows``."""
+    try:
+        return routine(a, *args)
+    except np.linalg.LinAlgError as exc:
+        singular = [_is_singular(m) for m in a.reshape(-1, *a.shape[-2:])]
+        raise in_rows(error(message), np.reshape(singular, a.shape[:-2])) from exc
+
+
+def _is_singular(m: np.ndarray) -> bool:
+    try:
+        np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def check_cov_tangent(cov: np.ndarray) -> np.ndarray:
@@ -63,11 +92,15 @@ class FilterState:
 
     The constructor checks the covariance (``check_cov_tangent``); the states
     that ``predict`` and the updates return are symmetrized but not checked.
+    ``converged`` holds when the Gauss-Newton loop of ``fuse_poses`` converged
+    in every run of the batch; ``iterations`` is its step count per run (None
+    for states that no fusion made).
     """
 
     pose: Pose
     cov: np.ndarray
     converged: bool = True
+    iterations: np.ndarray | None = None
 
     def __post_init__(self):
         cov = check_cov_tangent(self.cov)
@@ -75,13 +108,13 @@ class FilterState:
         object.__setattr__(self, "cov", cov)
 
 
-def _state(pose: Pose, cov: np.ndarray, converged: bool = True) -> FilterState:
+def _state(pose: Pose, cov: np.ndarray, converged: bool = True, iterations=None) -> FilterState:
     """FilterState of a covariance the filters computed: symmetrized and frozen
     like the constructor does, without ``check_cov_tangent``."""
     state = object.__new__(FilterState)
     cov = _symmetrize(cov)
     cov.flags.writeable = False
-    for name, value in (("pose", pose), ("cov", cov), ("converged", converged)):
+    for name, value in (("pose", pose), ("cov", cov), ("converged", converged), ("iterations", iterations)):
         object.__setattr__(state, name, value)
     return state
 
@@ -138,8 +171,9 @@ def predict(state: FilterState, cmd: MotionCommand) -> FilterState:
 
 
 def _fusion_gain(h: np.ndarray) -> np.ndarray:
-    """A = J_l(-h)^-1, so that h = log(T_m T^-1) moves by -A eps when T <- exp(eps) T."""
-    return np.linalg.inv(se3_left_jacobian(-h))
+    """A = J_l(-h)^-1, so that h = log(T_m T^-1) moves by -A eps when T <- exp(eps) T;
+    the block-triangular inverse in closed form (``se3_left_jacobian_inv``)."""
+    return se3_left_jacobian_inv(-h)
 
 
 def fuse_poses(sources, initial: Pose) -> FilterState:
@@ -150,43 +184,44 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
     current iterate, solves the weighted normal equations for the step, and
     applies it as a left perturbation, until a step is shorter than
     ``_FUSION_EPS`` (1e-8). The posterior covariance is the inverse normal
-    matrix at the converged iterate. A state with converged=False is
-    returned after ``_FUSION_MAX_ITERS`` (50) steps without convergence.
+    matrix at the converged iterate. After ``_FUSION_MAX_ITERS`` (50) steps
+    without convergence the state is returned with converged=False.
+
+    Over a batch each run keeps its own convergence flag: a converged run
+    takes zero steps, which leave its iterate exactly as it is, while the
+    others go on, so a run's iterates do not depend on its batch.
     """
-    weights = []
-    for _, cov in sources:
-        try:
-            weights.append(np.linalg.inv(np.asarray(cov, dtype=float)))
-        except np.linalg.LinAlgError as exc:
-            raise SingularNormalEquations("source covariance is singular") from exc
+    weights = [
+        _checked(np.linalg.inv, SingularNormalEquations, "source covariance is singular",
+                 np.asarray(cov, dtype=float))
+        for _, cov in sources
+    ]
 
     # Each pass accumulates the normal equations at the current iterate; the
-    # pass after the last step supplies the posterior information.
+    # pass after a run's last step supplies its posterior information.
     t_in = initial
-    converged = False
+    steps = np.zeros(initial.translation_block.shape[:-1], dtype=int)
+    converged = np.zeros(steps.shape, dtype=bool)
     for it in range(_FUSION_MAX_ITERS + 1):
-        normal = np.zeros((6, 6))
-        rhs = np.zeros(6)
+        normal = rhs = 0.0
         for (pose, _), w in zip(sources, weights):
             h = se3_log(pose @ t_in.inverse())
             a = _fusion_gain(h)
-            aw = a.T @ w
-            normal += aw @ a
-            rhs += aw @ h
-        if converged or it == _FUSION_MAX_ITERS:
+            aw = a.mT @ w
+            normal = normal + aw @ a
+            rhs = rhs + np.matvec(aw, h)
+        if converged.all() or it == _FUSION_MAX_ITERS:
             break
-        try:
-            eps = np.linalg.solve(normal, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNormalEquations("normal equations singular") from exc
+        eps = _checked(np.linalg.solve, SingularNormalEquations, "normal equations singular",
+                       normal, rhs[..., None])[..., 0]
+        if converged.any():
+            eps = np.where(converged[..., None], 0.0, eps)
         t_in = se3_exp(eps) @ t_in
-        converged = bool(np.linalg.norm(eps) < _FUSION_EPS)
+        steps = steps + ~converged
+        converged = converged | (_norm(eps) < _FUSION_EPS)
 
-    try:
-        post_cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquations("posterior information matrix singular") from exc
-    return _state(t_in, post_cov, converged)
+    post_cov = _checked(np.linalg.inv, SingularNormalEquations, "posterior information matrix singular", normal)
+    return _state(t_in, post_cov, bool(converged.all()), steps)
 
 
 def fusion_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
@@ -197,16 +232,20 @@ def fusion_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
 def eskf_core(pred_pose: Pose, pred_cov: np.ndarray, meas_pose: Pose, meas_cov: np.ndarray) -> FilterState:
     """Error-state Kalman update with tangent covariances already in [rho, r]."""
     gamma = se3_log(meas_pose @ pred_pose.inverse())
-    innov_cov = np.asarray(pred_cov) + np.asarray(meas_cov)
-    try:
-        gain = np.linalg.solve(innov_cov.T, np.asarray(pred_cov).T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovariance("innovation covariance singular") from exc
-    delta = gain @ gamma
+    pred_cov = np.asarray(pred_cov)
+    innov_cov = pred_cov + np.asarray(meas_cov)
+    gain = _gain(pred_cov, innov_cov)
+    delta = np.matvec(gain, gamma)
     pose = se3_exp(delta) @ pred_pose
     sigma_eps = (np.eye(6) - gain) @ pred_cov
     jac = se3_left_jacobian(delta)
-    return _state(pose, jac @ _symmetrize(sigma_eps) @ jac.T)
+    return _state(pose, jac @ _symmetrize(sigma_eps) @ jac.mT)
+
+
+def _gain(cov: np.ndarray, innov_cov: np.ndarray) -> np.ndarray:
+    """Kalman gain cov @ innov_cov^-1, solved rather than inverted."""
+    return _checked(np.linalg.solve, SingularInnovationCovariance, "innovation covariance singular",
+                    innov_cov.mT, cov.mT).mT
 
 
 def eskf_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
@@ -226,15 +265,27 @@ def wrap_angle(a):
     return out
 
 
+# Entries of Rz(yaw), Ry(pitch), Rx(roll) in row-major order, as indices into
+# [0, 1, cos(ypr), sin(ypr), -sin(ypr)]
+_EULER_FACTORS = np.array([
+    [2, 8, 0, 5, 2, 0, 0, 0, 1],
+    [3, 0, 6, 0, 1, 0, 9, 0, 3],
+    [1, 0, 0, 0, 4, 10, 0, 7, 4],
+])
+_GIMBAL_SIN = np.sin(np.pi / 2.0 - _GIMBAL_GUARD)
+
+
 def rotation_from_euler(ypr: np.ndarray) -> np.ndarray:
-    """Rotation matrix from intrinsic Z-Y-X (yaw, pitch, roll) in radians."""
-    yaw, pitch, roll = np.asarray(ypr, dtype=float)
-    cz, sz = np.cos(yaw), np.sin(yaw)
-    cy, sy = np.cos(pitch), np.sin(pitch)
-    cx, sx = np.cos(roll), np.sin(roll)
-    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    """Rotation matrix from intrinsic Z-Y-X (yaw, pitch, roll) in radians:
+    Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    ypr = np.asarray(ypr, dtype=float)
+    shape = ypr.shape[:-1]
+    terms = np.empty(shape + (11,))
+    terms[..., 0], terms[..., 1] = 0.0, 1.0
+    np.cos(ypr, out=terms[..., 2:5])
+    np.sin(ypr, out=terms[..., 5:8])
+    np.negative(terms[..., 5:8], out=terms[..., 8:])
+    rz, ry, rx = (terms[..., f].reshape(shape + (3, 3)) for f in _EULER_FACTORS)
     return rz @ ry @ rx
 
 
@@ -244,8 +295,9 @@ def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     Raises GimbalLock when the pitch is within the guard band of +/-pi/2.
     """
     rot = np.asarray(rot, dtype=float)
-    if abs(rot[2, 0]) >= np.sin(np.pi / 2.0 - _GIMBAL_GUARD):
-        raise GimbalLock("pitch within guard band of +/-pi/2")
+    locked = np.abs(rot[..., 2, 0]) >= _GIMBAL_SIN
+    if np.count_nonzero(locked):
+        raise in_rows(GimbalLock("pitch within guard band of +/-pi/2"), locked)
     return _euler_from_rotation(rot)
 
 
@@ -257,30 +309,37 @@ def _euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     pitch then come from entries of that product that stay well conditioned
     at gimbal lock, where any roll is consistent.
     """
-    roll = np.arctan2(rot[2, 1], rot[2, 2])
-    m = rot @ rotation_from_euler(np.array([0.0, 0.0, roll])).T
-    # + 0.0 turns -0.0 into 0.0, which a scenario file would print as -0.0
-    return np.array([np.arctan2(-m[0, 1], m[1, 1]), np.arctan2(-m[2, 0], m[2, 2]), roll]) + 0.0
+    ypr = np.zeros(rot.shape[:-2] + (3,))
+    ypr[..., 2] = np.arctan2(rot[..., 2, 1], rot[..., 2, 2])
+    m = (rot @ rotation_from_euler(ypr).mT).reshape(rot.shape[:-2] + (9,))
+    # yaw from m01, m11 and pitch from m20, m22; + 0.0 turns -0.0 into 0.0,
+    # which a scenario file would print as -0.0
+    ypr[..., :2] = np.arctan2(-m[..., [1, 6]], m[..., [4, 8]])
+    return ypr + 0.0
 
 
 def euler_rate_matrix(ypr: np.ndarray) -> np.ndarray:
     """E = [z, Rz y, Rz Ry x]: the global rotation increment per unit Z-Y-X angle
     change, R(ypr + d) = exp(hat(E d)) R(ypr) to first order in d."""
-    yaw, pitch, _ = ypr
+    yaw, pitch = ypr[..., 0], ypr[..., 1]
     cz, sz = np.cos(yaw), np.sin(yaw)
     cy, sy = np.cos(pitch), np.sin(pitch)
-    return np.array([[0.0, -sz, cz * cy], [0.0, cz, sz * cy], [1.0, 0.0, -sy]])
+    out = np.zeros(ypr.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -sz, cz * cy
+    out[..., 1, 1], out[..., 1, 2] = cz, sz * cy
+    out[..., 2, 0], out[..., 2, 2] = 1.0, -sy
+    return out
 
 
 def euler_state_from_pose(pose: Pose) -> np.ndarray:
     """[position, yaw, pitch, roll] state vector of a pose."""
-    return np.concatenate([pose.position, euler_from_rotation(pose.rotation)])
+    return np.concatenate([pose.position, euler_from_rotation(pose.rotation)], axis=-1)
 
 
 def pose_from_euler_state(state: np.ndarray) -> Pose:
     state = np.asarray(state, dtype=float)
-    rot = rotation_from_euler(state[3:])
-    return _pose(rot, rot @ state[:3])
+    rot = rotation_from_euler(state[..., 3:])
+    return _pose(rot, (rot @ state[..., :3, None])[..., 0])
 
 
 def _euler_transition(state: np.ndarray, cmd: MotionCommand):
@@ -294,17 +353,18 @@ def _euler_transition(state: np.ndarray, cmd: MotionCommand):
     f = motion_matrix(cmd)
     pose = f @ pose_from_euler_state(state)
     new_state = euler_state_from_pose(pose)
-    rate = f.rotation @ euler_rate_matrix(state[3:])
-    jac = np.eye(6)
-    jac[:3, 3:] = pose.rotation.T @ hat3(f.translation_block) @ rate
-    jac[3:, 3:] = np.linalg.solve(euler_rate_matrix(new_state[3:]), rate)
+    rate = f.rotation @ euler_rate_matrix(state[..., 3:])
+    jac = np.zeros(state.shape[:-1] + (6, 6))
+    jac[..., :3, :3] = np.eye(3)
+    jac[..., :3, 3:] = pose.rotation.mT @ hat3(f.translation_block) @ rate
+    jac[..., 3:, 3:] = np.linalg.solve(euler_rate_matrix(new_state[..., 3:]), rate)
     return new_state, jac
 
 
 def euler_predict(state: np.ndarray, cov: np.ndarray, cmd: MotionCommand):
     """EKF prediction: the exact propagation ``_euler_transition`` and P <- J P J' + Q."""
     new_state, jac = _euler_transition(np.asarray(state, dtype=float), cmd)
-    return new_state, _symmetrize(jac @ np.asarray(cov) @ jac.T + cmd.process_noise)
+    return new_state, _symmetrize(jac @ np.asarray(cov) @ jac.mT + cmd.process_noise)
 
 
 def euler_ekf_update(state: np.ndarray, cov: np.ndarray, meas: PoseMeasurement):
@@ -316,18 +376,15 @@ def euler_ekf_update(state: np.ndarray, cov: np.ndarray, meas: PoseMeasurement):
     reinterpretation this baseline is known for).
     """
     state = np.asarray(state, dtype=float)
-    if abs(state[4]) >= np.pi / 2.0 - _GIMBAL_GUARD:
-        raise GimbalLock("predicted pitch within guard band of +/-pi/2")
+    locked = np.abs(state[..., 4]) >= np.pi / 2.0 - _GIMBAL_GUARD
+    if np.count_nonzero(locked):
+        raise in_rows(GimbalLock("predicted pitch within guard band of +/-pi/2"), locked)
     z = euler_state_from_pose(meas.pose)
     innov = z - state
-    innov[3:] = wrap_angle(innov[3:])
-    innov_cov = np.asarray(cov) + np.asarray(meas.cov_state_icrb)
-    try:
-        gain = np.linalg.solve(innov_cov.T, np.asarray(cov).T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovariance("innovation covariance singular") from exc
-    new_state = state + gain @ innov
-    new_state[3:] = wrap_angle(new_state[3:])
+    innov[..., 3:] = wrap_angle(innov[..., 3:])
+    cov = np.asarray(cov)
+    gain = _gain(cov, cov + np.asarray(meas.cov_state_icrb))
+    new_state = state + np.matvec(gain, innov)
+    new_state[..., 3:] = wrap_angle(new_state[..., 3:])
     new_cov = _symmetrize((np.eye(6) - gain) @ cov)
     return new_state, new_cov
-

@@ -28,13 +28,10 @@ def test_sampled_error_has_bound_covariance(op5db, step):
     # increment log(R_m R^T); |log R| is 0.53, 1.32 and 2.80 rad at these steps
     _, truths, reports, _ = op5db
     truth, icrb = truths[step], reports[step].icrb
-    rng = simkit.run_rng(5, step)
     n = 20_000
-    err = np.empty((n, 6))
-    for i in range(n):
-        meas = simkit.sample_measurement(truth, reports[step], rng, 1.0).pose
-        err[i, :3] = meas.position - truth.position
-        err[i, 3:] = lie._so3_log(meas.rotation @ truth.rotation.T)
+    normals = simkit.run_rng(5, step).standard_normal((n, 6))
+    meas = simkit.sample_measurement(truth, reports[step].icrb_sqrt, normals, 1.0)
+    err = np.concatenate([meas.position - truth.position, lie._so3_log(meas.rotation @ truth.rotation.T)], axis=-1)
     emp = err.T @ err / n
     pp, rr = np.linalg.norm(icrb[:3, :3]), np.linalg.norm(icrb[3:, 3:])
     assert np.linalg.norm(emp[:3, :3] - icrb[:3, :3]) < 0.05 * pp
@@ -47,15 +44,18 @@ def test_time_averaged_nees_below_chi2_bound(op5db, update):
     # One-sided (Bar-Shalom, Li & Kirubarajan 2001, 5.4): the truth has no
     # process noise while the filters add Q, so the expected NEES is below 6.
     cfg, truths, reports, commands = op5db
+    # all runs in one batch, each drawing from its own generator as in the study
+    normals = np.stack([simkit.run_rng(cfg.seed, run).standard_normal((len(truths), 6)) for run in range(NEES_RUNS)])
     total = 0.0
-    for run in range(NEES_RUNS):
-        rng = simkit.run_rng(cfg.seed, run)
-        meas = [simkit.sample_measurement(t, r, rng, 1.0) for t, r in zip(truths, reports)]
-        state = tracking.FilterState(meas[0].pose, meas[0].cov_tangent)
-        for k, truth in enumerate(truths):
-            if k > 0:
-                state = update(tracking.predict(state, commands[k]), meas[k])
-            err = lie.se3_log(truth @ state.pose.inverse())
-            total += err @ np.linalg.solve(state.cov, err)
+    for k, (truth, report) in enumerate(zip(truths, reports)):
+        meas = tracking.PoseMeasurement(
+            simkit.sample_measurement(truth, report.icrb_sqrt, normals[:, k], 1.0), report.icrb
+        )
+        if k == 0:
+            state = tracking._state(meas.pose, meas.cov_tangent)
+        else:
+            state = update(tracking.predict(state, commands[k]), meas)
+        err = lie.se3_log(truth @ state.pose.inverse())
+        total += np.sum(err * np.linalg.solve(state.cov, err[..., None])[..., 0])
     n_terms = NEES_RUNS * len(truths)
     assert total < chi2.ppf(0.975, 6 * n_terms), f"mean NEES {total / n_terms:.2f}"

@@ -319,3 +319,81 @@ class TestPose:
         rng = np.random.default_rng(19)
         pose = lie.se3_exp(rng.standard_normal(6))
         np.testing.assert_allclose(lie.Pose.from_matrix(pose.matrix()).matrix(), pose.matrix())
+
+
+# Edge angles of the property tests: zero, both sides of each Taylor switch
+# and the near-pi band of the SO(3) log, all in one mixed batch.
+_EDGE_ANGLES = [0.0, 1e-12, 1e-9, lie._SMALL_ANGLE - 1e-20, lie._SMALL_ANGLE, lie._SMALL_ANGLE + 1e-20,
+                1e-6, 1e-3, lie._TAYLOR_ANGLE - 1e-14, lie._TAYLOR_ANGLE, lie._TAYLOR_ANGLE + 1e-14,
+                lie._Q_TAYLOR_ANGLE - 1e-12, lie._Q_TAYLOR_ANGLE, lie._Q_TAYLOR_ANGLE + 1e-12,
+                0.5, 1.5, 3.0, np.pi - 1e-3, np.pi - 1e-5]
+
+
+def edge_batch(seed=40):
+    rng = np.random.default_rng(seed)
+    axes = rng.standard_normal((len(_EDGE_ANGLES), 3))
+    r = axes / np.linalg.norm(axes, axis=1, keepdims=True) * np.array(_EDGE_ANGLES)[:, None]
+    return np.concatenate([rng.uniform(-5.0, 5.0, r.shape), r], axis=1)
+
+
+def assert_rows_match(batched, unbatched_of_row, n):
+    for i in range(n):
+        ref = np.asarray(unbatched_of_row(i))
+        assert np.abs(batched[i] - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max()), i
+
+
+class TestBatchedKernels:
+    """Each kernel over a leading axis gives, row by row, its unbatched result,
+    whether a row's angle sits below or above a Taylor switch."""
+
+    def test_so3_kernels(self):
+        xi = edge_batch()
+        r = xi[:, 3:]
+        n = len(xi)
+        assert_rows_match(lie.hat3(r), lambda i: lie.hat3(r[i]), n)
+        assert_rows_match(lie.so3_exp(r), lambda i: lie.so3_exp(r[i]), n)
+        assert_rows_match(lie.so3_left_jacobian(r), lambda i: lie.so3_left_jacobian(r[i]), n)
+        rot = lie.so3_exp(r)
+        assert_rows_match(lie._so3_log(rot), lambda i: lie._so3_log(rot[i]), n)
+
+    def test_se3_kernels(self):
+        xi = edge_batch()
+        n = len(xi)
+        pose = lie.se3_exp(xi)
+        assert_rows_match(pose.matrix(), lambda i: lie.se3_exp(xi[i]).matrix(), n)
+        assert_rows_match(lie.se3_log(pose), lambda i: lie.se3_log(pose[i]), n)
+        assert_rows_match(lie.se3_left_jacobian(xi), lambda i: lie.se3_left_jacobian(xi[i]), n)
+        assert_rows_match(lie.se3_left_jacobian_inv(xi), lambda i: lie.se3_left_jacobian_inv(xi[i]), n)
+        assert_rows_match(lie.adjoint(pose), lambda i: lie.adjoint(pose[i]), n)
+
+    def test_pose_methods_broadcast(self):
+        xi = edge_batch()
+        n = len(xi)
+        pose, other = lie.se3_exp(xi), lie.se3_exp(edge_batch(41))
+        assert_rows_match((pose @ other).matrix(), lambda i: (pose[i] @ other[i]).matrix(), n)
+        assert_rows_match((pose @ other[3]).matrix(), lambda i: (pose[i] @ other[3]).matrix(), n)
+        assert_rows_match(pose.inverse().matrix(), lambda i: pose[i].inverse().matrix(), n)
+        assert_rows_match(pose.position, lambda i: pose[i].position, n)
+
+    def test_one_sided_batch_matches_mixed_batch(self):
+        # a batch below the switches evaluates the Taylor branch alone
+        xi = edge_batch()
+        small = xi[np.linalg.norm(xi[:, 3:], axis=1) < lie._TAYLOR_ANGLE]
+        assert len(small) > 1
+        mixed = lie.se3_left_jacobian(xi)[np.linalg.norm(xi[:, 3:], axis=1) < lie._TAYLOR_ANGLE]
+        np.testing.assert_array_equal(lie.se3_left_jacobian(small), mixed)
+
+    def test_closed_form_inverse_jacobian(self):
+        xi = edge_batch()
+        prod = lie.se3_left_jacobian_inv(xi) @ lie.se3_left_jacobian(xi)
+        assert np.abs(prod - np.eye(6)).max() < 1e-12
+
+    def test_near_pi_log_names_its_rows(self):
+        xi = edge_batch()[:4].copy()
+        xi[2, 3:] *= (np.pi - 1e-8) / np.linalg.norm(xi[2, 3:])
+        with pytest.raises(NearPiRotation) as batched:
+            lie.se3_log(lie.se3_exp(xi))
+        assert list(batched.value.rows) == [2]
+        with pytest.raises(NearPiRotation) as single:
+            lie.se3_log(lie.se3_exp(xi[2]))
+        assert single.value.rows is None

@@ -10,13 +10,26 @@ import pytest
 import yaml
 
 from radiopose import bounds, channel, cli, lie, simkit, tracking
-from radiopose.errors import ConfigError, LengthMismatch, RadioPoseError, SingularInnovationCovariance
+from radiopose.errors import (
+    ConfigError,
+    LengthMismatch,
+    RadioPoseError,
+    SingularInnovationCovariance,
+    in_rows,
+)
 
 
 def tiny_scenario(mc_runs=2, steps=3, n_segments=2, **overrides):
     cfg = simkit.default_scenario()
     segments = tuple(replace(s, steps=steps) for s in cfg.segments[:n_segments])
     return replace(cfg, segments=segments, mc_runs=mc_runs, **overrides)
+
+
+def failing_rows(error, cov, rows):
+    """``error`` for the given rows of a batched filter state with covariance
+    ``cov``; for an unbatched state, the one run it holds."""
+    batch = cov.shape[:-2]
+    return in_rows(error, np.isin(np.arange(np.prod(batch, dtype=int)).reshape(batch), rows))
 
 
 class TestDefaultScenario:
@@ -85,18 +98,16 @@ class TestSampleMeasurement:
     def test_zero_covariance_returns_truth(self):
         cfg = simkit.default_scenario()
         report = simkit.IcrbReport(icrb=np.zeros((6, 6)), peb_m=0.0, rmeb_rad=0.0)
-        rng = simkit.run_rng(0, 0)
-        meas = simkit.sample_measurement(cfg.ue_start, report, rng, 1.0)
-        np.testing.assert_allclose(meas.pose.matrix(), cfg.ue_start.matrix(), atol=1e-15)
+        normals = simkit.run_rng(0, 0).standard_normal(6)
+        meas = simkit.sample_measurement(cfg.ue_start, report.icrb_sqrt, normals, 1.0)
+        np.testing.assert_allclose(meas.matrix(), cfg.ue_start.matrix(), atol=1e-15)
 
     def test_rotation_invariants_always_hold(self):
         cfg = simkit.default_scenario()
         icrb = np.diag([0.5] * 3 + [0.4] * 3)
         report = simkit.IcrbReport(icrb=icrb, peb_m=1.0, rmeb_rad=1.0)
-        rng = simkit.run_rng(1, 0)
-        for _ in range(100):
-            meas = simkit.sample_measurement(cfg.ue_start, report, rng, 1.0)
-            rot = meas.pose.rotation
+        normals = simkit.run_rng(1, 0).standard_normal((100, 6))
+        for rot in simkit.sample_measurement(cfg.ue_start, report.icrb_sqrt, normals, 1.0).rotation:
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
 
     def test_overflowing_noise_is_a_radiopose_error(self):
@@ -108,7 +119,8 @@ class TestSampleMeasurement:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RadioPoseError, match="measurement_noise_scale"):
-                simkit.sample_measurement(truths[0], reports[0], simkit.run_rng(0, 0), 1e200)
+                normals = simkit.run_rng(0, 0).standard_normal(6)
+                simkit.sample_measurement(truths[0], reports[0].icrb_sqrt, normals, 1e200)
             with pytest.raises(RadioPoseError, match="measurement_noise_scale"):
                 simkit.run_monte_carlo(cfg)
 
@@ -133,13 +145,11 @@ class TestSampleMeasurement:
 
         report = pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams)
         sigma = measurement_covariance(report.icrb, cfg.ue_start.rotation)
-        rng = simkit.run_rng(2, 0)
+        # one batched draw: the same normals as n successive draws of 6
         n = 100_000
-        samples = np.empty((n, 6))
-        inv = cfg.ue_start.inverse()
-        for i in range(n):
-            meas = simkit.sample_measurement(cfg.ue_start, report, rng, 1.0)
-            samples[i] = lie.se3_log(meas.pose @ inv)
+        normals = simkit.run_rng(2, 0).standard_normal((n, 6))
+        meas = simkit.sample_measurement(cfg.ue_start, report.icrb_sqrt, normals, 1.0)
+        samples = lie.se3_log(meas @ cfg.ue_start.inverse())
         emp = samples.T @ samples / n
         scale = np.sqrt(np.outer(np.diag(sigma), np.diag(sigma)))
         assert np.abs(emp - sigma).max() / scale.max() < 0.05
@@ -195,9 +205,11 @@ class TestRunMonteCarlo:
         real_update = simkit.eskf_update
 
         def update_failing_at_step_3(pred, meas):
+            # one batched update per step; run 0 is the first row of a batch
+            # and the only run of an unbatched one
             calls.append(meas)
             if len(calls) == 3:  # updates start at step 1
-                raise SingularInnovationCovariance("injected at step 3")
+                raise failing_rows(SingularInnovationCovariance("injected at step 3"), pred.cov, [0])
             return real_update(pred, meas)
 
         monkeypatch.setattr(simkit, "eskf_update", update_failing_at_step_3)
@@ -215,6 +227,7 @@ class TestRunMonteCarlo:
         calls.clear()  # run 0 fails at step 3, run 1 runs clean
         series = simkit.run_monte_carlo(cfg)
         assert (series.n_runs, series.n_failed_runs) == (2, 1)
+        assert series.dropped_runs == {0: {"eskf": "injected at step 3"}}
         assert series.filters["fusion"].per_run_rot_rmse_rad.shape == (1,)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -239,9 +252,11 @@ class TestRunMonteCarlo:
         real_update = simkit.eskf_update
 
         def update_failing_in_run_1(pred, meas):
+            # the three runs share one batched update per step; the second
+            # one (step 2) fails in run 1 only
             calls.append(meas)
-            if len(calls) == 7:  # 5 updates per run of 6 steps: call 7 is in run 1
-                raise SingularInnovationCovariance("injected in run 1")
+            if len(calls) == 2:
+                raise failing_rows(SingularInnovationCovariance("injected in run 1"), pred.cov, [1])
             return real_update(pred, meas)
 
         monkeypatch.setattr(simkit, "eskf_update", update_failing_in_run_1)
@@ -257,6 +272,79 @@ class TestRunMonteCarlo:
         captured = capsys.readouterr()
         assert "dropped 1 run(s), eskf: injected in run 1" in captured.err
         assert "2/3 runs" in captured.out
+
+    def test_run_single_is_a_row_of_the_batch(self):
+        cfg = tiny_scenario(mc_runs=5, steps=3)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        _, measured, tracks = simkit._run_batch(cfg, range(5), truths, reports, commands)
+        for i in (0, 3):
+            single = simkit.run_single(cfg, i, truths, reports, commands)
+            for k, meas in enumerate(single.measurements):
+                np.testing.assert_array_equal(meas.pose.matrix(), measured[i, k].matrix())
+            for name, track in tracks.items():
+                np.testing.assert_array_equal(single.tangent_errors[name], track.errors[i])
+                for k, est in enumerate(single.estimates[name]):
+                    np.testing.assert_array_equal(est.matrix(), track.estimates[i, k].matrix())
+
+    @pytest.mark.parametrize(
+        "poison, reason",
+        [
+            (lambda truth: np.full((3, 3), np.nan), "estimate is not finite at step 2"),
+            (lambda truth: lie.so3_exp(np.array([0.0, 0.0, np.pi])) @ truth, "rotation angle within 1e-6 of pi"),
+        ],
+        ids=["nan", "near_pi"],
+    )
+    def test_bad_row_drops_only_its_run(self, monkeypatch, poison, reason):
+        # the ESKF estimate of run 2 turns NaN, or half a turn away from the
+        # truth, at step 2; the other runs' numbers stay as they were
+        cfg = tiny_scenario(mc_runs=4, steps=3)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        _, _, clean = simkit._run_batch(cfg, range(4), truths, reports, commands)
+        calls = []
+        real_update = simkit.eskf_update
+
+        def poisoned(pred, meas):
+            out = real_update(pred, meas)
+            calls.append(meas)
+            if len(calls) != 2:
+                return out
+            rot = np.array(out.pose.rotation)
+            rot[2] = poison(truths[2].rotation)
+            return tracking._state(lie._pose(rot, np.array(out.pose.translation_block)), out.cov)
+
+        monkeypatch.setattr(simkit, "eskf_update", poisoned)
+        _, _, tracks = simkit._run_batch(cfg, range(4), truths, reports, commands)
+        assert tracks["eskf"].failed == [None, None, reason, None]
+        assert np.all(np.isnan(tracks["eskf"].errors[2, 2:]))
+        np.testing.assert_array_equal(tracks["eskf"].errors[2, :2], clean["eskf"].errors[2, :2])
+        for name in clean:
+            for run in (0, 1, 3) if name == "eskf" else range(4):
+                np.testing.assert_array_equal(tracks[name].errors[run], clean[name].errors[run])
+
+        calls.clear()
+        series = simkit.run_monte_carlo(cfg)
+        assert series.dropped_runs == {2: {"eskf": reason}}
+
+    def test_fusion_non_convergence_is_counted(self, monkeypatch, tmp_path, capsys):
+        cfg = tiny_scenario(mc_runs=3, steps=3)
+        assert simkit.run_monte_carlo(cfg).fusion_nonconverged == 0
+        monkeypatch.setattr(tracking, "_FUSION_MAX_ITERS", 1)
+        series = simkit.run_monte_carlo(cfg)
+        # every fusion update after the first step stops at the one allowed step
+        assert series.fusion_nonconverged == 3 * (6 - 1)
+        assert series.n_failed_runs == 0
+
+        cfg_path = tmp_path / "cfg.yaml"
+        simkit.save_scenario(cfg, cfg_path)
+        rc = cli.main(["mc", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 0
+        assert "fusion hit the Gauss-Newton iteration limit in 15 update(s)" in capsys.readouterr().err
+        header = (tmp_path / "mc_rmse.csv").read_text().splitlines()[0]
+        assert "converge" not in header
 
     def test_metric_series_shapes(self):
         cfg = tiny_scenario(mc_runs=2, steps=3, filter_selection="fusion")
@@ -611,11 +699,13 @@ class TestCli:
     def test_all_runs_failed_exits_3(self, tmp_path, monkeypatch, capsys):
         cfg_path = self._write_config(tmp_path, tiny_scenario(mc_runs=2, steps=2))
 
-        def failing_run(cfg, run_index, truths, reports, commands):
-            failed = {name: "injected" for name in cfg.selected_filters}
-            return simkit.RunResult(truths, [], {}, {}, failed)
+        def failing_predict(state, *args):
+            # every filter's first prediction fails in every run of the batch
+            cov = state.cov if isinstance(state, tracking.FilterState) else args[0]
+            raise failing_rows(RadioPoseError("injected"), cov, [0, 1])
 
-        monkeypatch.setattr(simkit, "run_single", failing_run)
+        monkeypatch.setattr(simkit, "predict", failing_predict)
+        monkeypatch.setattr(simkit, "euler_predict", failing_predict)
         rc = cli.main(["mc", "--config", cfg_path, "--out-prefix", str(tmp_path / "mc")])
         assert rc == 3
         assert "all Monte Carlo runs failed (run 0: fusion: injected;" in capsys.readouterr().err

@@ -67,15 +67,13 @@ class TestPredict:
         predicted = tracking.predict(state, cmd)
         f = tracking.motion_matrix(cmd)
 
-        samples = np.empty((10_000, 6))
-        l_state = np.linalg.cholesky(state.cov)
-        l_q = np.linalg.cholesky(q)
-        for i in range(samples.shape[0]):
-            xi0 = l_state @ rng.standard_normal(6)
-            qn = l_q @ rng.standard_normal(6)
-            truth = se3_exp(xi0) @ state.pose
-            propagated = se3_exp(qn) @ (f @ truth)
-            samples[i] = se3_log(propagated @ predicted.pose.inverse())
+        # one batch of 10,000 samples: per sample a state draw, then a noise draw
+        z = rng.standard_normal((10_000, 2, 6))
+        xi0 = z[:, 0] @ np.linalg.cholesky(state.cov).T
+        qn = z[:, 1] @ np.linalg.cholesky(q).T
+        truth = se3_exp(xi0) @ state.pose
+        propagated = se3_exp(qn) @ (f @ truth)
+        samples = se3_log(propagated @ predicted.pose.inverse())
         emp = np.cov(samples.T)
         assert np.abs(emp - predicted.cov).max() < 0.1 * np.abs(predicted.cov).max()
 
@@ -422,3 +420,105 @@ class TestWrapAngle:
         assert tracking.wrap_angle(-np.pi) == pytest.approx(np.pi)
         assert tracking.wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
         np.testing.assert_allclose(tracking.wrap_angle([0.1, -0.1]), [0.1, -0.1])
+
+
+def batch_of(states):
+    """One batched FilterState holding the given unbatched states as rows."""
+    pose = lie._pose(np.stack([s.pose.rotation for s in states]), np.stack([s.pose.translation_block for s in states]))
+    return tracking._state(pose, np.stack([s.cov for s in states]))
+
+
+def measurement_batch(poses, icrb):
+    pose = lie._pose(np.stack([p.rotation for p in poses]), np.stack([p.translation_block for p in poses]))
+    return PoseMeasurement(pose, icrb)
+
+
+class TestBatchedFilters:
+    """Filters over a leading run axis: every run's numbers are those of its
+    unbatched call, and a failing run is named, not the batch."""
+
+    def _problems(self, n=6, seed=50, offsets=None):
+        rng = np.random.default_rng(seed)
+        states = [random_state(rng, cov_scale=1e-3) for _ in range(n)]
+        offsets = [0.05] * n if offsets is None else offsets
+        meas = [se3_exp(o * rng.standard_normal(6)) @ s.pose for o, s in zip(offsets, states)]
+        a = rng.standard_normal((6, 6))
+        icrb = 1e-3 * (a @ a.T + 6 * np.eye(6))
+        cmd = command([0.5, 0.1, 0.0], [0.0, 0.05, -0.3], q=1e-4 * np.eye(6))
+        return states, meas, icrb, cmd
+
+    def test_rows_equal_unbatched_calls(self):
+        states, meas, icrb, cmd = self._problems()
+        batch, batch_meas = batch_of(states), measurement_batch(meas, icrb)
+        pred = tracking.predict(batch, cmd)
+        outs = {
+            "predict": pred,
+            "fusion": tracking.fusion_update(pred, batch_meas),
+            "eskf": tracking.eskf_update(pred, batch_meas),
+        }
+        for i, state in enumerate(states):
+            single_pred = tracking.predict(state, cmd)
+            single_meas = PoseMeasurement(meas[i], icrb)
+            refs = {
+                "predict": single_pred,
+                "fusion": tracking.fusion_update(single_pred, single_meas),
+                "eskf": tracking.eskf_update(single_pred, single_meas),
+            }
+            for name, ref in refs.items():
+                np.testing.assert_array_equal(outs[name].pose[i].matrix(), ref.pose.matrix(), err_msg=name)
+                np.testing.assert_array_equal(outs[name].cov[i], ref.cov, err_msg=name)
+
+        euler = np.stack([tracking.euler_state_from_pose(s.pose) for s in states])
+        covs = np.stack([s.cov for s in states])
+        e_state, e_cov = tracking.euler_ekf_update(*tracking.euler_predict(euler, covs, cmd), batch_meas)
+        for i in range(len(states)):
+            ref_state, ref_cov = tracking.euler_ekf_update(
+                *tracking.euler_predict(euler[i], covs[i], cmd), PoseMeasurement(meas[i], icrb)
+            )
+            np.testing.assert_array_equal(e_state[i], ref_state)
+            np.testing.assert_array_equal(e_cov[i], ref_cov)
+
+    def test_fusion_iterations_do_not_depend_on_the_batch(self):
+        # innovations from 1e-9 to 1 make the runs stop after different steps
+        states, meas, icrb, cmd = self._problems(n=8, seed=51, offsets=[1e-9, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0, 0.02])
+        sources = [(measurement_batch(meas, icrb).pose, 1e-3 * np.eye(6)), (batch_of(states).pose, batch_of(states).cov)]
+        batched = tracking.fuse_poses(sources, initial=batch_of(states).pose)
+        alone = [tracking.fuse_poses([(m, 1e-3 * np.eye(6)), (s.pose, s.cov)], initial=s.pose)
+                 for m, s in zip(meas, states)]
+        assert batched.converged and all(a.converged for a in alone)
+        assert list(batched.iterations) == [int(a.iterations) for a in alone]
+        assert len(set(batched.iterations)) > 1  # the runs stop at different steps
+        for i, a in enumerate(alone):
+            np.testing.assert_array_equal(batched.pose[i].matrix(), a.pose.matrix())
+        reversed_order = tracking.fuse_poses(
+            [(p[::-1], c) for p, c in ((sources[0][0], sources[0][1]), (sources[1][0], sources[1][1][::-1]))],
+            initial=batch_of(states).pose[::-1],
+        )
+        assert list(reversed_order.iterations) == list(batched.iterations[::-1])
+
+    def test_singular_row_is_named(self):
+        states, meas, icrb, _ = self._problems(n=4, seed=52)
+        pred = batch_of(states)
+        covs = np.array(pred.cov)
+        covs[1] = 0.0
+        with pytest.raises(tracking.SingularInnovationCovariance) as exc:
+            tracking.eskf_core(pred.pose, covs, measurement_batch(meas, icrb).pose, np.zeros((6, 6)))
+        assert list(exc.value.rows) == [1]
+        with pytest.raises(tracking.SingularNormalEquations) as exc:
+            tracking.fuse_poses([(pred.pose, covs), (pred.pose, pred.cov)], initial=pred.pose)
+        assert list(exc.value.rows) == [1]
+        with pytest.raises(tracking.SingularInnovationCovariance) as exc:
+            tracking.eskf_core(pred.pose[1], covs[1], meas[1], np.zeros((6, 6)))
+        assert exc.value.rows is None
+
+    def test_gimbal_locked_row_is_named(self):
+        states = np.zeros((3, 6))
+        states[2, 4] = np.pi / 2 - 1e-5
+        meas = PoseMeasurement(Pose.identity(), np.eye(6))
+        with pytest.raises(GimbalLock) as exc:
+            tracking.euler_ekf_update(states, np.broadcast_to(np.eye(6), (3, 6, 6)), meas)
+        assert list(exc.value.rows) == [2]
+        rot = np.stack([tracking.rotation_from_euler([0.1, p, 0.2]) for p in (0.3, np.pi / 2 - 1e-5, -0.2)])
+        with pytest.raises(GimbalLock) as exc:
+            tracking.euler_from_rotation(rot)
+        assert list(exc.value.rows) == [1]
