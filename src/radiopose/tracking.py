@@ -25,6 +25,7 @@ import numpy as np
 from .bounds import measurement_covariance
 from .errors import (
     GimbalLock,
+    NearPiRotation,
     SingularInnovationCovariance,
     SingularNormalEquations,
     in_rows,
@@ -191,25 +192,31 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
     takes zero steps, which leave its iterate exactly as it is, while the
     others go on, so a run's iterates do not depend on its batch.
     """
+    batch = initial.translation_block.shape[:-1]
     weights = [
         _checked(np.linalg.inv, SingularNormalEquations, "source covariance is singular",
                  np.asarray(cov, dtype=float))
         for _, cov in sources
     ]
+    # the sources stacked on a leading axis: one log and one gain per pass
+    # serve all of them
+    poses = _pose(
+        np.stack([np.broadcast_to(pose.rotation, batch + (3, 3)) for pose, _ in sources]),
+        np.stack([np.broadcast_to(pose.translation_block, batch + (3,)) for pose, _ in sources]),
+    )
+    weights = np.stack([np.broadcast_to(w, batch + (6, 6)) for w in weights])
 
     # Each pass accumulates the normal equations at the current iterate; the
     # pass after a run's last step supplies its posterior information.
     t_in = initial
-    steps = np.zeros(initial.translation_block.shape[:-1], dtype=int)
-    converged = np.zeros(steps.shape, dtype=bool)
+    steps = np.zeros(batch, dtype=int)
+    converged = np.zeros(batch, dtype=bool)
     for it in range(_FUSION_MAX_ITERS + 1):
-        normal = rhs = 0.0
-        for (pose, _), w in zip(sources, weights):
-            h = se3_log(pose @ t_in.inverse())
-            a = _fusion_gain(h)
-            aw = a.mT @ w
-            normal = normal + aw @ a
-            rhs = rhs + np.matvec(aw, h)
+        h = _source_logs(poses @ t_in.inverse(), batch)
+        a = _fusion_gain(h)
+        aw = a.mT @ weights
+        normal = np.sum(aw @ a, axis=0)
+        rhs = np.sum(np.matvec(aw, h), axis=0)
         if converged.all() or it == _FUSION_MAX_ITERS:
             break
         eps = _checked(np.linalg.solve, SingularNormalEquations, "normal equations singular",
@@ -222,6 +229,15 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
 
     post_cov = _checked(np.linalg.inv, SingularNormalEquations, "posterior information matrix singular", normal)
     return _state(t_in, post_cov, bool(converged.all()), steps)
+
+
+def _source_logs(errors: Pose, batch: tuple) -> np.ndarray:
+    """se3_log over (source, run); a NearPiRotation names the runs it hit."""
+    try:
+        return se3_log(errors)
+    except NearPiRotation as exc:
+        exc.rows = np.unique(exc.rows % int(np.prod(batch))) if batch else None
+        raise
 
 
 def fusion_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:

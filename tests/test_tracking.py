@@ -511,6 +511,20 @@ class TestBatchedFilters:
             tracking.eskf_core(pred.pose[1], covs[1], meas[1], np.zeros((6, 6)))
         assert exc.value.rows is None
 
+    def test_near_pi_source_is_named_by_run(self):
+        # the sources share one log per pass; the error names the run, not the
+        # (source, run) row of that log
+        states, meas, icrb, _ = self._problems(n=4, seed=53)
+        half_turn = lie.so3_exp(np.array([0.0, np.pi - 1e-8, 0.0]))
+        meas[3] = Pose(half_turn, np.zeros(3)) @ states[3].pose
+        pred = batch_of(states)
+        with pytest.raises(lie.NearPiRotation) as exc:
+            tracking.fusion_update(pred, measurement_batch(meas, icrb))
+        assert list(exc.value.rows) == [3]
+        with pytest.raises(lie.NearPiRotation) as exc:
+            tracking.fusion_update(states[3], PoseMeasurement(meas[3], icrb))
+        assert exc.value.rows is None
+
     def test_gimbal_locked_row_is_named(self):
         states = np.zeros((3, 6))
         states[2, 4] = np.pi / 2 - 1e-5
