@@ -17,8 +17,9 @@ class RadioPoseError(Exception):
 
 def in_rows(error: RadioPoseError, failing) -> RadioPoseError:
     """``error`` with ``rows`` set to the flat indices where the boolean array
-    ``failing`` holds; an unbatched (0-d) ``failing`` leaves the whole call."""
-    if np.ndim(failing):
+    ``failing`` holds; an unbatched (0-d) ``failing``, or one that holds
+    nowhere, leaves the error to the whole call."""
+    if np.ndim(failing) and np.count_nonzero(failing):
         error.rows = np.flatnonzero(failing)
     return error
 

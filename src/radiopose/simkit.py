@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .bounds import IcrbReport, pose_error_bounds
+from .bounds import pose_error_bounds
 from .channel import (
     AnchorConfig,
     ArrayGeometry,

@@ -97,7 +97,7 @@ class TestTrajectory:
 class TestSampleMeasurement:
     def test_zero_covariance_returns_truth(self):
         cfg = simkit.default_scenario()
-        report = simkit.IcrbReport(icrb=np.zeros((6, 6)), peb_m=0.0, rmeb_rad=0.0)
+        report = bounds.IcrbReport(icrb=np.zeros((6, 6)), peb_m=0.0, rmeb_rad=0.0)
         normals = simkit.run_rng(0, 0).standard_normal(6)
         meas = simkit.sample_measurement(cfg.ue_start, report.icrb_sqrt, normals, 1.0)
         np.testing.assert_allclose(meas.matrix(), cfg.ue_start.matrix(), atol=1e-15)
@@ -105,7 +105,7 @@ class TestSampleMeasurement:
     def test_rotation_invariants_always_hold(self):
         cfg = simkit.default_scenario()
         icrb = np.diag([0.5] * 3 + [0.4] * 3)
-        report = simkit.IcrbReport(icrb=icrb, peb_m=1.0, rmeb_rad=1.0)
+        report = bounds.IcrbReport(icrb=icrb, peb_m=1.0, rmeb_rad=1.0)
         normals = simkit.run_rng(1, 0).standard_normal((100, 6))
         for rot in simkit.sample_measurement(cfg.ue_start, report.icrb_sqrt, normals, 1.0).rotation:
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
