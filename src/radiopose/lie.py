@@ -68,14 +68,14 @@ def _switch(taylor_rows, taylor, closed) -> tuple:
     """Coefficients from ``taylor()`` in the rows where ``taylor_rows`` holds and
     from ``closed()`` in the others. A batch whose rows all sit on one side
     evaluates that branch alone; a mixed batch evaluates both and picks per row,
-    silencing the divisions by zero that the closed form makes in the rows it
+    silencing what each branch divides by zero or overflows in the rows it
     does not keep."""
     count = np.count_nonzero(taylor_rows)
     if count == taylor_rows.size:
         return taylor()
     if count == 0:
         return closed()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return tuple(np.where(taylor_rows, a, b) for a, b in zip(taylor(), closed()))
 
 
@@ -340,22 +340,23 @@ def se3_log(pose: Pose) -> np.ndarray:
     return np.concatenate([np.matvec(jac_inv, pose.translation_block), r], axis=-1)
 
 
+def _block_triangular(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """6x6 matrices [[D, U], [0, D]] over the leading axes of the 3x3 blocks."""
+    out = np.zeros(diagonal.shape[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = diagonal
+    out[..., :3, 3:] = upper
+    return out
+
+
 def adjoint(pose: Pose) -> np.ndarray:
     """6x6 adjoint [[R, hat3(b) R], [0, R]] acting on [rho, r] tangents."""
-    rot = pose.rotation
-    out = np.zeros(rot.shape[:-2] + (6, 6))
-    out[..., :3, :3] = out[..., 3:, 3:] = rot
-    out[..., :3, 3:] = hat3(pose.translation_block) @ rot
-    return out
+    return _block_triangular(pose.rotation, hat3(pose.translation_block) @ pose.rotation)
 
 
 def small_adjoint(xi: np.ndarray) -> np.ndarray:
     """6x6 algebra adjoint [[hat3(r), hat3(rho)], [0, hat3(r)]]."""
     xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = out[..., 3:, 3:] = hat3(xi[..., 3:])
-    out[..., :3, 3:] = hat3(xi[..., :3])
-    return out
+    return _block_triangular(hat3(xi[..., 3:]), hat3(xi[..., :3]))
 
 
 def _se3_jacobian_blocks(xi: np.ndarray):
@@ -385,17 +386,11 @@ def _se3_jacobian_blocks(xi: np.ndarray):
 def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
     """6x6 left Jacobian of SE(3), [[J, Q], [0, J]] (``_se3_jacobian_blocks``)."""
     jac, q, _ = _se3_jacobian_blocks(xi)
-    out = np.zeros(jac.shape[:-2] + (6, 6))
-    out[..., :3, :3] = out[..., 3:, 3:] = jac
-    out[..., :3, 3:] = q
-    return out
+    return _block_triangular(jac, q)
 
 
 def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     """Inverse of ``se3_left_jacobian``, [[J^-1, -J^-1 Q J^-1], [0, J^-1]] in closed
     form (``_se3_jacobian_blocks``)."""
     _, q, jac_inv = _se3_jacobian_blocks(xi)
-    out = np.zeros(jac_inv.shape[:-2] + (6, 6))
-    out[..., :3, :3] = out[..., 3:, 3:] = jac_inv
-    out[..., :3, 3:] = -(jac_inv @ q @ jac_inv)
-    return out
+    return _block_triangular(jac_inv, -(jac_inv @ q @ jac_inv))

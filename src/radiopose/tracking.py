@@ -55,21 +55,13 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 def _checked(routine, error, message: str, a: np.ndarray, *args):
     """``routine(a, *args)``, a numpy.linalg solve or inverse over the leading
     axes of ``a``. A singular matrix raises ``error(message)``; numpy fails a
-    stacked call as a whole, so the singular rows of a batch are found one by
-    one and named in the error's ``rows``."""
+    stacked call as a whole, so the error names the rows whose LU
+    factorization has a zero pivot (sign 0 from ``slogdet``, the test that
+    fails the solve)."""
     try:
         return routine(a, *args)
     except np.linalg.LinAlgError as exc:
-        singular = [_is_singular(m) for m in a.reshape(-1, *a.shape[-2:])]
-        raise in_rows(error(message), np.reshape(singular, a.shape[:-2])) from exc
-
-
-def _is_singular(m: np.ndarray) -> bool:
-    try:
-        np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return True
-    return False
+        raise in_rows(error(message), np.linalg.slogdet(a)[0] == 0) from exc
 
 
 def check_cov_tangent(cov: np.ndarray) -> np.ndarray:
