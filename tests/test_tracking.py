@@ -481,20 +481,18 @@ class TestBatchedFilters:
     def test_fusion_iterations_do_not_depend_on_the_batch(self):
         # innovations from 1e-9 to 1 make the runs stop after different steps
         states, meas, icrb, cmd = self._problems(n=8, seed=51, offsets=[1e-9, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0, 0.02])
-        sources = [(measurement_batch(meas, icrb).pose, 1e-3 * np.eye(6)), (batch_of(states).pose, batch_of(states).cov)]
-        batched = tracking.fuse_poses(sources, initial=batch_of(states).pose)
-        alone = [tracking.fuse_poses([(m, 1e-3 * np.eye(6)), (s.pose, s.cov)], initial=s.pose)
-                 for m, s in zip(meas, states)]
+        pred, meas_pose, meas_cov = batch_of(states), measurement_batch(meas, icrb).pose, 1e-3 * np.eye(6)
+        batched = tracking.fuse_poses([(meas_pose, meas_cov), (pred.pose, pred.cov)], initial=pred.pose)
+        alone = [tracking.fuse_poses([(m, meas_cov), (s.pose, s.cov)], initial=s.pose) for m, s in zip(meas, states)]
         assert batched.converged and all(a.converged for a in alone)
         assert list(batched.iterations) == [int(a.iterations) for a in alone]
         assert len(set(batched.iterations)) > 1  # the runs stop at different steps
         for i, a in enumerate(alone):
             np.testing.assert_array_equal(batched.pose[i].matrix(), a.pose.matrix())
-        reversed_order = tracking.fuse_poses(
-            [(p[::-1], c) for p, c in ((sources[0][0], sources[0][1]), (sources[1][0], sources[1][1][::-1]))],
-            initial=batch_of(states).pose[::-1],
+        flipped = tracking.fuse_poses(
+            [(meas_pose[::-1], meas_cov), (pred.pose[::-1], pred.cov[::-1])], initial=pred.pose[::-1]
         )
-        assert list(reversed_order.iterations) == list(batched.iterations[::-1])
+        assert list(flipped.iterations) == list(batched.iterations[::-1])
 
     def test_singular_row_is_named(self):
         states, meas, icrb, _ = self._problems(n=4, seed=52)
