@@ -347,7 +347,7 @@ def euler_state_from_pose(pose: Pose) -> np.ndarray:
 def pose_from_euler_state(state: np.ndarray) -> Pose:
     state = np.asarray(state, dtype=float)
     rot = rotation_from_euler(state[..., 3:])
-    return _pose(rot, (rot @ state[..., :3, None])[..., 0])
+    return _pose(rot, np.matvec(rot, state[..., :3]))
 
 
 def _euler_transition(state: np.ndarray, cmd: MotionCommand):
