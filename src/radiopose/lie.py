@@ -359,12 +359,11 @@ def small_adjoint(xi: np.ndarray) -> np.ndarray:
     return _block_triangular(hat3(xi[..., 3:]), hat3(xi[..., :3]))
 
 
-def _se3_jacobian_blocks(xi: np.ndarray):
-    """(J, Q, J^-1) of the SE(3) left Jacobian [[J, Q], [0, J]] at xi = [rho, r].
+def _se3_jacobian_terms(xi: np.ndarray):
+    """k = hat(r), k^2, the coefficients c1, c2, q2 (shaped by ``_m``) and the
+    coupling block Q of the SE(3) left Jacobian [[J, Q], [0, J]] at xi = [rho, r].
 
-    J = J_l(r) = I + c1 k + c2 k^2 for k = hat(r) (``_so3_jacobian_coeffs``),
-    J^-1 from ``_so3_jacobian_inv``, and
-    Q = p/2 + q1 (k p + p k - d k) + q2 (k^2 p + p k^2 + 3 d k) - 2 q3 d k^2
+    Q = p/2 + q1 (k p + p k - d k) + q2 (k^2 p + p k^2 + 3 d k) - 2 q3 d k^2 is
     Barfoot & Furgale's coupling block (IEEE T-RO 2014), reduced by
     k p k = -d k for p = hat(rho), d = r . rho, with q1..q3 from ``_q_coeffs``.
     """
@@ -377,20 +376,21 @@ def _se3_jacobian_blocks(xi: np.ndarray):
     d = _m(np.vecdot(r, rho))
     c1, c2 = _so3_jacobian_coeffs(angle)
     q1, q2, q3 = (_m(q) for q in _q_coeffs(angle, c1, c2))
-    c1, c2 = _m(c1), _m(c2)
     # p k = (k p)^T and p k^2 = -(k^2 p)^T because k and p are skew
     q = 0.5 * p + q1 * (kp + kp.mT - d * k) + q2 * (k2p - k2p.mT + 3.0 * d * k) - 2.0 * q3 * d * k2
-    return _left_jacobian(k, k2, c1, c2), q, _so3_jacobian_inv(k, k2, c1, c2, q2)
+    return k, k2, _m(c1), _m(c2), q2, q
 
 
 def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
-    """6x6 left Jacobian of SE(3), [[J, Q], [0, J]] (``_se3_jacobian_blocks``)."""
-    jac, q, _ = _se3_jacobian_blocks(xi)
-    return _block_triangular(jac, q)
+    """6x6 left Jacobian of SE(3), [[J, Q], [0, J]] with J = J_l(r)
+    (``_left_jacobian``, ``_se3_jacobian_terms``)."""
+    k, k2, c1, c2, _, q = _se3_jacobian_terms(xi)
+    return _block_triangular(_left_jacobian(k, k2, c1, c2), q)
 
 
 def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     """Inverse of ``se3_left_jacobian``, [[J^-1, -J^-1 Q J^-1], [0, J^-1]] in closed
-    form (``_se3_jacobian_blocks``)."""
-    _, q, jac_inv = _se3_jacobian_blocks(xi)
+    form (``_so3_jacobian_inv``, ``_se3_jacobian_terms``)."""
+    k, k2, c1, c2, q2, q = _se3_jacobian_terms(xi)
+    jac_inv = _so3_jacobian_inv(k, k2, c1, c2, q2)
     return _block_triangular(jac_inv, -(jac_inv @ q @ jac_inv))

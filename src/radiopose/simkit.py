@@ -349,8 +349,8 @@ def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _
                 new = init(meas) if k == 0 else step(state, commands[k], meas)
                 est = pose_of(new)
                 err = se3_log(est @ truth_inv[k])
-                not_finite = ~np.all(np.isfinite(err), axis=-1)
-                if np.count_nonzero(not_finite):
+                if not np.isfinite(err).all():
+                    not_finite = ~np.all(np.isfinite(err), axis=-1)
                     raise in_rows(RadioPoseError(f"estimate is not finite at step {k}"), not_finite)
                 break
             except RadioPoseError as exc:
@@ -364,7 +364,8 @@ def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _
         if not alive.size:
             break
         state = new
-        rotation[alive, k], block[alive, k], errors[alive, k] = est.rotation, est.translation_block, err
+        rows = slice(None) if alive.size == n_runs else alive
+        rotation[rows, k], block[rows, k], errors[rows, k] = est.rotation, est.translation_block, err
         if getattr(new, "iterations", None) is not None:
             nonconverged += int(np.sum(new.iterations >= tracking._FUSION_MAX_ITERS))
     return _Track(_pose(rotation, block), errors, failed, nonconverged)

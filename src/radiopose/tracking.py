@@ -293,8 +293,8 @@ def rotation_from_euler(ypr: np.ndarray) -> np.ndarray:
     np.cos(ypr, out=terms[..., 2:5])
     np.sin(ypr, out=terms[..., 5:8])
     np.negative(terms[..., 5:8], out=terms[..., 8:])
-    rz, ry, rx = (terms[..., f].reshape(shape + (3, 3)) for f in _EULER_FACTORS)
-    return rz @ ry @ rx
+    factors = terms[..., _EULER_FACTORS].reshape(shape + (3, 3, 3))
+    return factors[..., 0, :, :] @ factors[..., 1, :, :] @ factors[..., 2, :, :]
 
 
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
