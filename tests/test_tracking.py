@@ -480,7 +480,7 @@ class TestBatchedFilters:
 
     def test_fusion_iterations_do_not_depend_on_the_batch(self):
         # innovations from 1e-9 to 1 make the runs stop after different steps
-        states, meas, icrb, cmd = self._problems(n=8, seed=51, offsets=[1e-9, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0, 0.02])
+        states, meas, icrb, _ = self._problems(n=8, seed=51, offsets=[1e-9, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0, 0.02])
         pred, meas_pose, meas_cov = batch_of(states), measurement_batch(meas, icrb).pose, 1e-3 * np.eye(6)
         batched = tracking.fuse_poses([(meas_pose, meas_cov), (pred.pose, pred.cov)], initial=pred.pose)
         alone = [tracking.fuse_poses([(m, meas_cov), (s.pose, s.cov)], initial=s.pose) for m, s in zip(meas, states)]
