@@ -1,27 +1,13 @@
-"""Exception types raised across the radiopose package."""
+"""Exception types raised across the radiopose package.
 
-import numpy as np
+A call over a leading run axis raises for the whole call when any run
+fails; the caller that steps a batch of runs finds the failing runs by
+taking the step again one run at a time (``simkit._track``).
+"""
 
 
 class RadioPoseError(Exception):
-    """Base class for all radiopose errors.
-
-    ``rows`` is None when the error concerns the whole call. A call over a
-    leading run axis that fails in some runs only names them in ``rows``
-    (``in_rows``), so that the caller can drop those runs and go on with
-    the others.
-    """
-
-    rows = None
-
-
-def in_rows(error: RadioPoseError, failing) -> RadioPoseError:
-    """``error`` with ``rows`` set to the flat indices where the boolean array
-    ``failing`` holds; an unbatched (0-d) ``failing``, or one that holds
-    nowhere, leaves the error to the whole call."""
-    if np.ndim(failing) and np.count_nonzero(failing):
-        error.rows = np.flatnonzero(failing)
-    return error
+    """Base class for all radiopose errors."""
 
 
 class NotSkew(RadioPoseError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearPiRotation, NotSkew, in_rows
+from .errors import NearPiRotation, NotSkew
 
 _SMALL_ANGLE = 1e-8
 _TAYLOR_ANGLE = 1e-2
@@ -326,13 +326,13 @@ def se3_log(pose: Pose) -> np.ndarray:
     """Logarithm of SE(3): xi = [rho, r] with rho = J_l(r)^-1 @ b in closed form.
 
     Raises NearPiRotation when a rotation angle is within 1e-6 of pi, where
-    the log stops being unique; for a batch the error names those rows.
+    the log stops being unique; a batch raises when any of its rows is.
     """
     r = _so3_log(pose.rotation)
     angle = _norm(r)
     near_pi = angle > np.pi - 1e-6
     if np.count_nonzero(near_pi):
-        raise in_rows(NearPiRotation("rotation angle within 1e-6 of pi"), near_pi)
+        raise NearPiRotation("rotation angle within 1e-6 of pi")
     k = hat3(r)
     c1, c2 = _so3_jacobian_coeffs(angle)
     q2 = _q_coeffs(angle, c1, c2)[1]

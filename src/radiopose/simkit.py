@@ -26,7 +26,7 @@ from .channel import (
     noise_free_signal,
 )
 from . import tracking
-from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState, in_rows
+from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState
 from .lie import Pose, _norm, _pose, _so3_log, se3_log, so3_exp
 from .tracking import (
     FilterState,
@@ -281,7 +281,7 @@ def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
 
 
 def _tangent_state(meas: PoseMeasurement) -> FilterState:
-    return _state(meas.pose, meas.cov_tangent)
+    return FilterState(meas.pose, meas.cov_tangent)
 
 
 def _euler_state(meas: PoseMeasurement):
@@ -304,11 +304,11 @@ _FILTERS = {
 }
 
 
-def _runs_of(state, keep: np.ndarray):
-    """The runs ``keep`` (a boolean mask) of a batched filter state."""
+def _runs_of(state, runs):
+    """The runs ``runs`` (a boolean mask, or one index) of a batched filter state."""
     if isinstance(state, FilterState):
-        return _state(state.pose[keep], state.cov[keep])
-    return tuple(part[keep] for part in state)
+        return _state(state.pose[runs], state.cov[runs])
+    return tuple(part[runs] for part in state)
 
 
 @dataclass
@@ -327,12 +327,31 @@ class _Track:
 def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _Track:
     """Run one filter over ``n_runs`` runs, one batched step per time step.
 
-    A step that raises a RadioPoseError, or leaves an estimate that is not
-    finite, ends the runs the error names (``RadioPoseError.rows``, all runs
-    when it names none) and is taken again for the others, whose numbers do
-    not depend on the runs beside them.
+    The one place that knows a batch can fail in some of its runs: a batched
+    step that raises a RadioPoseError, or leaves an estimate that is not
+    finite, is taken again run by run through the unbatched kernels. A run
+    that fails alone ends with its own message and the batched step is taken
+    again for the others, whose numbers equal their unbatched calls. When no
+    run fails alone, the batch's error propagates.
     """
     init, step, pose_of = _FILTERS[name]
+
+    def advance(k, state, meas):
+        new = init(meas) if k == 0 else step(state, commands[k], meas)
+        est = pose_of(new)
+        err = se3_log(est @ truth_inv[k])
+        if not np.isfinite(err).all():
+            raise RadioPoseError(f"estimate is not finite at step {k}")
+        return new, est, err
+
+    def failure_alone(k, state, meas, i):
+        run_state = None if state is None else _runs_of(state, i)
+        try:
+            advance(k, run_state, PoseMeasurement(meas.pose[i], meas.cov_state_icrb))
+        except RadioPoseError as exc:
+            return str(exc)
+        return None
+
     n_steps = len(measurements)
     rotation = np.full((n_runs, n_steps, 3, 3), np.nan)
     block = np.full((n_runs, n_steps, 3), np.nan)
@@ -346,18 +365,16 @@ def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _
             if alive.size < n_runs:
                 meas = PoseMeasurement(measurements[k].pose[alive], measurements[k].cov_state_icrb)
             try:
-                new = init(meas) if k == 0 else step(state, commands[k], meas)
-                est = pose_of(new)
-                err = se3_log(est @ truth_inv[k])
-                if not np.isfinite(err).all():
-                    not_finite = ~np.all(np.isfinite(err), axis=-1)
-                    raise in_rows(RadioPoseError(f"estimate is not finite at step {k}"), not_finite)
+                new, est, err = advance(k, state, meas)
                 break
             except RadioPoseError as exc:
-                ended = np.zeros(alive.size, dtype=bool)
-                ended[slice(None) if exc.rows is None else exc.rows] = True
-                for run in alive[ended]:
-                    failed[run] = str(exc)
+                # an unbatched run's failure is its own
+                own = [str(exc)] if n_runs == 1 else [failure_alone(k, state, meas, i) for i in range(alive.size)]
+                ended = np.array([message is not None for message in own])
+                if not ended.any():
+                    raise
+                for run, message in zip(alive, own):
+                    failed[run] = message
                 alive = alive[~ended]
                 if alive.size and state is not None:
                     state = _runs_of(state, ~ended)
@@ -671,13 +688,23 @@ def _known_keys(raw, template: dict, where: str) -> dict:
     return raw
 
 
+def _typed(key: str, kind: type, value):
+    """``value`` as ``kind``, the type ``scenario_to_dict`` writes at ``key``; ConfigError
+    for a boolean as a number or a non-integral integer, which a cast would truncate."""
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if kind is int and not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Scenario from the form ``scenario_to_dict`` writes; raises ConfigError
     on a missing, unknown or invalid key.
 
     The keys and value types ``scenario_to_dict`` writes for the default
-    scenario are the schema. An optional key that is absent takes the
-    dataclass default.
+    scenario are the schema (``_typed``). An optional key that is absent
+    takes the dataclass default.
     """
     template = scenario_to_dict(default_scenario())
     try:
@@ -687,10 +714,10 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         ue_raw = _known_keys(raw["ue"], template["ue"], "ue")
         segments_raw = [_known_keys(s, template["segments"][0], "segment") for s in raw["segments"]]
 
-        signal = SignalConfig(**{k: type(template["signal"][k])(v) for k, v in sig_raw.items()})
+        signal = SignalConfig(**{k: _typed(k, type(template["signal"][k]), v) for k, v in sig_raw.items()})
         anchors = []
         for a in anchors_raw:
-            nx, ny = (int(v) for v in a["array_shape"])
+            nx, ny = (_typed("array_shape", int, v) for v in a["array_shape"])
             anchors.append(
                 AnchorConfig(
                     position=np.asarray(a["position_m"], dtype=float),
@@ -698,7 +725,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                     array=ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz),
                 )
             )
-        nx, ny = (int(v) for v in ue_raw["array_shape"])
+        nx, ny = (_typed("array_shape", int, v) for v in ue_raw["array_shape"])
         ue_array = ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz)
         ue_start = Pose.from_rotation_position(
             rotation_from_euler(np.deg2rad(np.asarray(ue_raw["start_orientation_deg_zyx"], dtype=float))),
@@ -708,8 +735,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             TrajectorySegment(
                 v=np.asarray(s["v_mps"], dtype=float),
                 w=np.asarray(s["w_radps"], dtype=float),
-                steps=int(s["steps"]),
-                dt=float(s["dt_s"]),
+                steps=_typed("steps", int, s["steps"]),
+                dt=_typed("dt_s", float, s["dt_s"]),
             )
             for s in segments_raw
         ]
@@ -720,7 +747,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             signal=signal,
             ue_start=ue_start,
             segments=tuple(segments),
-            **{k: type(template[k])(v) for k, v in raw.items() if k not in sections},
+            **{k: _typed(k, type(template[k]), v) for k, v in raw.items() if k not in sections},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario configuration: {exc}") from exc

@@ -11,8 +11,9 @@ T = exp(hat(xi)) @ T_nominal.
 ``predict``, the updates and the Euler EKF take states with a leading run
 axis (poses (R,), covariances (R, 6, 6), Euler states (R, 6)) and treat each
 run on its own, so one call steps a whole Monte Carlo batch; a single state
-is the unbatched case. An update that fails in some runs only raises an
-error whose ``rows`` names them.
+is the unbatched case. A call that fails in any run raises for the whole
+call; each run's numbers equal those of its unbatched call, which is how a
+caller finds the runs that fail.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import measurement_covariance
-from .errors import (
-    GimbalLock,
-    NearPiRotation,
-    SingularInnovationCovariance,
-    SingularNormalEquations,
-    in_rows,
-)
+from .errors import GimbalLock, SingularInnovationCovariance, SingularNormalEquations
 from .lie import (
     Pose,
     _norm,
@@ -54,27 +49,26 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 def _checked(routine, error, message: str, a: np.ndarray, *args):
     """``routine(a, *args)``, a numpy.linalg solve or inverse over the leading
-    axes of ``a``. A singular matrix raises ``error(message)``; numpy fails a
-    stacked call as a whole, so the error names the rows whose LU
-    factorization has a zero pivot (sign 0 from ``slogdet``, the test that
-    fails the solve)."""
+    axes of ``a``. A singular matrix raises ``error(message)``."""
     try:
         return routine(a, *args)
     except np.linalg.LinAlgError as exc:
-        raise in_rows(error(message), np.linalg.slogdet(a)[0] == 0) from exc
+        raise error(message) from exc
 
 
 def check_cov_tangent(cov: np.ndarray) -> np.ndarray:
-    """Validate a 6x6 tangent covariance: symmetric, eigenvalues above the
-    negative-noise floor. Returns the symmetrized matrix."""
+    """Validate 6x6 tangent covariances over any leading axes: each one
+    symmetric, its eigenvalues above the negative-noise floor, both on its
+    own scale. Returns the symmetrized matrices."""
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (6, 6):
+    if cov.shape[-2:] != (6, 6):
         raise ValueError("covariance must be 6x6")
-    scale = max(1.0, float(np.abs(cov).max()))
-    if np.abs(cov - cov.T).max() > 1e-12 * scale:
+    # fmax, like max(1.0, x), reads a NaN maximum as 1.0
+    scale = np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)))
+    if np.any(np.abs(cov - cov.mT).max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("covariance is not symmetric within tolerance")
     out = _symmetrize(cov)
-    if np.linalg.eigvalsh(out)[0] < -1e-10 * scale:
+    if np.any(np.linalg.eigvalsh(out)[..., 0] < -1e-10 * scale):
         raise ValueError("covariance is not positive semidefinite within tolerance")
     return out
 
@@ -83,8 +77,8 @@ def check_cov_tangent(cov: np.ndarray) -> np.ndarray:
 class FilterState:
     """Nominal pose plus 6x6 tangent covariance (left perturbation).
 
-    The constructor checks the covariance (``check_cov_tangent``); the states
-    that ``predict`` and the updates return are symmetrized but not checked.
+    The constructor checks each covariance of a batch (``check_cov_tangent``);
+    the states that ``predict`` and the updates return are symmetrized, not checked.
     ``converged`` holds when the Gauss-Newton loop of ``fuse_poses`` converged
     in every run of the batch; ``iterations`` is its step count per run (None
     for states that no fusion made).
@@ -204,7 +198,7 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
     steps = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     for it in range(_FUSION_MAX_ITERS + 1):
-        h = _source_logs(poses @ t_in.inverse(), batch)
+        h = se3_log(poses @ t_in.inverse())
         a = _fusion_gain(h)
         aw = a.mT @ weights
         normal = np.sum(aw @ a, axis=0)
@@ -221,15 +215,6 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
 
     post_cov = _checked(np.linalg.inv, SingularNormalEquations, "posterior information matrix singular", normal)
     return _state(t_in, post_cov, bool(converged.all()), steps)
-
-
-def _source_logs(errors: Pose, batch: tuple) -> np.ndarray:
-    """se3_log over (source, run); a NearPiRotation names the runs it hit."""
-    try:
-        return se3_log(errors)
-    except NearPiRotation as exc:
-        exc.rows = np.unique(exc.rows % int(np.prod(batch))) if batch else None
-        raise
 
 
 def fusion_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
@@ -303,9 +288,8 @@ def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     Raises GimbalLock when the pitch is within the guard band of +/-pi/2.
     """
     rot = np.asarray(rot, dtype=float)
-    locked = np.abs(rot[..., 2, 0]) >= _GIMBAL_SIN
-    if np.count_nonzero(locked):
-        raise in_rows(GimbalLock("pitch within guard band of +/-pi/2"), locked)
+    if np.count_nonzero(np.abs(rot[..., 2, 0]) >= _GIMBAL_SIN):
+        raise GimbalLock("pitch within guard band of +/-pi/2")
     return _euler_from_rotation(rot)
 
 
@@ -384,9 +368,8 @@ def euler_ekf_update(state: np.ndarray, cov: np.ndarray, meas: PoseMeasurement):
     reinterpretation this baseline is known for).
     """
     state = np.asarray(state, dtype=float)
-    locked = np.abs(state[..., 4]) >= np.pi / 2.0 - _GIMBAL_GUARD
-    if np.count_nonzero(locked):
-        raise in_rows(GimbalLock("predicted pitch within guard band of +/-pi/2"), locked)
+    if np.count_nonzero(np.abs(state[..., 4]) >= np.pi / 2.0 - _GIMBAL_GUARD):
+        raise GimbalLock("predicted pitch within guard band of +/-pi/2")
     z = euler_state_from_pose(meas.pose)
     innov = z - state
     innov[..., 3:] = wrap_angle(innov[..., 3:])

@@ -52,7 +52,7 @@ def test_time_averaged_nees_below_chi2_bound(op5db, update):
             simkit.sample_measurement(truth, report.icrb_sqrt, normals[:, k], 1.0), report.icrb
         )
         if k == 0:
-            state = tracking._state(meas.pose, meas.cov_tangent)
+            state = tracking.FilterState(meas.pose, meas.cov_tangent)
         else:
             state = update(tracking.predict(state, commands[k]), meas)
         err = lie.se3_log(truth @ state.pose.inverse())

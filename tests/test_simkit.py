@@ -10,13 +10,7 @@ import pytest
 import yaml
 
 from radiopose import bounds, channel, cli, lie, simkit, tracking
-from radiopose.errors import (
-    ConfigError,
-    LengthMismatch,
-    RadioPoseError,
-    SingularInnovationCovariance,
-    in_rows,
-)
+from radiopose.errors import ConfigError, LengthMismatch, RadioPoseError, SingularInnovationCovariance
 
 
 def tiny_scenario(mc_runs=2, steps=3, n_segments=2, **overrides):
@@ -25,11 +19,31 @@ def tiny_scenario(mc_runs=2, steps=3, n_segments=2, **overrides):
     return replace(cfg, segments=segments, mc_runs=mc_runs, **overrides)
 
 
-def failing_rows(error, cov, rows):
-    """``error`` for the given rows of a batched filter state with covariance
-    ``cov``; for an unbatched state, the one run it holds."""
-    batch = cov.shape[:-2]
-    return in_rows(error, np.isin(np.arange(np.prod(batch, dtype=int)).reshape(batch), rows))
+def holds(meas, target):
+    """Where the measured poses ``meas`` (batched or not) are ``target``, the
+    pose one run measured at one step."""
+    return np.all(meas.pose.translation_block == target.translation_block, axis=-1)
+
+
+def failing_on(update, target, message):
+    """``update`` that raises SingularInnovationCovariance(message) whenever it
+    is given the measured pose ``target``, in a batch or alone."""
+
+    def failing(pred, meas):
+        if np.any(holds(meas, target)):
+            raise SingularInnovationCovariance(message)
+        return update(pred, meas)
+
+    return failing
+
+
+# (poison of the true rotation, reason the run is dropped) for an ESKF estimate
+# poisoned at step 2
+_NAN_ESTIMATE = (lambda truth: np.full((3, 3), np.nan), "estimate is not finite at step 2")
+_HALF_TURN_ESTIMATE = (
+    lambda truth: lie.so3_exp(np.array([0.0, 0.0, np.pi])) @ truth,
+    "rotation angle within 1e-6 of pi",
+)
 
 
 class TestDefaultScenario:
@@ -201,18 +215,9 @@ class TestRunMonteCarlo:
         commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
         clean = simkit.run_single(cfg, 0, truths, reports, commands)
 
-        calls = []
-        real_update = simkit.eskf_update
-
-        def update_failing_at_step_3(pred, meas):
-            # one batched update per step; run 0 is the first row of a batch
-            # and the only run of an unbatched one
-            calls.append(meas)
-            if len(calls) == 3:  # updates start at step 1
-                raise failing_rows(SingularInnovationCovariance("injected at step 3"), pred.cov, [0])
-            return real_update(pred, meas)
-
-        monkeypatch.setattr(simkit, "eskf_update", update_failing_at_step_3)
+        # the ESKF update fails on run 0's measurement at step 3
+        failing = failing_on(simkit.eskf_update, clean.measurements[3].pose, "injected at step 3")
+        monkeypatch.setattr(simkit, "eskf_update", failing)
         result = simkit.run_single(cfg, 0, truths, reports, commands)
         assert result.failed == {"fusion": None, "eskf": "injected at step 3", "euler": None}
         assert len(result.estimates["eskf"]) == 3
@@ -224,11 +229,23 @@ class TestRunMonteCarlo:
                 assert np.array_equal(a.matrix(), b.matrix())
             assert np.array_equal(result.tangent_errors[name], clean.tangent_errors[name])
 
-        calls.clear()  # run 0 fails at step 3, run 1 runs clean
-        series = simkit.run_monte_carlo(cfg)
+        series = simkit.run_monte_carlo(cfg)  # run 0 fails at step 3, run 1 runs clean
         assert (series.n_runs, series.n_failed_runs) == (2, 1)
         assert series.dropped_runs == {0: {"eskf": "injected at step 3"}}
         assert series.filters["fusion"].per_run_rot_rmse_rad.shape == (1,)
+
+    def test_batch_only_failure_propagates(self, monkeypatch):
+        # a step that fails in the batch but in no run alone is no run's failure
+        real_update = simkit.eskf_update
+
+        def failing_in_batches(pred, meas):
+            if meas.pose.translation_block.ndim > 1:
+                raise SingularInnovationCovariance("injected in batches")
+            return real_update(pred, meas)
+
+        monkeypatch.setattr(simkit, "eskf_update", failing_in_batches)
+        with pytest.raises(SingularInnovationCovariance, match="injected in batches"):
+            simkit.run_monte_carlo(tiny_scenario(mc_runs=2, steps=3))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_estimate_ends_the_filter(self, monkeypatch):
@@ -248,23 +265,17 @@ class TestRunMonteCarlo:
 
     def test_dropped_run_keeps_its_reason(self, monkeypatch, tmp_path, capsys):
         cfg = tiny_scenario(mc_runs=3, steps=3)
-        calls = []
-        real_update = simkit.eskf_update
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        target = simkit.run_single(cfg, 1, truths, reports, commands).measurements[2].pose
 
-        def update_failing_in_run_1(pred, meas):
-            # the three runs share one batched update per step; the second
-            # one (step 2) fails in run 1 only
-            calls.append(meas)
-            if len(calls) == 2:
-                raise failing_rows(SingularInnovationCovariance("injected in run 1"), pred.cov, [1])
-            return real_update(pred, meas)
-
-        monkeypatch.setattr(simkit, "eskf_update", update_failing_in_run_1)
+        # the ESKF update fails on run 1's measurement at step 2
+        monkeypatch.setattr(simkit, "eskf_update", failing_on(simkit.eskf_update, target, "injected in run 1"))
         series = simkit.run_monte_carlo(cfg)
         assert series.dropped_runs == {1: {"eskf": "injected in run 1"}}
         assert series.n_failed_runs == 1
 
-        calls.clear()
         cfg_path = tmp_path / "cfg.yaml"
         simkit.save_scenario(cfg, cfg_path)
         rc = cli.main(["mc", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "mc")])
@@ -289,45 +300,42 @@ class TestRunMonteCarlo:
                     np.testing.assert_array_equal(est.matrix(), track.estimates[i, k].matrix())
 
     @pytest.mark.parametrize(
-        "poison, reason",
-        [
-            (lambda truth: np.full((3, 3), np.nan), "estimate is not finite at step 2"),
-            (lambda truth: lie.so3_exp(np.array([0.0, 0.0, np.pi])) @ truth, "rotation angle within 1e-6 of pi"),
-        ],
-        ids=["nan", "near_pi"],
+        "poisons",
+        [{2: _NAN_ESTIMATE}, {2: _HALF_TURN_ESTIMATE}, {1: _HALF_TURN_ESTIMATE, 2: _NAN_ESTIMATE}],
+        ids=["nan", "near_pi", "near_pi_and_nan"],
     )
-    def test_bad_row_drops_only_its_run(self, monkeypatch, poison, reason):
-        # the ESKF estimate of run 2 turns NaN, or half a turn away from the
-        # truth, at step 2; the other runs' numbers stay as they were
+    def test_bad_row_drops_only_its_run(self, monkeypatch, poisons):
+        # the ESKF estimate of each poisoned run turns NaN, or half a turn
+        # away from the truth, at step 2, whether that run is stepped in a
+        # batch or alone; the other runs' numbers stay as they were
         cfg = tiny_scenario(mc_runs=4, steps=3)
         beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
         truths, reports = simkit.scenario_reports(cfg, beams)
         commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
-        _, _, clean = simkit._run_batch(cfg, range(4), truths, reports, commands)
-        calls = []
+        _, measured, clean = simkit._run_batch(cfg, range(4), truths, reports, commands)
         real_update = simkit.eskf_update
 
         def poisoned(pred, meas):
             out = real_update(pred, meas)
-            calls.append(meas)
-            if len(calls) != 2:
-                return out
             rot = np.array(out.pose.rotation)
-            rot[2] = poison(truths[2].rotation)
-            return tracking._state(lie._pose(rot, np.array(out.pose.translation_block)), out.cov)
+            for run, (poison, _) in poisons.items():
+                # a 0-d mask, for a run stepped alone, selects its whole rotation
+                rot[holds(meas, measured[run, 2])] = poison(truths[2].rotation)
+            return tracking.FilterState(lie._pose(rot, np.array(out.pose.translation_block)), out.cov)
 
         monkeypatch.setattr(simkit, "eskf_update", poisoned)
         _, _, tracks = simkit._run_batch(cfg, range(4), truths, reports, commands)
-        assert tracks["eskf"].failed == [None, None, reason, None]
-        assert np.all(np.isnan(tracks["eskf"].errors[2, 2:]))
-        np.testing.assert_array_equal(tracks["eskf"].errors[2, :2], clean["eskf"].errors[2, :2])
+        assert tracks["eskf"].failed == [poisons[run][1] if run in poisons else None for run in range(4)]
+        for run in poisons:
+            assert np.all(np.isnan(tracks["eskf"].errors[run, 2:]))
+            np.testing.assert_array_equal(tracks["eskf"].errors[run, :2], clean["eskf"].errors[run, :2])
         for name in clean:
-            for run in (0, 1, 3) if name == "eskf" else range(4):
-                np.testing.assert_array_equal(tracks[name].errors[run], clean[name].errors[run])
+            for run in range(4):
+                if name != "eskf" or run not in poisons:
+                    np.testing.assert_array_equal(tracks[name].errors[run], clean[name].errors[run])
 
-        calls.clear()
         series = simkit.run_monte_carlo(cfg)
-        assert series.dropped_runs == {2: {"eskf": reason}}
+        assert series.dropped_runs == {run: {"eskf": reason} for run, (_, reason) in poisons.items()}
 
     def test_fusion_non_convergence_is_counted(self, monkeypatch, tmp_path, capsys):
         cfg = tiny_scenario(mc_runs=3, steps=3)
@@ -539,6 +547,45 @@ class TestScenarioIo:
             simkit.load_scenario(path)
         assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")]) == 2
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("mc_runs",), 2.7),
+            (("mc_runs",), True),
+            (("seed",), 3.9),
+            (("segments", 0, "steps"), 20.9),
+            (("signal", "num_subcarriers"), 100.5),
+            (("signal", "rng_seed"), 1.7),
+            (("anchors", 0, "array_shape", 0), 8.6),
+            (("ue", "array_shape", 1), False),
+            (("measurement_noise_scale",), True),
+            (("segments", 0, "dt_s"), True),
+        ],
+        ids=lambda p: str(p) if not isinstance(p, tuple) else ".".join(map(str, p)),
+    )
+    def test_number_of_the_wrong_kind_raises_config_error(self, tmp_path, path, value):
+        # a cast would load mc_runs 2.7 as 2, or an array shape [8.6, 8] as 8x8
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        entry = raw
+        for step in path[:-1]:
+            entry = entry[step]
+        entry[path[-1]] = value
+        cfg_path = tmp_path / "kind.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        key = next(step for step in reversed(path) if isinstance(step, str))
+        with pytest.raises(ConfigError, match=key):
+            simkit.load_scenario(cfg_path)
+        assert cli.main(["mc", "--config", str(cfg_path), "--out-prefix", str(tmp_path / "mc")]) == 2
+
+    def test_integral_float_loads_as_integer(self, tmp_path):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["mc_runs"], raw["signal"]["num_subcarriers"] = 3.0, 100.0
+        cfg_path = tmp_path / "whole.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        loaded = simkit.load_scenario(cfg_path)
+        assert (loaded.mc_runs, loaded.signal.num_subcarriers) == (3, 100)
+        assert type(loaded.mc_runs) is int
+
     def test_required_keys_only_take_dataclass_defaults(self, tmp_path):
         raw = simkit.scenario_to_dict(tiny_scenario())
         options = ("seed", "mc_runs", "filter_selection", "measurement_noise_scale",
@@ -699,10 +746,9 @@ class TestCli:
     def test_all_runs_failed_exits_3(self, tmp_path, monkeypatch, capsys):
         cfg_path = self._write_config(tmp_path, tiny_scenario(mc_runs=2, steps=2))
 
-        def failing_predict(state, *args):
-            # every filter's first prediction fails in every run of the batch
-            cov = state.cov if isinstance(state, tracking.FilterState) else args[0]
-            raise failing_rows(RadioPoseError("injected"), cov, [0, 1])
+        def failing_predict(*args):
+            # every filter's first prediction fails in every run, batched or alone
+            raise RadioPoseError("injected")
 
         monkeypatch.setattr(simkit, "predict", failing_predict)
         monkeypatch.setattr(simkit, "euler_predict", failing_predict)

@@ -299,6 +299,36 @@ class TestChecksAtTheBoundary:
         FilterState(pose, np.eye(6))
         assert calls == ["rotation", "cov"]
 
+    @pytest.mark.parametrize("bad", ["asymmetric", "not_psd"])
+    def test_batched_state_checks_each_row(self, bad):
+        # row 1's defect is large on its own scale (1) but small on the
+        # scale of the other rows (1e5), so only a check per row catches it
+        rng = np.random.default_rng(31)
+        covs = np.stack([random_state(rng, cov_scale=1e4).cov, np.eye(6), random_state(rng, cov_scale=1e4).cov])
+        if bad == "asymmetric":
+            covs[1, 0, 1] += 1e-9
+        else:
+            covs[1, 5, 5] = -1e-8
+        poses = se3_exp(rng.standard_normal((3, 6)))
+        with pytest.raises(ValueError):
+            FilterState(poses, covs)
+        with pytest.raises(ValueError):
+            FilterState(poses[1], covs[1])
+        for i in (0, 2):
+            FilterState(poses[i], covs[i])
+
+    def test_batched_state_equals_stacked_states(self):
+        rng = np.random.default_rng(32)
+        states = [random_state(rng) for _ in range(4)]
+        a = rng.standard_normal((6, 6))
+        covs = np.stack([s.cov for s in states]) + 1e-17 * (a - a.T)  # asymmetric within tolerance
+        batch = FilterState(lie._pose(np.stack([s.pose.rotation for s in states]),
+                                      np.stack([s.pose.translation_block for s in states])), covs)
+        assert not batch.cov.flags.writeable
+        for i, s in enumerate(states):
+            np.testing.assert_array_equal(batch.cov[i], FilterState(s.pose, covs[i]).cov)
+            np.testing.assert_array_equal(batch.pose[i].matrix(), s.pose.matrix())
+
 
 class TestEulerBaseline:
     def test_round_trip_conversions(self):
@@ -425,7 +455,20 @@ class TestWrapAngle:
 def batch_of(states):
     """One batched FilterState holding the given unbatched states as rows."""
     pose = lie._pose(np.stack([s.pose.rotation for s in states]), np.stack([s.pose.translation_block for s in states]))
-    return tracking._state(pose, np.stack([s.cov for s in states]))
+    return FilterState(pose, np.stack([s.cov for s in states]))
+
+
+def assert_only_bad_rows_raise(error, call, n, bad):
+    """``call(rows)`` on all ``n`` rows of a batch raises ``error``; so does
+    each row in ``bad`` called alone, and no other row called alone raises."""
+    with pytest.raises(error):
+        call(slice(None))
+    for i in range(n):
+        if i in bad:
+            with pytest.raises(error):
+                call(i)
+        else:
+            call(i)
 
 
 def measurement_batch(poses, icrb):
@@ -435,7 +478,8 @@ def measurement_batch(poses, icrb):
 
 class TestBatchedFilters:
     """Filters over a leading run axis: every run's numbers are those of its
-    unbatched call, and a failing run is named, not the batch."""
+    unbatched call, and a batch with a failing run raises the error that run
+    raises alone, which names it."""
 
     def _problems(self, n=6, seed=50, offsets=None):
         rng = np.random.default_rng(seed)
@@ -499,38 +543,36 @@ class TestBatchedFilters:
         pred = batch_of(states)
         covs = np.array(pred.cov)
         covs[1] = 0.0
-        with pytest.raises(tracking.SingularInnovationCovariance) as exc:
-            tracking.eskf_core(pred.pose, covs, measurement_batch(meas, icrb).pose, np.zeros((6, 6)))
-        assert list(exc.value.rows) == [1]
-        with pytest.raises(tracking.SingularNormalEquations) as exc:
-            tracking.fuse_poses([(pred.pose, covs), (pred.pose, pred.cov)], initial=pred.pose)
-        assert list(exc.value.rows) == [1]
-        with pytest.raises(tracking.SingularInnovationCovariance) as exc:
-            tracking.eskf_core(pred.pose[1], covs[1], meas[1], np.zeros((6, 6)))
-        assert exc.value.rows is None
+        meas_pose = measurement_batch(meas, icrb).pose
+        assert_only_bad_rows_raise(
+            tracking.SingularInnovationCovariance,
+            lambda r: tracking.eskf_core(pred.pose[r], covs[r], meas_pose[r], np.zeros((6, 6))),
+            4, [1],
+        )
+        assert_only_bad_rows_raise(
+            tracking.SingularNormalEquations,
+            lambda r: tracking.fuse_poses([(pred.pose[r], covs[r]), (pred.pose[r], pred.cov[r])], initial=pred.pose[r]),
+            4, [1],
+        )
 
     def test_near_pi_source_is_named_by_run(self):
-        # the sources share one log per pass; the error names the run, not the
-        # (source, run) row of that log
+        # the sources share one log per pass over (source, run); the run whose
+        # source is half a turn away raises alone, the others do not
         states, meas, icrb, _ = self._problems(n=4, seed=53)
         half_turn = lie.so3_exp(np.array([0.0, np.pi - 1e-8, 0.0]))
         meas[3] = Pose(half_turn, np.zeros(3)) @ states[3].pose
-        pred = batch_of(states)
-        with pytest.raises(lie.NearPiRotation) as exc:
-            tracking.fusion_update(pred, measurement_batch(meas, icrb))
-        assert list(exc.value.rows) == [3]
-        with pytest.raises(lie.NearPiRotation) as exc:
-            tracking.fusion_update(states[3], PoseMeasurement(meas[3], icrb))
-        assert exc.value.rows is None
+        pred, meas_pose = batch_of(states), measurement_batch(meas, icrb).pose
+        assert_only_bad_rows_raise(
+            lie.NearPiRotation,
+            lambda r: tracking.fusion_update(FilterState(pred.pose[r], pred.cov[r]), PoseMeasurement(meas_pose[r], icrb)),
+            4, [3],
+        )
 
     def test_gimbal_locked_row_is_named(self):
         states = np.zeros((3, 6))
         states[2, 4] = np.pi / 2 - 1e-5
+        covs = np.broadcast_to(np.eye(6), (3, 6, 6))
         meas = PoseMeasurement(Pose.identity(), np.eye(6))
-        with pytest.raises(GimbalLock) as exc:
-            tracking.euler_ekf_update(states, np.broadcast_to(np.eye(6), (3, 6, 6)), meas)
-        assert list(exc.value.rows) == [2]
+        assert_only_bad_rows_raise(GimbalLock, lambda r: tracking.euler_ekf_update(states[r], covs[r], meas), 3, [2])
         rot = np.stack([tracking.rotation_from_euler([0.1, p, 0.2]) for p in (0.3, np.pi / 2 - 1e-5, -0.2)])
-        with pytest.raises(GimbalLock) as exc:
-            tracking.euler_from_rotation(rot)
-        assert list(exc.value.rows) == [1]
+        assert_only_bad_rows_raise(GimbalLock, lambda r: tracking.euler_from_rotation(rot[r]), 3, [1])
