@@ -59,35 +59,19 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
-def _direction_list(params) -> list:
-    """Direction vectors in stacked order: per anchor (dir_ue, dir_bs)."""
-    dirs = []
-    for p in params:
-        dirs.append(p.dir_ue)
-        dirs.append(p.dir_bs)
-    return dirs
-
-
-def projection_matrix(params) -> np.ndarray:
-    """Block-diagonal projector (7N x 9N): identity on delays and gains,
-    a 2x3 tangent basis per direction vector."""
-    n = len(params)
-    dirs = _direction_list(params)
-    out = np.zeros((7 * n, 9 * n))
-    out[:n, :n] = np.eye(n)
-    for k, d in enumerate(dirs):
-        out[n + 2 * k : n + 2 * k + 2, n + 3 * k : n + 3 * k + 3] = tangent_basis(d)
-    out[5 * n :, 7 * n :] = np.eye(2 * n)
-    return out
-
-
 def project_fim(f_unconstrained: np.ndarray, params) -> np.ndarray:
     """Project the (9N, 9N) unconstrained FIM onto the constraint manifold.
 
     Delays and gains are Euclidean and pass through unchanged; each
-    direction vector is reduced to two tangent coordinates.
+    direction vector (per anchor dir_ue, then dir_bs) is reduced to two
+    tangent coordinates by a block-diagonal (7N, 9N) projector.
     """
-    b = projection_matrix(params)
+    n = len(params)
+    b = np.zeros((7 * n, 9 * n))
+    b[:n, :n] = np.eye(n)
+    for k, d in enumerate(d for p in params for d in (p.dir_ue, p.dir_bs)):
+        b[n + 2 * k : n + 2 * k + 2, n + 3 * k : n + 3 * k + 3] = tangent_basis(d)
+    b[5 * n :, 7 * n :] = np.eye(2 * n)
     out = b @ np.asarray(f_unconstrained, dtype=float) @ b.T
     return (out + out.T) / 2.0
 

@@ -1,6 +1,8 @@
 """Channel geometry for LOS MIMO-OFDM links: delays, direction vectors,
 steering vectors, the noise-free received signal, and the unconstrained
-Fisher information of the channel geometric parameters.
+Fisher information of the channel geometric parameters. All three come from
+one set of per-link beam factors (``_beam_factors``), and the FIM sums over
+subcarriers in closed form.
 
 Anchors transmit orthogonally (time/frequency), so the received tensor and
 the FIM are block-separable across anchors. Per anchor the unconstrained
@@ -240,6 +242,34 @@ def _subcarrier_phases(delay_s: float, sig: SignalConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * delay_s * c_idx * sig.subcarrier_spacing_hz)
 
 
+def _beam_factors(ue, anchor, ue_array, sig, precoders, combiners):
+    """Channel parameters of one link and its beam factors f, shape (9, G).
+
+    The only copy of the steering vectors, beam gains and their direction
+    derivatives. Over eta = [tau, t_ue(3), t_bs(3), Re gain, Im gain] the
+    signal gradient factors as d mu_gc / d eta_i = f_i(g) s_i(c) phi_c, with
+    phi the subcarrier phases, s = -j 2 pi c df on the delay row and s = 1 on
+    every other row; the signal itself is mu_gc = gain f_7(g) phi_c.
+    """
+    par = channel_params(ue, anchor, sig)
+    kappa = 2.0 * np.pi * sig.carrier_hz / SPEED_OF_LIGHT
+    a_ue = steering_vector(ue_array, par.dir_ue, sig.carrier_hz)
+    a_bs = steering_vector(anchor.array, par.dir_bs, sig.carrier_hz)
+    ue_gain = combiners @ a_ue  # (G,)
+    bs_gain = precoders @ a_bs  # (G,)
+    # gradient of (combiner . a_ue) wrt t_ue: j kappa P.T (combiner * a_ue)
+    d_ue = 1j * kappa * (combiners * a_ue) @ ue_array.element_positions  # (G, 3)
+    d_bs = 1j * kappa * (precoders * a_bs) @ anchor.array.element_positions  # (G, 3)
+    scale = par.gain * sig.subcarrier_amplitude
+    f = np.empty((PARAMS_PER_ANCHOR, len(ue_gain)), dtype=complex)
+    f[7] = sig.subcarrier_amplitude * (ue_gain * bs_gain)
+    f[8] = 1j * f[7]
+    f[0] = par.gain * f[7]
+    f[1:4] = scale * (d_ue * bs_gain[:, None]).T
+    f[4:7] = scale * (ue_gain[:, None] * d_bs).T
+    return par, f
+
+
 def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
     """Noise-free received tensor, shape (n_anchors, G, C).
 
@@ -248,45 +278,21 @@ def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
     """
     out = np.zeros((len(anchors), sig.num_transmissions, sig.num_subcarriers), dtype=complex)
     for n, anchor in enumerate(anchors):
-        par = channel_params(ue, anchor, sig)
-        a_ue = steering_vector(ue_array, par.dir_ue, sig.carrier_hz)
-        a_bs = steering_vector(anchor.array, par.dir_bs, sig.carrier_hz)
-        ue_gain = beams.combiners[n] @ a_ue  # (G,)
-        bs_gain = beams.precoders[n] @ a_bs  # (G,)
-        phases = _subcarrier_phases(par.delay_s, sig)  # (C,)
-        out[n] = par.gain * sig.subcarrier_amplitude * np.outer(ue_gain * bs_gain, phases)
+        par, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
+        out[n] = par.gain * np.outer(f[7], _subcarrier_phases(par.delay_s, sig))
     return out
 
 
 def _anchor_signal_gradient(ue, anchor, ue_array, sig, precoders, combiners) -> np.ndarray:
-    """Closed-form d mu / d eta for one anchor, shape (9, G, C).
+    """Closed-form d mu / d eta for one anchor, shape (9, G, C), expanded from
+    the beam factors of ``_beam_factors``.
 
     eta = [tau, t_ue(3), t_bs(3), Re gain, Im gain]. Direction derivatives
     come from the steering phase gradients; tau and gain are elementary.
     """
-    params = channel_params(ue, anchor, sig)
-    kappa = 2.0 * np.pi * sig.carrier_hz / SPEED_OF_LIGHT
-    a_ue = steering_vector(ue_array, params.dir_ue, sig.carrier_hz)
-    a_bs = steering_vector(anchor.array, params.dir_bs, sig.carrier_hz)
-    ue_gain = combiners @ a_ue  # (G,)
-    bs_gain = precoders @ a_bs  # (G,)
-    # gradient of (combiner . a_ue) wrt t_ue: j kappa P.T (combiner * a_ue)
-    d_ue = 1j * kappa * (combiners * a_ue) @ ue_array.element_positions  # (G, 3)
-    d_bs = 1j * kappa * (precoders * a_bs) @ anchor.array.element_positions  # (G, 3)
-
-    phases = _subcarrier_phases(params.delay_s, sig)  # (C,)
-    c_idx = np.arange(sig.num_subcarriers)
-    x = sig.subcarrier_amplitude
-    base_g = ue_gain * bs_gain  # (G,)
-
-    grad = np.empty((PARAMS_PER_ANCHOR, sig.num_transmissions, sig.num_subcarriers), dtype=complex)
-    mu = params.gain * x * np.outer(base_g, phases)
-    grad[0] = mu * (-2j * np.pi * sig.subcarrier_spacing_hz * c_idx)[None, :]
-    for m in range(3):
-        grad[1 + m] = params.gain * x * np.outer(d_ue[:, m] * bs_gain, phases)
-        grad[4 + m] = params.gain * x * np.outer(ue_gain * d_bs[:, m], phases)
-    grad[7] = x * np.outer(base_g, phases)
-    grad[8] = 1j * grad[7]
+    par, f = _beam_factors(ue, anchor, ue_array, sig, precoders, combiners)
+    grad = f[:, :, None] * _subcarrier_phases(par.delay_s, sig)
+    grad[0] *= -2j * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
     return grad
 
 
@@ -296,18 +302,27 @@ def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
 
     F = (2 / sigma^2) sum_{g,c} Re{conj(d mu / d eta) (d mu / d eta)^T} with
     both direction vectors carried as free 3-vectors; the sphere constraint
-    is applied downstream. Symmetric PSD, linear in transmit power; a FIM
-    that is not finite raises RadioPoseError, without numpy warnings.
+    is applied downstream. With the factors of ``_beam_factors`` each
+    anchor's block is (2 / sigma^2) Re[(conj(f) f^T) o S], where S_ij =
+    sum_c conj(s_i(c)) s_j(c) is the Gram of the subcarrier profiles: as
+    |phi_c| = 1 it holds only C, sum w and sum w^2 (w_c = 2 pi c df) and
+    does not depend on the delay. Symmetric PSD, linear in transmit power;
+    a FIM that is not finite raises RadioPoseError, without numpy warnings.
     """
     n_anchors = len(anchors)
     size = PARAMS_PER_ANCHOR * n_anchors
     fim = np.zeros((size, size))
+    # Gram of the subcarrier profiles: -j w on the delay row, 1 on the others
+    w = 2.0 * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
+    gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(sig.num_subcarriers))
+    gram[0, 0] = w @ w
+    gram[0, 1:] = 1j * w.sum()
+    gram[1:, 0] = -1j * w.sum()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weight = np.float64(2.0) / sig.noise_variance_w
         for n, anchor in enumerate(anchors):
-            grad = _anchor_signal_gradient(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
-            flat = grad.reshape(PARAMS_PER_ANCHOR, -1)
-            block = weight * np.real(np.conj(flat) @ flat.T)
+            _, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
+            block = weight * np.real((np.conj(f) @ f.T) * gram)
             # stacked positions of this anchor's [tau, t_ue, t_bs, Re gain, Im gain]
             dirs = n_anchors + 6 * n
             gains = 7 * n_anchors + 2 * n

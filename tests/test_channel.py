@@ -11,6 +11,7 @@ from radiopose import bounds, channel, lie
 from radiopose.channel import SPEED_OF_LIGHT, ArrayGeometry
 from radiopose.errors import CoincidentPositions, PolarSingularity
 from radiopose.simkit import default_scenario
+from test_bound_oracle import reduced_wideband
 
 
 def small_signal(**overrides):
@@ -241,6 +242,29 @@ class TestFimUnconstrained:
         beams = channel.draw_beams([anchor], ue_array, sig)
         f = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams)
         assert abs(f[7, 7] - f[8, 8]) < 1e-9 * abs(f[7, 7])
+
+    @pytest.mark.parametrize("scenario", ["default", "wideband_reduced"])
+    def test_closed_form_matches_gradient_tensor(self, scenario):
+        # the subcarrier sum in closed form against the explicit sum over
+        # every (beam, subcarrier) entry of the (9, G, C) gradient tensor
+        cfg = default_scenario() if scenario == "default" else reduced_wideband()
+        sig = replace(cfg.signal, clock_bias_s=3.7e-8)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, sig)
+        ue = cfg.ue_start
+        f = channel.fim_unconstrained(ue, cfg.anchors, cfg.ue_array, sig, beams)
+        n_anchors = len(cfg.anchors)
+        for n, anchor in enumerate(cfg.anchors):
+            grad = channel._anchor_signal_gradient(
+                ue, anchor, cfg.ue_array, sig, beams.precoders[n], beams.combiners[n]
+            ).reshape(channel.PARAMS_PER_ANCHOR, -1)
+            expected = (2.0 / sig.noise_variance_w) * np.real(np.conj(grad) @ grad.T)
+            dirs, gains = n_anchors + 6 * n, 7 * n_anchors + 2 * n
+            idx = np.array([n, *range(dirs, dirs + 6), gains, gains + 1])
+            block = f[np.ix_(idx, idx)]
+            # entries on the scale sqrt(F_ii F_jj); a planar array's blind
+            # axis is an exact zero row on both sides
+            d = np.sqrt(np.diag(expected))
+            assert np.all(np.abs(block - expected) <= 1e-12 * np.outer(d, d))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
