@@ -64,8 +64,8 @@ class TrajectorySegment:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         for name in ("v", "w"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if value.shape != (3,) or not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite 3-vector, got {value}")
             object.__setattr__(self, name, value)
 
 
@@ -698,6 +698,15 @@ def _typed(key: str, kind: type, value):
     return kind(value)
 
 
+def _vector(entry: dict, key: str) -> np.ndarray:
+    """``entry[key]`` as a 3-vector, each value ``_typed`` as a float;
+    ConfigError naming ``key`` for any other length."""
+    value = entry[key]
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{key} must be a list of 3 numbers, got {value!r}")
+    return np.array([_typed(key, float, v) for v in value])
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Scenario from the form ``scenario_to_dict`` writes; raises ConfigError
     on a missing, unknown or invalid key.
@@ -720,21 +729,21 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             nx, ny = (_typed("array_shape", int, v) for v in a["array_shape"])
             anchors.append(
                 AnchorConfig(
-                    position=np.asarray(a["position_m"], dtype=float),
-                    orientation=rotation_from_euler(np.deg2rad(np.asarray(a["orientation_deg_zyx"], dtype=float))),
+                    position=_vector(a, "position_m"),
+                    orientation=rotation_from_euler(np.deg2rad(_vector(a, "orientation_deg_zyx"))),
                     array=ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz),
                 )
             )
         nx, ny = (_typed("array_shape", int, v) for v in ue_raw["array_shape"])
         ue_array = ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz)
         ue_start = Pose.from_rotation_position(
-            rotation_from_euler(np.deg2rad(np.asarray(ue_raw["start_orientation_deg_zyx"], dtype=float))),
-            np.asarray(ue_raw["start_position_m"], dtype=float),
+            rotation_from_euler(np.deg2rad(_vector(ue_raw, "start_orientation_deg_zyx"))),
+            _vector(ue_raw, "start_position_m"),
         )
         segments = [
             TrajectorySegment(
-                v=np.asarray(s["v_mps"], dtype=float),
-                w=np.asarray(s["w_radps"], dtype=float),
+                v=_vector(s, "v_mps"),
+                w=_vector(s, "w_radps"),
                 steps=_typed("steps", int, s["steps"]),
                 dt=_typed("dt_s", float, s["dt_s"]),
             )

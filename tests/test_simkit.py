@@ -94,6 +94,13 @@ class TestTrajectory:
         for pose in poses:
             np.testing.assert_allclose(pose.matrix(), cfg.ue_start.matrix(), atol=1e-14)
 
+    @pytest.mark.parametrize("field", ["v", "w"])
+    @pytest.mark.parametrize("value", [np.zeros(2), np.zeros((1, 3)), np.array([0.0, np.nan, 0.0])])
+    def test_segment_rates_must_be_finite_3_vectors(self, field, value):
+        rates = {"v": np.zeros(3), "w": np.zeros(3), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a finite 3-vector"):
+            simkit.TrajectorySegment(**rates, steps=5, dt=0.5)
+
     def test_default_length_is_120(self):
         cfg = simkit.default_scenario()
         assert len(simkit.generate_trajectory(cfg.ue_start, cfg.segments)) == 120
@@ -560,11 +567,21 @@ class TestScenarioIo:
             (("ue", "array_shape", 1), False),
             (("measurement_noise_scale",), True),
             (("segments", 0, "dt_s"), True),
+            (("anchors", 0, "position_m", 0), True),
+            (("anchors", 1, "orientation_deg_zyx", 2), False),
+            (("ue", "start_position_m", 1), True),
+            (("ue", "start_orientation_deg_zyx", 0), True),
+            (("segments", 0, "v_mps", 0), True),
+            (("segments", 1, "w_radps", 2), False),
+            (("segments", 0, "v_mps"), [0.5, 0.0]),
+            (("segments", 1, "w_radps"), [[0.0, 0.0, 0.0]]),
         ],
         ids=lambda p: str(p) if not isinstance(p, tuple) else ".".join(map(str, p)),
     )
     def test_number_of_the_wrong_kind_raises_config_error(self, tmp_path, path, value):
-        # a cast would load mc_runs 2.7 as 2, or an array shape [8.6, 8] as 8x8
+        # a cast would load mc_runs 2.7 as 2, an array shape [8.6, 8] as 8x8,
+        # or a position [true, 0, 0] as [1, 0, 0]; a vector of the wrong
+        # length would fail later, inside the study
         raw = simkit.scenario_to_dict(tiny_scenario())
         entry = raw
         for step in path[:-1]:
