@@ -11,6 +11,11 @@ Stacked parameter order, as ``channel.fim_unconstrained`` builds it: all
 delays, then per anchor the UE-side and anchor-side direction vectors, then
 per-anchor Re/Im gains. After projection each direction vector contributes
 two tangent coordinates.
+
+Every step takes leading batch axes (poses, or the transmit powers of a
+sweep) in front of its matrices; an unbatched call is the same code at batch
+size one. Numerical failures stay per row: a batch marks a failing row NaN
+and unobservable and carries on, where an unbatched call raises.
 """
 
 from __future__ import annotations
@@ -30,83 +35,87 @@ from .channel import (
     fim_unconstrained,
 )
 from .errors import SingularNuisanceBlock, UnobservableState
-from .lie import Pose, _readonly, hat3
+from .lie import Pose, _norm, _readonly, hat3
 
 _COND_LIMIT = 1e12
 
 
 def tangent_basis(direction: np.ndarray) -> np.ndarray:
-    """2x3 orthonormal basis of the tangent plane at a unit direction vector.
+    """(..., 2, 3) orthonormal bases of the tangent planes at unit direction
+    vectors (..., 3).
 
     Rows e1, e2 satisfy B @ t = 0 and B @ B.T = I. e1 = normalize(a x t)
     where a is the coordinate axis least aligned with t (ties toward z, so
     t = +z yields rows [1,0,0], [0,1,0]); e2 = t x e1.
     """
     t = np.asarray(direction, dtype=float)
-    aligned = np.abs(t)
-    axis_idx = 2 - int(np.argmin(aligned[::-1]))
-    a = np.zeros(3)
-    a[axis_idx] = 1.0
-    e1 = _cross(a, t)
-    e1 /= np.linalg.norm(e1)
-    return np.vstack([e1, _cross(t, e1)])
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v of two 3-vectors, term for term as np.cross forms it, without its
-    per-call overhead."""
-    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
-    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    axis = np.eye(3)[2 - np.argmin(np.abs(t)[..., ::-1], axis=-1)]
+    e1 = np.matvec(hat3(axis), t)
+    e1 /= _norm(e1)[..., None]
+    return np.stack([e1, np.matvec(hat3(t), e1)], axis=-2)
 
 
 def project_fim(f_unconstrained: np.ndarray, params) -> np.ndarray:
-    """Project the (9N, 9N) unconstrained FIM onto the constraint manifold.
+    """Project the (..., 9N, 9N) unconstrained FIM onto the constraint manifold.
 
     Delays and gains are Euclidean and pass through unchanged; each
     direction vector (per anchor dir_ue, then dir_bs) is reduced to two
-    tangent coordinates by a block-diagonal (7N, 9N) projector.
+    tangent coordinates by a block-diagonal (7N, 9N) projector, built once
+    from the ``params`` (with the leading axes of the poses) and applied to
+    every row of a power axis in front of them.
     """
     n = len(params)
-    b = np.zeros((7 * n, 9 * n))
-    b[:n, :n] = np.eye(n)
-    for k, d in enumerate(d for p in params for d in (p.dir_ue, p.dir_bs)):
-        b[n + 2 * k : n + 2 * k + 2, n + 3 * k : n + 3 * k + 3] = tangent_basis(d)
-    b[5 * n :, 7 * n :] = np.eye(2 * n)
-    out = b @ np.asarray(f_unconstrained, dtype=float) @ b.T
-    return (out + out.T) / 2.0
+    dirs = np.stack([d for p in params for d in (p.dir_ue, p.dir_bs)], axis=-2)  # (..., 2N, 3)
+    b = np.zeros(dirs.shape[:-2] + (7 * n, 9 * n))
+    b[..., :n, :n] = np.eye(n)
+    # direction k: tangent rows n + 2k + (0, 1), columns n + 3k + (0, 1, 2)
+    k = np.arange(2 * n)[:, None, None]
+    b[..., n + 2 * k + np.arange(2)[:, None], n + 3 * k + np.arange(3)] = tangent_basis(dirs)
+    b[..., 5 * n :, 7 * n :] = np.eye(2 * n)
+    out = b @ np.asarray(f_unconstrained, dtype=float) @ b.mT
+    return (out + out.mT) / 2.0
 
 
 def schur_complement_keep_top(f: np.ndarray, n_keep: int) -> np.ndarray:
-    """Schur complement f_aa - f_ab f_bb^-1 f_ba keeping the leading block.
+    """Schur complement f_aa - f_ab f_bb^-1 f_ba keeping the leading block,
+    row by row over leading axes.
 
-    A near-singular trailing block is ridge-regularized by 1e-12 * tr/2
-    before the complement; if it stays singular, SingularNuisanceBlock is
-    raised.
+    A row whose trailing block is near-singular is ridge-regularized by
+    1e-12 * tr/2 before the complement, and only that row. A row whose block
+    stays singular comes out NaN; an unbatched call raises
+    SingularNuisanceBlock instead.
     """
     f = np.asarray(f, dtype=float)
-    faa = f[:n_keep, :n_keep]
-    fab = f[:n_keep, n_keep:]
-    fbb = f[n_keep:, n_keep:]
+    faa = f[..., :n_keep, :n_keep]
+    fab = f[..., :n_keep, n_keep:]
+    fbb = f[..., n_keep:, n_keep:]
+    eye = np.eye(fbb.shape[-1])
     eig = np.linalg.eigvalsh(fbb)
-    if eig[0] <= 0 or eig[-1] / eig[0] > 1e12:
-        fbb = fbb + (1e-12 * np.trace(fbb) / 2.0) * np.eye(fbb.shape[0])
+    ridge = (eig[..., 0] <= 0) | (eig[..., -1] > 1e12 * eig[..., 0])
+    if ridge.any():
+        shift = np.where(ridge, 1e-12 * np.trace(fbb, axis1=-2, axis2=-1) / 2.0, 0.0)
+        fbb = fbb + shift[..., None, None] * eye
         eig = np.linalg.eigvalsh(fbb)
-        if eig[0] <= 0:
+    singular = (eig[..., 0] <= 0)[..., None, None]
+    if singular.any():
+        if f.ndim == 2:
             raise SingularNuisanceBlock("nuisance block singular after regularization")
-    out = faa - fab @ np.linalg.solve(fbb, fab.T)
-    return (out + out.T) / 2.0
+        fbb = np.where(singular, eye, fbb)
+    out = faa - fab @ np.linalg.solve(fbb, fab.mT)
+    return np.where(singular, np.nan, (out + out.mT) / 2.0)
 
 
 def efim_remove_gains(f_projected: np.ndarray) -> np.ndarray:
-    """Remove the trailing 2N gain rows of a (7N, 7N) projected FIM."""
+    """Remove the trailing 2N gain rows of a (..., 7N, 7N) projected FIM."""
     f = np.asarray(f_projected, dtype=float)
-    if f.shape[0] % 7 != 0:
+    if f.shape[-1] % 7 != 0:
         raise ValueError("projected FIM must be (7N, 7N)")
-    return schur_complement_keep_top(f, 5 * (f.shape[0] // 7))
+    return schur_complement_keep_top(f, 5 * (f.shape[-1] // 7))
 
 
 def state_jacobian_tz(ue: Pose, anchors) -> np.ndarray:
-    """(5N, 6) Jacobian of the projected channel parameters in the state tangent.
+    """(..., 5N, 6) Jacobian of the projected channel parameters in the state
+    tangent, over the leading axes of the pose.
 
     Columns 1-3 differentiate against the global UE position, columns 4-6
     against a left rotation increment R <- exp(hat(theta)) R. Rows follow
@@ -114,72 +123,87 @@ def state_jacobian_tz(ue: Pose, anchors) -> np.ndarray:
     coordinates for the UE-side direction and two for the anchor-side one.
     """
     n = len(anchors)
-    r_u = ue.rotation
-    out = np.zeros((5 * n, 6))
-    for i, anchor in enumerate(anchors):
-        u, dist = _los_geometry(ue, anchor)
-        out[i, :3] = u / SPEED_OF_LIGHT
-
-        proj = (np.eye(3) - np.outer(u, u)) / dist
-        dir_ue = -(r_u.T @ u)
-        dir_bs = anchor.orientation.T @ u
-        # position sensitivity of both local directions
-        d_ue_dp = -(r_u.T @ proj)
-        d_bs_dp = anchor.orientation.T @ proj
-        # left rotation increment: d dir_ue / d theta_j = R.T (e_j x u)
-        d_ue_dth = r_u.T @ hat3(u).T  # columns e_j x u, via (hat(u).T)_j = e_j x u
-        b_ue = tangent_basis(dir_ue)
-        b_bs = tangent_basis(dir_bs)
-        row = n + 4 * i
-        out[row : row + 2, :3] = b_ue @ d_ue_dp
-        out[row : row + 2, 3:] = b_ue @ d_ue_dth
-        out[row + 2 : row + 4, :3] = b_bs @ d_bs_dp
+    r_ut = ue.rotation.mT[..., None, :, :]  # (..., 1, 3, 3), against the anchor axis
+    r_bst = np.stack([a.orientation.T for a in anchors])  # (N, 3, 3)
+    u, dist = _los_geometry(ue.position[..., None, :], np.stack([a.position for a in anchors]))
+    proj = (np.eye(3) - u[..., :, None] * u[..., None, :]) / dist[..., None, None]
+    # (..., N, 2, 2, 3): per anchor the tangent bases of dir_ue and dir_bs
+    bases = tangent_basis(np.stack([-np.matvec(r_ut, u), np.matvec(r_bst, u)], axis=-2))
+    b_ue, b_bs = bases[..., 0, :, :], bases[..., 1, :, :]
+    out = np.zeros(u.shape[:-2] + (5 * n, 6))
+    out[..., :n, :3] = u / SPEED_OF_LIGHT
+    rows = np.zeros(u.shape[:-1] + (4, 6))  # (..., N, 4, 6)
+    # position sensitivity of both local directions
+    rows[..., :2, :3] = b_ue @ -(r_ut @ proj)
+    # left rotation increment: d dir_ue / d theta_j = R.T (e_j x u), the
+    # columns of R.T hat(u).T
+    rows[..., :2, 3:] = b_ue @ (r_ut @ hat3(u).mT)
+    rows[..., 2:, :3] = b_bs @ (r_bst @ proj)
+    out[..., n:, :] = rows.reshape(rows.shape[:-3] + (4 * n, 6))
     return out
 
 
 def state_fim(f_z: np.ndarray, t_z: np.ndarray) -> np.ndarray:
-    """6x6 state FIM T_z.T @ F_z @ T_z."""
-    out = np.asarray(t_z).T @ np.asarray(f_z) @ np.asarray(t_z)
-    return (out + out.T) / 2.0
+    """(..., 6, 6) state FIM T_z.T @ F_z @ T_z."""
+    t_z = np.asarray(t_z)
+    out = t_z.mT @ np.asarray(f_z) @ t_z
+    return (out + out.mT) / 2.0
 
 
 @dataclass(frozen=True)
 class IcrbReport:
-    """Inverse state FIM with the scalar position / rotation error bounds."""
+    """Inverse state FIM with the scalar position / rotation error bounds, for
+    one pose or with leading axes (a batch of rows); indexing selects rows.
 
-    icrb: np.ndarray  # 6x6 over [position(3), rotation tangent(3)], read-only copy
-    peb_m: float
-    rmeb_rad: float
+    An unobservable row of a batch has ``observable`` False and NaN in its
+    bound and its error bounds.
+    """
+
+    icrb: np.ndarray  # (..., 6, 6) over [position(3), rotation tangent(3)], read-only copy
+    peb_m: float | np.ndarray
+    rmeb_rad: float | np.ndarray
+    observable: bool | np.ndarray = True
 
     def __post_init__(self):
         object.__setattr__(self, "icrb", _readonly(self.icrb))
 
+    def __getitem__(self, index) -> "IcrbReport":
+        return IcrbReport(self.icrb[index], self.peb_m[index], self.rmeb_rad[index], self.observable[index])
+
     @cached_property
     def icrb_sqrt(self) -> np.ndarray:
         """Factor S with S @ S.T = icrb from its eigendecomposition, computed
-        once per report and shared by every measurement drawn from it."""
-        eig, vec = np.linalg.eigh((self.icrb + self.icrb.T) / 2.0)
-        return _readonly(vec * np.sqrt(np.clip(eig, 0.0, None)))
+        once per report and shared by every measurement drawn from it; NaN on
+        unobservable rows."""
+        ok = np.asarray(self.observable)[..., None, None]
+        eig, vec = np.linalg.eigh(np.where(ok, (self.icrb + self.icrb.mT) / 2.0, 0.0))
+        return _readonly(np.where(ok, vec * np.sqrt(np.clip(eig, 0.0, None))[..., None, :], np.nan))
 
 
 def icrb_report(f_x: np.ndarray) -> IcrbReport:
-    """Invert the state FIM and derive PEB/RMEB.
+    """Invert the state FIM (..., 6, 6) and derive PEB/RMEB.
 
-    Raises UnobservableState when the FIM condition number exceeds ``_COND_LIMIT``
-    (1e12), which signals insufficient anchors or degenerate geometry.
+    A row is unobservable when its FIM is not finite or its condition number
+    exceeds ``_COND_LIMIT`` (1e12), which signals insufficient anchors or
+    degenerate geometry: an unbatched call raises UnobservableState, a batch
+    flags the row.
     """
     f = np.asarray(f_x, dtype=float)
-    eig, vec = np.linalg.eigh((f + f.T) / 2.0)
-    if eig[-1] <= 0 or eig[0] <= eig[-1] / _COND_LIMIT:
+    finite = np.isfinite(f).all(axis=(-2, -1))
+    f = np.where(finite[..., None, None], (f + f.mT) / 2.0, np.eye(6))
+    eig, vec = np.linalg.eigh(f)
+    observable = finite & (eig[..., -1] > 0) & (eig[..., 0] > eig[..., -1] / _COND_LIMIT)
+    if f.ndim == 2 and not observable:
         raise UnobservableState(
             f"state FIM condition number exceeds {_COND_LIMIT:.1e}; geometry unobservable"
         )
-    icrb = (vec / eig) @ vec.T
-    icrb = (icrb + icrb.T) / 2.0
+    icrb = (vec / np.where(observable[..., None], eig, 1.0)[..., None, :]) @ vec.mT
+    icrb = np.where(observable[..., None, None], (icrb + icrb.mT) / 2.0, np.nan)
     return IcrbReport(
         icrb=icrb,
-        peb_m=float(np.sqrt(np.trace(icrb[:3, :3]))),
-        rmeb_rad=float(np.sqrt(np.trace(icrb[3:, 3:]))),
+        peb_m=np.sqrt(np.trace(icrb[..., :3, :3], axis1=-2, axis2=-1)),
+        rmeb_rad=np.sqrt(np.trace(icrb[..., 3:, 3:], axis1=-2, axis2=-1)),
+        observable=observable,
     )
 
 
@@ -251,8 +275,17 @@ def pose_error_bounds(
     ue: Pose, anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: BeamSet
 ) -> IcrbReport:
     """ICRB report (6x6 bound, PEB, RMEB) for one pose and signal setup: the
-    full pipeline from the signal model through the 6x6 state FIM."""
+    full pipeline from the signal model through the 6x6 state FIM. A pose
+    with leading axes gives a report with those axes, whose unobservable
+    rows are flagged rather than raised."""
+    return _error_bounds(ue, anchors, ue_array, sig, beams, None)
+
+
+def _error_bounds(ue, anchors, ue_array, sig, beams, powers_dbm) -> IcrbReport:
+    """``pose_error_bounds``, with a power axis in front when ``powers_dbm``
+    is a sequence (``fim_unconstrained``): the geometry, beam factors,
+    projector and state Jacobian are computed once for all powers."""
     params = [channel_params(ue, a, sig) for a in anchors]
-    f_raw = fim_unconstrained(ue, anchors, ue_array, sig, beams)
+    f_raw = fim_unconstrained(ue, anchors, ue_array, sig, beams, powers_dbm)
     f_z = efim_remove_gains(project_fim(f_raw, params))
     return icrb_report(state_fim(f_z, state_jacobian_tz(ue, anchors)))

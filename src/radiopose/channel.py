@@ -4,6 +4,10 @@ Fisher information of the channel geometric parameters. All three come from
 one set of per-link beam factors (``_beam_factors``), and the FIM sums over
 subcarriers in closed form.
 
+Every function of a UE pose also takes a pose with leading axes (a batch of
+poses) and returns its results with the same leading axes; the unbatched
+pose is the same code at batch size one.
+
 Anchors transmit orthogonally (time/frequency), so the received tensor and
 the FIM are block-separable across anchors. Per anchor the unconstrained
 parameter vector is [tau, t_ue(3), t_bs(3), Re(gain), Im(gain)]. The stacked
@@ -14,12 +18,12 @@ gain components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CoincidentPositions, PolarSingularity, RadioPoseError
-from .lie import Pose, require_rotation
+from .lie import Pose, _norm, require_rotation
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -145,7 +149,10 @@ class SignalConfig:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Geometric observables of one anchor-UE link."""
+    """Geometric observables of one anchor-UE link, with the leading axes of
+    the UE pose. The constructor checks that both directions are unit
+    vectors; ``channel_params`` builds them from a valid geometry and does
+    not check again."""
 
     delay_s: float
     dir_ue: np.ndarray  # unit vector at the UE, local frame
@@ -155,7 +162,7 @@ class ChannelParams:
     def __post_init__(self):
         for name in ("dir_ue", "dir_bs"):
             d = np.asarray(getattr(self, name), dtype=float)
-            if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+            if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > 1e-12):
                 raise ValueError(f"{name} must be a unit vector")
             d = d.copy()
             d.flags.writeable = False
@@ -187,14 +194,21 @@ def draw_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig) -> BeamSet:
     return BeamSet(tuple(precoders), tuple(combiners))
 
 
-def _los_geometry(ue: Pose, anchor: AnchorConfig):
-    """Unit vector u from the anchor toward the UE (global frame) and the
-    distance of the LOS path; raises CoincidentPositions within 1e-6 m."""
-    diff = ue.position - anchor.position
-    dist = np.linalg.norm(diff)
-    if dist <= 1e-6:
+def _los_geometry(ue_position: np.ndarray, anchor_position: np.ndarray):
+    """Unit vectors u from the anchor toward the UE (global frame) and the
+    distances of the LOS paths, broadcast over the leading axes of both
+    positions; raises CoincidentPositions when any UE is within 1e-6 m of
+    its anchor."""
+    diff = ue_position - anchor_position
+    dist = _norm(diff)
+    if np.any(dist <= 1e-6):
         raise CoincidentPositions("UE and anchor positions coincide")
-    return diff / dist, dist
+    return diff / dist[..., None], dist
+
+
+def _local_directions(ue: Pose, anchor: AnchorConfig, u: np.ndarray):
+    """(dir_bs, dir_ue) of the LOS direction u: R_bs.T u and -R_ue.T u."""
+    return np.matvec(anchor.orientation.T, u), -np.matvec(ue.rotation.mT, u)
 
 
 def direction_vectors(ue: Pose, anchor: AnchorConfig):
@@ -204,36 +218,40 @@ def direction_vectors(ue: Pose, anchor: AnchorConfig):
     dir_ue points from the UE toward the anchor in the UE frame, so that
     R_bs @ dir_bs = -R_ue @ dir_ue.
     """
-    u, _ = _los_geometry(ue, anchor)
-    return anchor.orientation.T @ u, -(ue.rotation.T @ u)
+    u, _ = _los_geometry(ue.position, anchor.position)
+    return _local_directions(ue, anchor, u)
 
 
 def delay(ue: Pose, anchor: AnchorConfig, clock_bias_s: float) -> float:
     """Signal delay: propagation time plus clock offset."""
-    _, dist = _los_geometry(ue, anchor)
+    _, dist = _los_geometry(ue.position, anchor.position)
     return dist / SPEED_OF_LIGHT + clock_bias_s
 
 
 def channel_params(ue: Pose, anchor: AnchorConfig, sig: SignalConfig) -> ChannelParams:
     """Delay, local directions and free-space LOS gain (amplitude lambda/(4 pi d),
-    carrier propagation phase) of one link."""
-    _, dist = _los_geometry(ue, anchor)
-    dir_bs, dir_ue = direction_vectors(ue, anchor)
+    carrier propagation phase) of one link, from one LOS geometry."""
+    u, dist = _los_geometry(ue.position, anchor.position)
+    dir_bs, dir_ue = _local_directions(ue, anchor, u)
     amp = SPEED_OF_LIGHT / sig.carrier_hz / (4.0 * np.pi * dist)
-    return ChannelParams(
-        delay_s=delay(ue, anchor, sig.clock_bias_s),
-        dir_ue=dir_ue,
-        dir_bs=dir_bs,
-        gain=amp * np.exp(-2j * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT),
-    )
+    par = object.__new__(ChannelParams)
+    for name, value in (
+        ("delay_s", dist / SPEED_OF_LIGHT + sig.clock_bias_s),
+        ("dir_ue", dir_ue),
+        ("dir_bs", dir_bs),
+        # the phase in real arithmetic: a complex division rounds differently
+        # in a batch than for one pose
+        ("gain", amp * np.exp(-1j * (2.0 * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT))),
+    ):
+        object.__setattr__(par, name, value)
+    return par
 
 
 def steering_vector(array: ArrayGeometry, direction: np.ndarray, carrier_hz: float) -> np.ndarray:
-    """Array response exp(j 2 pi f_c / c * p_d . t), unit modulus per element."""
+    """Array response exp(j 2 pi f_c / c * p_d . t), unit modulus per element,
+    over the leading axes of ``direction``."""
     direction = np.asarray(direction, dtype=float)
-    phase = (2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT) * (
-        array.element_positions @ direction
-    )
+    phase = (2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT) * np.matvec(array.element_positions, direction)
     return np.exp(1j * phase)
 
 
@@ -243,30 +261,35 @@ def _subcarrier_phases(delay_s: float, sig: SignalConfig) -> np.ndarray:
 
 
 def _beam_factors(ue, anchor, ue_array, sig, precoders, combiners):
-    """Channel parameters of one link and its beam factors f, shape (9, G).
+    """Channel parameters of one link and its beam factors f, shape (..., 9, G)
+    over the leading axes of the UE pose, at unit transmit amplitude.
 
     The only copy of the steering vectors, beam gains and their direction
-    derivatives. Over eta = [tau, t_ue(3), t_bs(3), Re gain, Im gain] the
-    signal gradient factors as d mu_gc / d eta_i = f_i(g) s_i(c) phi_c, with
-    phi the subcarrier phases, s = -j 2 pi c df on the delay row and s = 1 on
-    every other row; the signal itself is mu_gc = gain f_7(g) phi_c.
+    derivatives; none of it depends on the transmit power. Over
+    eta = [tau, t_ue(3), t_bs(3), Re gain, Im gain] the signal gradient
+    factors as d mu_gc / d eta_i = x f_i(g) s_i(c) phi_c, with x the
+    per-subcarrier amplitude, phi the subcarrier phases, s = -j 2 pi c df on
+    the delay row and s = 1 on every other row; the signal itself is
+    mu_gc = x gain f_7(g) phi_c.
     """
     par = channel_params(ue, anchor, sig)
     kappa = 2.0 * np.pi * sig.carrier_hz / SPEED_OF_LIGHT
-    a_ue = steering_vector(ue_array, par.dir_ue, sig.carrier_hz)
-    a_bs = steering_vector(anchor.array, par.dir_bs, sig.carrier_hz)
-    ue_gain = combiners @ a_ue  # (G,)
-    bs_gain = precoders @ a_bs  # (G,)
-    # gradient of (combiner . a_ue) wrt t_ue: j kappa P.T (combiner * a_ue)
-    d_ue = 1j * kappa * (combiners * a_ue) @ ue_array.element_positions  # (G, 3)
-    d_bs = 1j * kappa * (precoders * a_bs) @ anchor.array.element_positions  # (G, 3)
-    scale = par.gain * sig.subcarrier_amplitude
-    f = np.empty((PARAMS_PER_ANCHOR, len(ue_gain)), dtype=complex)
-    f[7] = sig.subcarrier_amplitude * (ue_gain * bs_gain)
-    f[8] = 1j * f[7]
-    f[0] = par.gain * f[7]
-    f[1:4] = scale * (d_ue * bs_gain[:, None]).T
-    f[4:7] = scale * (ue_gain[:, None] * d_bs).T
+    a_ue = steering_vector(ue_array, par.dir_ue, sig.carrier_hz)  # (..., N_ue)
+    a_bs = steering_vector(anchor.array, par.dir_bs, sig.carrier_hz)  # (..., N_bs)
+    # one matrix-vector product per pose, so a row does not depend on its batch
+    ue_gain = np.matvec(combiners, a_ue)  # (..., G)
+    bs_gain = np.matvec(precoders, a_bs)  # (..., G)
+    # gradient of (combiner . a_ue) wrt t_ue: j kappa combiner (a_ue * P),
+    # whose temporary is (..., elements, 3) rather than (..., G, elements)
+    d_ue = 1j * kappa * (combiners @ (a_ue[..., None] * ue_array.element_positions))  # (..., G, 3)
+    d_bs = 1j * kappa * (precoders @ (a_bs[..., None] * anchor.array.element_positions))
+    gain = np.asarray(par.gain)[..., None]
+    f = np.empty(ue_gain.shape[:-1] + (PARAMS_PER_ANCHOR, ue_gain.shape[-1]), dtype=complex)
+    f[..., 7, :] = ue_gain * bs_gain
+    f[..., 8, :] = 1j * f[..., 7, :]
+    f[..., 0, :] = gain * f[..., 7, :]
+    f[..., 1:4, :] = gain[..., None] * (d_ue * bs_gain[..., None]).mT
+    f[..., 4:7, :] = gain[..., None] * (ue_gain[..., None] * d_bs).mT
     return par, f
 
 
@@ -279,7 +302,7 @@ def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
     out = np.zeros((len(anchors), sig.num_transmissions, sig.num_subcarriers), dtype=complex)
     for n, anchor in enumerate(anchors):
         par, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
-        out[n] = par.gain * np.outer(f[7], _subcarrier_phases(par.delay_s, sig))
+        out[n] = (sig.subcarrier_amplitude * par.gain) * np.outer(f[7], _subcarrier_phases(par.delay_s, sig))
     return out
 
 
@@ -291,50 +314,62 @@ def _anchor_signal_gradient(ue, anchor, ue_array, sig, precoders, combiners) -> 
     come from the steering phase gradients; tau and gain are elementary.
     """
     par, f = _beam_factors(ue, anchor, ue_array, sig, precoders, combiners)
-    grad = f[:, :, None] * _subcarrier_phases(par.delay_s, sig)
+    grad = sig.subcarrier_amplitude * f[:, :, None] * _subcarrier_phases(par.delay_s, sig)
     grad[0] *= -2j * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
     return grad
 
 
-def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
-    """Unconstrained FIM of the channel geometric parameters, (9N, 9N), in
-    the grouped order of the module docstring.
+def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm=None) -> np.ndarray:
+    """Unconstrained FIM of the channel geometric parameters, (..., 9N, 9N)
+    over the leading axes of the UE pose, in the grouped order of the module
+    docstring.
 
     F = (2 / sigma^2) sum_{g,c} Re{conj(d mu / d eta) (d mu / d eta)^T} with
     both direction vectors carried as free 3-vectors; the sphere constraint
     is applied downstream. With the factors of ``_beam_factors`` each
-    anchor's block is (2 / sigma^2) Re[(conj(f) f^T) o S], where S_ij =
-    sum_c conj(s_i(c)) s_j(c) is the Gram of the subcarrier profiles: as
-    |phi_c| = 1 it holds only C, sum w and sum w^2 (w_c = 2 pi c df) and
-    does not depend on the delay. Symmetric PSD, linear in transmit power;
-    a FIM that is not finite raises RadioPoseError, without numpy warnings.
+    anchor's block is w Re[(conj(f) f^T) o S], with w = 2 |x|^2 / sigma^2
+    and S_ij = sum_c conj(s_i(c)) s_j(c) the Gram of the subcarrier
+    profiles: as |phi_c| = 1 it holds only C, sum w_c and sum w_c^2
+    (w_c = 2 pi c df) and does not depend on the delay.
+
+    ``powers_dbm`` (a sequence of transmit powers) puts a power axis in
+    front: row p carries the weight w of replace(sig, tx_power_dbm=p) on
+    beam factors computed once. Symmetric PSD, linear in transmit power; a
+    FIM that is not finite raises RadioPoseError naming the first such
+    row's power, without numpy warnings.
     """
     n_anchors = len(anchors)
-    size = PARAMS_PER_ANCHOR * n_anchors
-    fim = np.zeros((size, size))
     # Gram of the subcarrier profiles: -j w on the delay row, 1 on the others
     w = 2.0 * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
     gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(sig.num_subcarriers))
     gram[0, 0] = w @ w
     gram[0, 1:] = 1j * w.sum()
     gram[1:, 0] = -1j * w.sum()
+    blocks = []
+    for n, anchor in enumerate(anchors):
+        _, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
+        blocks.append(np.real((np.conj(f) @ f.mT) * gram))
+    # stacked positions of each anchor's [tau, t_ue, t_bs, Re gain, Im gain]
+    n = np.arange(n_anchors)[:, None]
+    idx = np.hstack([n, n_anchors + 6 * n + np.arange(6), 7 * n_anchors + 2 * n + np.arange(2)])
+    unit = np.zeros(blocks[0].shape[:-2] + (PARAMS_PER_ANCHOR * n_anchors,) * 2)
+    unit[..., idx[:, :, None], idx[:, None, :]] = np.stack(blocks, axis=-3)
+    rows = [sig] if powers_dbm is None else [replace(sig, tx_power_dbm=float(p)) for p in powers_dbm]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        weight = np.float64(2.0) / sig.noise_variance_w
-        for n, anchor in enumerate(anchors):
-            _, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
-            block = weight * np.real((np.conj(f) @ f.T) * gram)
-            # stacked positions of this anchor's [tau, t_ue, t_bs, Re gain, Im gain]
-            dirs = n_anchors + 6 * n
-            gains = 7 * n_anchors + 2 * n
-            idx = np.array([n, *range(dirs, dirs + 6), gains, gains + 1])
-            fim[idx[:, None], idx] = block
-        fim = (fim + fim.T) / 2.0
-    if not np.all(np.isfinite(fim)):
-        raise RadioPoseError(
-            f"Fisher information is not finite at tx_power_dbm {sig.tx_power_dbm:g}, "
-            f"noise_psd_dbm_hz {sig.noise_psd_dbm_hz:g}"
+        # w = 2 |x|^2 / sigma^2 per row; inf or 0 where it overflows or underflows
+        weight = np.array(
+            [np.float64(2.0) * dbm_to_watt(r.tx_power_dbm) / r.num_subcarriers / r.noise_variance_w for r in rows]
         )
-    return fim
+        fim = weight.reshape((-1,) + (1,) * unit.ndim) * unit
+        fim = (fim + fim.mT) / 2.0
+    finite = np.isfinite(fim).reshape(len(rows), -1).all(axis=1)
+    if not finite.all():
+        bad = rows[int(np.argmin(finite))]
+        raise RadioPoseError(
+            f"Fisher information is not finite at tx_power_dbm {bad.tx_power_dbm:g}, "
+            f"noise_psd_dbm_hz {bad.noise_psd_dbm_hz:g}"
+        )
+    return fim if powers_dbm is not None else fim[0]
 
 
 def angle_jacobian(direction: np.ndarray) -> np.ndarray:

@@ -268,6 +268,11 @@ class Pose:
             raise ValueError("expected a homogeneous 4x4 transform")
         return cls(m[:3, :3], m[:3, 3])
 
+    @classmethod
+    def stack(cls, poses) -> "Pose":
+        """A sequence of poses as one pose with a leading axis."""
+        return _pose(np.stack([p.rotation for p in poses]), np.stack([p.translation_block for p in poses]))
+
     def matrix(self) -> np.ndarray:
         m = np.zeros(self.rotation.shape[:-2] + (4, 4))
         m[..., :3, :3] = self.rotation

@@ -11,12 +11,12 @@ step per time step, and each run's numbers do not depend on the batch.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .bounds import pose_error_bounds
+from .bounds import _error_bounds, pose_error_bounds
 from .channel import (
     AnchorConfig,
     ArrayGeometry,
@@ -272,11 +272,15 @@ class MetricSeries:
 
 
 def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
-    """Truth trajectory with the error-bound report at every true pose."""
+    """Truth trajectory (a list of K poses) with the error-bound report at
+    every true pose: one report with a leading axis of K rows, from one
+    batched pass of the bound pipeline. Raises UnobservableState naming the
+    first true pose whose bound is unobservable."""
     truths = generate_trajectory(cfg.ue_start, cfg.segments)
-    reports = [
-        pose_error_bounds(pose, cfg.anchors, cfg.ue_array, cfg.signal, beams) for pose in truths
-    ]
+    reports = pose_error_bounds(Pose.stack(truths), cfg.anchors, cfg.ue_array, cfg.signal, beams)
+    if not reports.observable.all():
+        first = int(np.flatnonzero(~reports.observable)[0])
+        raise UnobservableState(f"state FIM unobservable at truth pose {first} of {len(truths)}")
     return truths, reports
 
 
@@ -389,7 +393,8 @@ def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _
 
 
 def _run_batch(cfg: ScenarioConfig, runs, truths, reports, commands):
-    """The runs ``runs`` (run indices) of a study in one pass: the stacked
+    """The runs ``runs`` (run indices) of a study in one pass, with the K
+    truths and their batched bound report (``scenario_reports``): the stacked
     truths (K,), the measurements (R, K) and a ``_Track`` per selected filter.
 
     Each run draws its (K, 6) normals from its own generator (``run_rng``):
@@ -397,12 +402,11 @@ def _run_batch(cfg: ScenarioConfig, runs, truths, reports, commands):
     through the filters without a run axis: the unbatched case of the same
     kernels, which costs less per call than a batch of one.
     """
-    truth = _pose(np.stack([t.rotation for t in truths]), np.stack([t.translation_block for t in truths]))
+    truth = Pose.stack(truths)
     normals = np.stack([run_rng(cfg.seed, run).standard_normal((len(truths), 6)) for run in runs])
-    factors = np.stack([r.icrb_sqrt for r in reports])
-    measured = sample_measurement(truth, factors, normals, cfg.measurement_noise_scale)
+    measured = sample_measurement(truth, reports.icrb_sqrt, normals, cfg.measurement_noise_scale)
     rows = slice(None) if len(runs) > 1 else 0
-    steps = [PoseMeasurement(measured[rows, k], r.icrb) for k, r in enumerate(reports)]
+    steps = [PoseMeasurement(measured[rows, k], icrb) for k, icrb in enumerate(reports.icrb)]
     tracks = {name: _track(name, len(runs), truth.inverse(), steps, commands) for name in cfg.selected_filters}
     return truth, measured, tracks
 
@@ -419,7 +423,7 @@ def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -
     _, measured, tracks = _run_batch(cfg, [run_index], truths, reports, commands)
     return RunResult(
         truths=truths,
-        measurements=[PoseMeasurement(measured[0, k], r.icrb) for k, r in enumerate(reports)],
+        measurements=[PoseMeasurement(measured[0, k], icrb) for k, icrb in enumerate(reports.icrb)],
         estimates={
             name: [t.estimates[0, k] for k in np.flatnonzero(np.isfinite(t.errors[0, :, 0]))]
             for name, t in tracks.items()
@@ -488,31 +492,20 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
 def bounds_sweep(cfg: ScenarioConfig, powers_dbm) -> list:
     """PEB/RMEB at the start pose for each transmit power, identical beams.
 
-    Unobservable rows carry NaN bounds and observable=False; the sweep
-    continues past them.
+    One batched pass: the geometry, beam factors, projector and state
+    Jacobian of the pose are computed once, and each power is a row with its
+    own FIM weight. Unobservable rows carry NaN bounds and observable=False;
+    the sweep continues past them.
     """
-    powers = list(powers_dbm)
+    powers = [float(p) for p in powers_dbm]
     if not powers:
         raise ValueError("powers_dbm must be nonempty")
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
-    rows = []
-    for power in powers:
-        sig = replace(cfg.signal, tx_power_dbm=float(power))
-        try:
-            report = pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, sig, beams)
-            rows.append(
-                {
-                    "power_dbm": float(power),
-                    "peb_m": report.peb_m,
-                    "rmeb_rad": report.rmeb_rad,
-                    "observable": True,
-                }
-            )
-        except UnobservableState:
-            rows.append(
-                {"power_dbm": float(power), "peb_m": np.nan, "rmeb_rad": np.nan, "observable": False}
-            )
-    return rows
+    report = _error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams, powers)
+    return [
+        {"power_dbm": power, "peb_m": float(peb), "rmeb_rad": float(rmeb), "observable": bool(ok)}
+        for power, peb, rmeb, ok in zip(powers, report.peb_m, report.rmeb_rad, report.observable)
+    ]
 
 
 def mean_sample_snr_db(cfg: ScenarioConfig) -> float:
@@ -707,6 +700,18 @@ def _vector(entry: dict, key: str) -> np.ndarray:
     return np.array([_typed(key, float, v) for v in value])
 
 
+def _grid_array(entry: dict, carrier_hz: float) -> ArrayGeometry:
+    """The half-wavelength grid of ``entry["array_shape"]``; ConfigError naming
+    ``array_shape`` unless it is exactly two positive integers."""
+    value = entry["array_shape"]
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"array_shape must be a list of 2 positive integers, got {value!r}")
+    nx, ny = (_typed("array_shape", int, v) for v in value)
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"array_shape must be a list of 2 positive integers, got {value!r}")
+    return ArrayGeometry.half_wavelength_upa(nx, ny, carrier_hz)
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Scenario from the form ``scenario_to_dict`` writes; raises ConfigError
     on a missing, unknown or invalid key.
@@ -724,18 +729,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         segments_raw = [_known_keys(s, template["segments"][0], "segment") for s in raw["segments"]]
 
         signal = SignalConfig(**{k: _typed(k, type(template["signal"][k]), v) for k, v in sig_raw.items()})
-        anchors = []
-        for a in anchors_raw:
-            nx, ny = (_typed("array_shape", int, v) for v in a["array_shape"])
-            anchors.append(
-                AnchorConfig(
-                    position=_vector(a, "position_m"),
-                    orientation=rotation_from_euler(np.deg2rad(_vector(a, "orientation_deg_zyx"))),
-                    array=ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz),
-                )
+        anchors = tuple(
+            AnchorConfig(
+                position=_vector(a, "position_m"),
+                orientation=rotation_from_euler(np.deg2rad(_vector(a, "orientation_deg_zyx"))),
+                array=_grid_array(a, signal.carrier_hz),
             )
-        nx, ny = (_typed("array_shape", int, v) for v in ue_raw["array_shape"])
-        ue_array = ArrayGeometry.half_wavelength_upa(nx, ny, signal.carrier_hz)
+            for a in anchors_raw
+        )
+        ue_array = _grid_array(ue_raw, signal.carrier_hz)
         ue_start = Pose.from_rotation_position(
             rotation_from_euler(np.deg2rad(_vector(ue_raw, "start_orientation_deg_zyx"))),
             _vector(ue_raw, "start_position_m"),
@@ -751,7 +753,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         ]
         sections = ("signal", "anchors", "ue", "segments")
         return ScenarioConfig(
-            anchors=tuple(anchors),
+            anchors=anchors,
             ue_array=ue_array,
             signal=signal,
             ue_start=ue_start,

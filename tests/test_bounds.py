@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radiopose import bounds, channel, lie
+from radiopose import bounds, channel, lie, simkit
 from radiopose.channel import ArrayGeometry
-from radiopose.errors import UnobservableState
-from radiopose.simkit import default_scenario
+from radiopose.errors import SingularNuisanceBlock, UnobservableState
+from radiopose.simkit import bounds_sweep, default_scenario, generate_trajectory
+from test_bound_oracle import worst_relative
 
 
 def _random_unit(rng):
@@ -110,6 +111,27 @@ class TestEfimRemoveGains:
         # out = f_aa - f_ab f_bb^-1 f_ba = 4 - 2 * (1/2) * 2 = 2
         out = bounds.schur_complement_keep_top(np.array([[4.0, 2.0], [2.0, 2.0]]), 1)
         np.testing.assert_allclose(out, [[2.0]])
+
+    def test_ridge_and_failure_stay_in_their_rows(self):
+        # one keep-row over a 2x2 nuisance block: the middle row's block has
+        # condition 1e14 and gets the 1e-12 ridge, the last row's block is
+        # zero and stays singular; the other rows neither get the ridge nor
+        # see the failure, and each row equals its unbatched complement
+        fbb = np.array([np.diag([1.0, 0.5]), np.diag([1.0, 1e-14]), np.diag([2.0, 0.25]), np.zeros((2, 2))])
+        f = np.zeros((4, 3, 3))
+        f[:, 0, 0] = 2.0
+        f[:, 0, 1:] = f[:, 1:, 0] = [0.5, 1e-8]
+        f[:, 1:, 1:] = fbb
+        out = bounds.schur_complement_keep_top(f, 1)
+        for row in range(3):
+            assert np.array_equal(out[row], bounds.schur_complement_keep_top(f[row], 1))
+        assert out[0, 0, 0] == 2.0 - 0.25 / 1.0 - 1e-16 / 0.5
+        assert out[2, 0, 0] == 2.0 - 0.25 / 2.0 - 1e-16 / 0.25
+        no_ridge = 2.0 - 0.25 - 1e-16 / 1e-14
+        assert abs(out[1, 0, 0] - no_ridge) > 1e-4  # the ridge took 1e-16 / 1e-14 down to about 2e-4
+        assert np.isnan(out[3]).all()
+        with pytest.raises(SingularNuisanceBlock):
+            bounds.schur_complement_keep_top(f[3], 1)
 
     def test_information_never_increases(self):
         rng = np.random.default_rng(6)
@@ -312,3 +334,34 @@ class TestPipelineInvariants:
         rep20 = bounds.pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, louder, self.beams)
         assert abs(rep20.peb_m - rep.peb_m / 10.0) < 1e-9 * rep.peb_m
         assert abs(rep20.rmeb_rad - rep.rmeb_rad / 10.0) < 1e-9 * rep.rmeb_rad
+
+
+class TestBatchAxis:
+    """A leading pose or power axis gives the numbers of separate calls."""
+
+    def setup_method(self):
+        self.cfg = default_scenario()
+        self.beams = channel.draw_beams(self.cfg.anchors, self.cfg.ue_array, self.cfg.signal)
+        self.truths = generate_trajectory(self.cfg.ue_start, self.cfg.segments)
+
+    def test_sweep_matches_per_power_calls(self):
+        cfg = self.cfg
+        powers = [-20.0, -7.5, 0.0, 13.0, 20.0]
+        for k in (0, 41, 87, 119):
+            pose = self.truths[k]
+            rows = bounds_sweep(replace(cfg, ue_start=pose), powers)
+            for power, row in zip(powers, rows):
+                sig = replace(cfg.signal, tx_power_dbm=power)
+                rep = bounds.pose_error_bounds(pose, cfg.anchors, cfg.ue_array, sig, self.beams)
+                assert row["observable"]
+                assert abs(row["peb_m"] - rep.peb_m) <= 1e-12 * rep.peb_m
+                assert abs(row["rmeb_rad"] - rep.rmeb_rad) <= 1e-12 * rep.rmeb_rad
+
+    def test_scenario_reports_match_per_pose_calls(self):
+        cfg = self.cfg
+        truths, reports = simkit.scenario_reports(cfg, self.beams)
+        assert reports.icrb.shape == (len(truths), 6, 6) and reports.observable.all()
+        for k, pose in enumerate(truths):
+            rep = bounds.pose_error_bounds(pose, cfg.anchors, cfg.ue_array, cfg.signal, self.beams)
+            assert worst_relative(reports.icrb[k], rep.icrb) < 1e-12
+            assert worst_relative(reports[k].icrb_sqrt @ reports[k].icrb_sqrt.T, rep.icrb) < 1e-12

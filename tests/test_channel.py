@@ -107,10 +107,14 @@ class TestDelay:
         tau = channel.delay(ue, self._anchor([5.0, 0, 0]), 0.0)
         assert abs(tau - np.sqrt(125.0) / SPEED_OF_LIGHT) < 1e-20
 
-    def test_coincidence_threshold_shared_by_every_los_quantity(self):
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_coincidence_threshold_shared_by_every_los_quantity(self, batched):
         # 5e-7 m is inside the 1e-6 m coincidence radius: the delay, the
-        # directions, the channel parameters and the state Jacobian all refuse it
+        # directions, the channel parameters and the state Jacobian all refuse
+        # it, also as one pose of a batch whose other pose is 3 m away
         ue = lie.Pose.from_rotation_position(np.eye(3), np.array([5e-7, 0, 0]))
+        if batched:
+            ue = lie.se3_exp(np.array([[3.0, 0, 0, 0, 0, 0], [5e-7, 0, 0, 0, 0, 0]]))
         anchor = self._anchor([0, 0, 0])
         for call in (
             lambda: channel.delay(ue, anchor, 0.0),

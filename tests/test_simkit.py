@@ -10,7 +10,13 @@ import pytest
 import yaml
 
 from radiopose import bounds, channel, cli, lie, simkit, tracking
-from radiopose.errors import ConfigError, LengthMismatch, RadioPoseError, SingularInnovationCovariance
+from radiopose.errors import (
+    ConfigError,
+    LengthMismatch,
+    RadioPoseError,
+    SingularInnovationCovariance,
+    UnobservableState,
+)
 
 
 def tiny_scenario(mc_runs=2, steps=3, n_segments=2, **overrides):
@@ -145,16 +151,18 @@ class TestSampleMeasurement:
             with pytest.raises(RadioPoseError, match="measurement_noise_scale"):
                 simkit.run_monte_carlo(cfg)
 
-    def test_bound_factored_once_per_step(self, monkeypatch):
-        # every run draws from the same per-step reports, so the square-root
-        # factor of each bound is computed once per study, not once per run
+    def test_bound_factored_once_per_study(self, monkeypatch):
+        # every run draws from the same batched report of the K steps, so the
+        # square-root factors of all bounds are computed once per study, not
+        # once per run or per step
         prop = bounds.IcrbReport.__dict__["icrb_sqrt"]
         original = prop.func
         calls = []
         monkeypatch.setattr(prop, "func", lambda report: calls.append(report) or original(report))
         cfg = tiny_scenario(mc_runs=3)
         simkit.run_monte_carlo(cfg)
-        assert len(calls) == sum(s.steps for s in cfg.segments)
+        assert len(calls) == 1
+        assert calls[0].icrb.shape == (sum(s.steps for s in cfg.segments), 6, 6)
         assert not calls[0].icrb.flags.writeable and not calls[0].icrb_sqrt.flags.writeable
 
     def test_empirical_covariance_matches_transform(self):
@@ -361,6 +369,22 @@ class TestRunMonteCarlo:
         header = (tmp_path / "mc_rmse.csv").read_text().splitlines()[0]
         assert "converge" not in header
 
+    def test_unobservable_truth_pose_is_named(self, monkeypatch):
+        # a study needs the bound at every true pose: the first pose whose
+        # state FIM is unobservable ends it, by index
+        original = bounds.state_jacobian_tz
+
+        def blind_at_4_and_6(ue, anchors):
+            tz = original(ue, anchors)
+            tz[[4, 6]] = 0.0
+            return tz
+
+        monkeypatch.setattr(bounds, "state_jacobian_tz", blind_at_4_and_6)
+        cfg = tiny_scenario(steps=4)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        with pytest.raises(UnobservableState, match="truth pose 4 of 8"):
+            simkit.scenario_reports(cfg, beams)
+
     def test_metric_series_shapes(self):
         cfg = tiny_scenario(mc_runs=2, steps=3, filter_selection="fusion")
         series = simkit.run_monte_carlo(cfg)
@@ -393,11 +417,16 @@ class TestBoundsSweep:
 
     def test_zero_information_power_is_a_flagged_row(self):
         # at -5000 dBm the transmit power underflows to 0 W: the gain block is
-        # singular, the row is unobservable, and the 0 dBm row is unaffected
+        # singular, the row is unobservable, and the rows around it in the
+        # same batch equal their one-power sweeps
         cfg = simkit.default_scenario()
-        silent, loud = simkit.bounds_sweep(cfg, [-5000.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quiet, silent, loud = simkit.bounds_sweep(cfg, [-20.0, -5000.0, 0.0])
         assert not silent["observable"] and np.isnan(silent["peb_m"]) and np.isnan(silent["rmeb_rad"])
+        assert quiet == simkit.bounds_sweep(cfg, [-20.0])[0]
         assert loud == simkit.bounds_sweep(cfg, [0.0])[0]
+        assert quiet["observable"] and loud["observable"]
 
     def test_empty_power_list_rejected(self):
         with pytest.raises(ValueError):
@@ -575,13 +604,20 @@ class TestScenarioIo:
             (("segments", 1, "w_radps", 2), False),
             (("segments", 0, "v_mps"), [0.5, 0.0]),
             (("segments", 1, "w_radps"), [[0.0, 0.0, 0.0]]),
+            *(
+                (where, shape)
+                for where in (("anchors", 1, "array_shape"), ("ue", "array_shape"))
+                for shape in ([8], [8, 8, 1], [0, 4], [-2, 4])
+            ),
         ],
         ids=lambda p: str(p) if not isinstance(p, tuple) else ".".join(map(str, p)),
     )
     def test_number_of_the_wrong_kind_raises_config_error(self, tmp_path, path, value):
         # a cast would load mc_runs 2.7 as 2, an array shape [8.6, 8] as 8x8,
         # or a position [true, 0, 0] as [1, 0, 0]; a vector of the wrong
-        # length would fail later, inside the study
+        # length would fail later, inside the study, and an array shape of
+        # the wrong length or with a non-positive side in a message that
+        # does not name the key
         raw = simkit.scenario_to_dict(tiny_scenario())
         entry = raw
         for step in path[:-1]:
@@ -739,14 +775,15 @@ class TestCli:
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 3
 
-    @pytest.mark.parametrize("power", ["3000", "5000"])
+    @pytest.mark.parametrize("power", ["3000", "5000", "0,3000"])
     def test_overflowing_power_exits_3(self, tmp_path, power, capsys):
-        # the FIM overflows at 3000 dBm and dBm -> W overflows a float at 5000
+        # the FIM overflows at 3000 dBm and dBm -> W overflows a float at 5000;
+        # in a batch the overflowing row fails the sweep and is the one named
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["bounds", f"--powers={power}", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
-        assert "tx_power_dbm" in capsys.readouterr().err
+        assert f"tx_power_dbm {power.split(',')[-1]}," in capsys.readouterr().err
 
     def test_non_finite_powers_exit_config_error(self, tmp_path):
         rc = cli.main(["bounds", "--powers", "nan", "--out", str(tmp_path / "x.csv")])
