@@ -18,7 +18,8 @@ gain components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,10 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 #: number of unconstrained parameters per anchor: tau, two 3d directions, Re/Im gain
 PARAMS_PER_ANCHOR = 9
+
+#: beam sets kept per process; one draw of the wideband benchmark (4 anchors x
+#: 64 beams x (256 + 64) elements) is about 1.3 MB
+_BEAM_CACHE_SIZE = 8
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -171,27 +176,73 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class BeamSet:
-    """Per-(anchor, transmission) unit-norm precoders and combiners."""
+    """Per-(anchor, transmission) unit-norm precoders and combiners.
+
+    The arrays of a set from ``draw_beams`` are read-only: the set is drawn
+    once per process and key and shared by every caller.
+    """
 
     precoders: tuple  # one (G, n_bs_elements) complex array per anchor
     combiners: tuple  # one (G, n_ue_elements) complex array per anchor
 
 
 def draw_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig) -> BeamSet:
-    """Draw random unit-norm complex Gaussian beams, reproducible from the seed."""
-    rng = np.random.default_rng(sig.rng_seed)
+    """Draw random unit-norm complex Gaussian beams, reproducible from the seed.
+
+    The draw reads only the seed, the number of transmissions and the element
+    counts; calls that agree on these share one cached draw (``_draw_beams``).
+    """
+    return _draw_beams(
+        sig.rng_seed,
+        sig.num_transmissions,
+        tuple(anchor.array.num_elements for anchor in anchors),
+        ue_array.num_elements,
+    )
+
+
+@lru_cache(maxsize=_BEAM_CACHE_SIZE)
+def _draw_beams(rng_seed: int, num_transmissions: int, bs_elements: tuple, ue_elements: int) -> BeamSet:
+    """The beams of ``draw_beams``, keyed by (rng_seed, num_transmissions,
+    each anchor's element count in order, the UE element count) and kept for
+    the ``_BEAM_CACHE_SIZE`` most recent keys. Per anchor the precoder
+    Gaussians are drawn before the combiner ones, real part before imaginary.
+    Every returned array is read-only, as all callers of a key share it."""
+    rng = np.random.default_rng(rng_seed)
     precoders = []
     combiners = []
-    for anchor in anchors:
-        shape_b = (sig.num_transmissions, anchor.array.num_elements)
-        shape_u = (sig.num_transmissions, ue_array.num_elements)
+    for n_bs in bs_elements:
+        shape_b = (num_transmissions, n_bs)
+        shape_u = (num_transmissions, ue_elements)
         b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
         u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         u /= np.linalg.norm(u, axis=1, keepdims=True)
+        b.flags.writeable = False
+        u.flags.writeable = False
         precoders.append(b)
         combiners.append(u)
     return BeamSet(tuple(precoders), tuple(combiners))
+
+
+def _check_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: BeamSet) -> None:
+    """Raise ValueError naming the first way ``beams`` does not fit the
+    scenario: its anchor count, its transmission count G or an element count."""
+    if not len(beams.precoders) == len(beams.combiners) == len(anchors):
+        raise ValueError(
+            f"beam set holds {len(beams.precoders)} precoder and {len(beams.combiners)} "
+            f"combiner arrays for {len(anchors)} anchors"
+        )
+    g = sig.num_transmissions
+    for n, (anchor, b, u) in enumerate(zip(anchors, beams.precoders, beams.combiners)):
+        for kind, beam, elements in (
+            ("precoders", b, anchor.array.num_elements),
+            ("combiners", u, ue_array.num_elements),
+        ):
+            if np.shape(beam) != (g, elements):
+                raise ValueError(
+                    f"anchor {n} {kind} have shape {np.shape(beam)}, expected "
+                    f"(num_transmissions {g}, {elements} elements)"
+                )
 
 
 def _los_geometry(ue_position: np.ndarray, anchor_position: np.ndarray):
@@ -298,7 +349,9 @@ def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
 
     Entry (n, g, c) is gain * (combiner . a_ue) * (a_bs . precoder)
     * exp(-j 2 pi tau (c-1) df) * x, with x the per-subcarrier amplitude.
+    Beams that do not fit the scenario raise ValueError.
     """
+    _check_beams(anchors, ue_array, sig, beams)
     out = np.zeros((len(anchors), sig.num_transmissions, sig.num_subcarriers), dtype=complex)
     for n, anchor in enumerate(anchors):
         par, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
@@ -333,11 +386,13 @@ def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm=Non
     (w_c = 2 pi c df) and does not depend on the delay.
 
     ``powers_dbm`` (a sequence of transmit powers) puts a power axis in
-    front: row p carries the weight w of replace(sig, tx_power_dbm=p) on
-    beam factors computed once. Symmetric PSD, linear in transmit power; a
-    FIM that is not finite raises RadioPoseError naming the first such
-    row's power, without numpy warnings.
+    front: row p carries the weight w at transmit power p on beam factors
+    computed once. Symmetric PSD, linear in transmit power; a FIM that is
+    not finite raises RadioPoseError naming the first such row's power,
+    without numpy warnings. Beams that do not fit the scenario raise
+    ValueError.
     """
+    _check_beams(anchors, ue_array, sig, beams)
     n_anchors = len(anchors)
     # Gram of the subcarrier profiles: -j w on the delay row, 1 on the others
     w = 2.0 * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
@@ -354,20 +409,19 @@ def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm=Non
     idx = np.hstack([n, n_anchors + 6 * n + np.arange(6), 7 * n_anchors + 2 * n + np.arange(2)])
     unit = np.zeros(blocks[0].shape[:-2] + (PARAMS_PER_ANCHOR * n_anchors,) * 2)
     unit[..., idx[:, :, None], idx[:, None, :]] = np.stack(blocks, axis=-3)
-    rows = [sig] if powers_dbm is None else [replace(sig, tx_power_dbm=float(p)) for p in powers_dbm]
+    powers = [sig.tx_power_dbm] if powers_dbm is None else [float(p) for p in powers_dbm]
+    noise_w = sig.noise_variance_w
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # w = 2 |x|^2 / sigma^2 per row; inf or 0 where it overflows or underflows
-        weight = np.array(
-            [np.float64(2.0) * dbm_to_watt(r.tx_power_dbm) / r.num_subcarriers / r.noise_variance_w for r in rows]
-        )
+        # w = 2 |x|^2 / sigma^2 per row; inf or 0 where it overflows or underflows.
+        # A scalar loop: numpy's vectorized power differs from pow in the last bit.
+        weight = np.array([np.float64(2.0) * dbm_to_watt(p) / sig.num_subcarriers / noise_w for p in powers])
         fim = weight.reshape((-1,) + (1,) * unit.ndim) * unit
         fim = (fim + fim.mT) / 2.0
-    finite = np.isfinite(fim).reshape(len(rows), -1).all(axis=1)
+    finite = np.isfinite(fim).reshape(len(powers), -1).all(axis=1)
     if not finite.all():
-        bad = rows[int(np.argmin(finite))]
         raise RadioPoseError(
-            f"Fisher information is not finite at tx_power_dbm {bad.tx_power_dbm:g}, "
-            f"noise_psd_dbm_hz {bad.noise_psd_dbm_hz:g}"
+            f"Fisher information is not finite at tx_power_dbm {powers[int(np.argmin(finite))]:g}, "
+            f"noise_psd_dbm_hz {sig.noise_psd_dbm_hz:g}"
         )
     return fim if powers_dbm is not None else fim[0]
 

@@ -495,11 +495,14 @@ def bounds_sweep(cfg: ScenarioConfig, powers_dbm) -> list:
     One batched pass: the geometry, beam factors, projector and state
     Jacobian of the pose are computed once, and each power is a row with its
     own FIM weight. Unobservable rows carry NaN bounds and observable=False;
-    the sweep continues past them.
+    the sweep continues past them. A NaN or infinite power raises ValueError.
     """
     powers = [float(p) for p in powers_dbm]
     if not powers:
         raise ValueError("powers_dbm must be nonempty")
+    for power in powers:
+        if not np.isfinite(power):
+            raise ValueError(f"tx_power_dbm must be finite, got {power}")
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     report = _error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams, powers)
     return [

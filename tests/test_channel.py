@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radiopose import bounds, channel, lie
+from radiopose import bounds, channel, lie, simkit
 from radiopose.channel import SPEED_OF_LIGHT, ArrayGeometry
 from radiopose.errors import CoincidentPositions, PolarSingularity
 from radiopose.simkit import default_scenario
@@ -148,6 +148,113 @@ class TestSteeringVector:
         for _ in range(20):
             a = channel.steering_vector(arr, _random_unit(rng), 30e9)
             np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-14)
+
+
+def reference_beams(anchors, ue_array, sig):
+    """The beam draw written out: per anchor, precoder then combiner, real
+    part then imaginary, each row scaled to unit norm."""
+    rng = np.random.default_rng(sig.rng_seed)
+    precoders, combiners = [], []
+    for anchor in anchors:
+        for out, n_elements in ((precoders, anchor.array.num_elements), (combiners, ue_array.num_elements)):
+            shape = (sig.num_transmissions, n_elements)
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            out.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+    return channel.BeamSet(tuple(precoders), tuple(combiners))
+
+
+def same_beams(a, b):
+    arrays_a, arrays_b = a.precoders + a.combiners, b.precoders + b.combiners
+    return len(arrays_a) == len(arrays_b) and all(map(np.array_equal, arrays_a, arrays_b))
+
+
+class TestDrawBeams:
+    """Beams are drawn once per (seed, transmissions, element counts) and shared read-only."""
+
+    @pytest.mark.parametrize("scenario", ["default", "wideband_reduced"])
+    def test_matches_reference_draw(self, scenario):
+        cfg = default_scenario() if scenario == "default" else reduced_wideband()
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        assert same_beams(beams, reference_beams(cfg.anchors, cfg.ue_array, cfg.signal))
+
+    def test_each_key_field_changes_the_beams(self):
+        cfg = default_scenario()
+        carrier = cfg.signal.carrier_hz
+        bigger = channel.AnchorConfig(
+            cfg.anchors[0].position, cfg.anchors[0].orientation, ArrayGeometry.half_wavelength_upa(4, 4, carrier)
+        )
+        variants = {
+            "rng_seed": (cfg.anchors, cfg.ue_array, replace(cfg.signal, rng_seed=cfg.signal.rng_seed + 1)),
+            "num_transmissions": (cfg.anchors, cfg.ue_array, replace(cfg.signal, num_transmissions=7)),
+            "anchor elements": ((bigger,) + cfg.anchors[1:], cfg.ue_array, cfg.signal),
+            "ue elements": (cfg.anchors, ArrayGeometry.half_wavelength_upa(2, 2, carrier), cfg.signal),
+        }
+        base = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        for name, args in variants.items():
+            beams = channel.draw_beams(*args)
+            assert not same_beams(beams, base), name
+            assert same_beams(beams, reference_beams(*args)), name
+
+    def test_equal_element_counts_share_one_draw(self):
+        cfg = default_scenario()
+        moved = tuple(
+            channel.AnchorConfig(a.position + 3.0, lie.so3_exp(np.array([0.1, -0.2, 0.3])), a.array)
+            for a in cfg.anchors
+        )
+        # a 1x16 line has the 16 elements of the default 4x4 UE array
+        line = ArrayGeometry.upa(1, 16, 0.005)
+        assert line.num_elements == cfg.ue_array.num_elements
+        other_carrier = replace(cfg.signal, carrier_hz=2 * cfg.signal.carrier_hz)
+        base = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        assert channel.draw_beams(moved, line, other_carrier) is base
+
+    def test_beams_are_read_only(self):
+        cfg = default_scenario()
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        for array in beams.precoders + beams.combiners:
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_cold_and_warm_sweeps_agree(self):
+        cfg = reduced_wideband()
+        channel._draw_beams.cache_clear()
+        cold = simkit.bounds_sweep(cfg, [-20.0, 0.0, 20.0])
+        hits = channel._draw_beams.cache_info().hits
+        warm = simkit.bounds_sweep(cfg, [-20.0, 0.0, 20.0])
+        assert channel._draw_beams.cache_info().hits == hits + 1
+        assert warm == cold
+
+
+# both take (ue, anchors, ue_array, sig, beams)
+BEAM_CONSUMERS = pytest.mark.parametrize(
+    "call", [bounds.pose_error_bounds, channel.noise_free_signal], ids=["bounds", "signal"]
+)
+
+
+class TestBeamMismatch:
+    """A beam set drawn for another scenario is rejected, not broadcast."""
+
+    @BEAM_CONSUMERS
+    def test_fewer_transmissions_than_beams(self, call):
+        cfg = default_scenario()
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        with pytest.raises(ValueError, match="num_transmissions 3"):
+            call(cfg.ue_start, cfg.anchors, cfg.ue_array, replace(cfg.signal, num_transmissions=3), beams)
+
+    @BEAM_CONSUMERS
+    def test_beams_of_more_anchors(self, call):
+        cfg = default_scenario()
+        beams = channel.draw_beams(reduced_wideband().anchors, cfg.ue_array, cfg.signal)
+        with pytest.raises(ValueError, match="4 precoder and 4 combiner arrays for 2 anchors"):
+            call(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams)
+
+    @BEAM_CONSUMERS
+    def test_wrong_element_count(self, call):
+        cfg = default_scenario()
+        small_ue = ArrayGeometry.half_wavelength_upa(2, 2, cfg.signal.carrier_hz)
+        beams = channel.draw_beams(cfg.anchors, small_ue, cfg.signal)
+        with pytest.raises(ValueError, match=r"anchor 0 combiners have shape \(20, 4\)"):
+            call(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams)
 
 
 class TestNoiseFreeSignal:

@@ -432,6 +432,11 @@ class TestBoundsSweep:
         with pytest.raises(ValueError):
             simkit.bounds_sweep(simkit.default_scenario(), [])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_power_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"tx_power_dbm must be finite, got {bad}"):
+            simkit.bounds_sweep(simkit.default_scenario(), [0.0, float(bad)])
+
 
 class TestEmitCsv:
     def test_empty_table_writes_header_only(self, tmp_path):
