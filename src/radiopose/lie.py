@@ -18,14 +18,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
 from .errors import NearPiRotation, NotSkew
 
 _SMALL_ANGLE = 1e-8
-_TAYLOR_ANGLE = 1e-2
-_Q_TAYLOR_ANGLE = 0.2
+_TAYLOR_ANGLE = 0.2
 _NEAR_PI = 1e-3
 _SKEW_TOL = 1e-8
 _ROTATION_TOL = 1e-10
@@ -42,16 +42,13 @@ _LOG_TERMS[[7, 2, 3], [0, 1, 2]] = 1.0
 _LOG_TERMS[[5, 6, 1], [0, 1, 2]] = -1.0
 _LOG_TERMS[[0, 4, 8], 3] = 1.0
 _I3 = np.eye(3)
-# Taylor coefficients of a^(2n), n = 0, 1, ...: columns c1, c2 and q1, q2, q3
-_POWERS = np.arange(5)
-_C_SERIES = np.array([[1 / 2, 1 / 6], [-1 / 24, -1 / 120], [1 / 720, 1 / 5040]])
-_Q_SERIES = np.array([
-    [1 / 6, 1 / 24, 1 / 120],
-    [-1 / 120, -1 / 720, -1 / 2520],
-    [1 / 5040, 1 / 40320, 1 / 120960],
-    [-1 / 362880, -1 / 3628800, -1 / 9979200],
-    [1 / 39916800, 1 / 479001600, 1 / 1245404160],
+# Taylor coefficients of a^(2n), n = 0..5, of c1, c2, q2 and q3 (``_so3_coeffs``):
+# (-1)^n over (2n+2)!, (2n+3)!, (2n+4)! and (-1)^n (n+1) / (2n+5)!
+_SERIES = np.array([
+    [(-1) ** n / factorial(2 * n + k) for k in (2, 3, 4)] + [(-1) ** n * (n + 1) / factorial(2 * n + 5)]
+    for n in range(6)
 ])
+_POWERS = np.arange(len(_SERIES))
 
 
 def _norm(v: np.ndarray):
@@ -94,12 +91,11 @@ def vee3(m: np.ndarray) -> np.ndarray:
 
 
 def _so3_terms(r: np.ndarray):
-    """hat(r), hat(r)^2, a^2 and the coefficients (c1, c2) of
-    ``_so3_jacobian_coeffs`` at a = |r|, the scalars shaped by ``_m``."""
+    """hat(r), hat(r)^2, a^2 and the coefficients (c1, c2, q2, q3) of
+    ``_so3_coeffs`` at a = |r|, the scalars shaped by ``_m``."""
     k = hat3(r)
     angle = _norm(r)
-    c1, c2 = _so3_jacobian_coeffs(angle)
-    return k, k @ k, _m(angle * angle), _m(c1), _m(c2)
+    return (k, k @ k, _m(angle * angle), *(_m(c) for c in _so3_coeffs(angle)))
 
 
 def _rodrigues(k, k2, a2, c1, c2) -> np.ndarray:
@@ -115,7 +111,8 @@ def _left_jacobian(k, k2, c1, c2) -> np.ndarray:
 
 def so3_exp(r: np.ndarray) -> np.ndarray:
     """Rotation matrix exp(hat(r)), the Rodrigues formula (``_rodrigues``)."""
-    return _rodrigues(*_so3_terms(np.asarray(r, dtype=float)))
+    k, k2, a2, c1, c2, _, _ = _so3_terms(np.asarray(r, dtype=float))
+    return _rodrigues(k, k2, a2, c1, c2)
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -163,47 +160,36 @@ def _so3_log(rot: np.ndarray) -> np.ndarray:
     return out
 
 
-def _so3_jacobian_coeffs(angle):
-    """(c1, c2) = ((1 - cos a)/a^2, (a - sin a)/a^3) at a = |r|, from Taylor series up
-    to a^4 below 1e-2 rad, where a - sin a cancels."""
+def _so3_coeffs(angle) -> tuple:
+    """(c1, c2, q2, q3) at a = |r|: c1 = (1 - cos a)/a^2, c2 = (a - sin a)/a^3,
+    q2 = (a^2 + 2 cos a - 2)/(2 a^4) and q3 = (2a - 3 sin a + a cos a)/(2 a^5).
+    From ``_TAYLOR_ANGLE`` up they are evaluated through s = sin(a/2), as
+    c1 = 2 s^2/a^2, q2 = (a - 2s)(a + 2s)/(2 a^4), whose first factor is an
+    exact difference, and q3 = (3 c2 - c1)/(2 a^2); below it, where those
+    forms cancel, they come from the series of ``_SERIES``, summed for every
+    row of a^2 in one product."""
     a2 = angle * angle
+
+    def closed():
+        s = np.sin(angle / 2.0)
+        c1, c2 = 2.0 * s**2 / a2, (angle - np.sin(angle)) / (a2 * angle)
+        return c1, c2, (angle - 2.0 * s) * (angle + 2.0 * s) / (2.0 * a2 * a2), (3.0 * c2 - c1) / (2.0 * a2)
+
     return _switch(
-        angle < _TAYLOR_ANGLE,
-        lambda: _taylor(a2, _C_SERIES),
-        lambda: (2.0 * np.sin(angle / 2.0) ** 2 / a2, (angle - np.sin(angle)) / (a2 * angle)),
+        angle < _TAYLOR_ANGLE, lambda: tuple(np.moveaxis((a2[..., None] ** _POWERS) @ _SERIES, -1, 0)), closed
     )
-
-
-def _taylor(a2, series: np.ndarray) -> tuple:
-    """One power series in a^2 per column of ``series`` (row n: the a^(2n)
-    coefficients), summed for every row of a2 in one product."""
-    sums = (a2[..., None] ** _POWERS[: len(series)]) @ series
-    return tuple(sums[..., i] for i in range(series.shape[1]))
 
 
 def so3_left_jacobian(r: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3), I + c1 hat(r) + c2 hat(r)^2 (``_left_jacobian``)."""
-    k, k2, _, c1, c2 = _so3_terms(np.asarray(r, dtype=float))
+    k, k2, _, c1, c2, _, _ = _so3_terms(np.asarray(r, dtype=float))
     return _left_jacobian(k, k2, c1, c2)
-
-
-def _q_coeffs(angle, c1, c2):
-    """(q1, q2, q3) = ((a - sin a)/a^3, (a^2 + 2 cos a - 2)/(2 a^4),
-    (2a - 3 sin a + a cos a)/(2 a^5)) at a = |r|, written through (c1, c2) as
-    c2, (1/2 - c1)/a^2 and (3 c2 - c1)/(2 a^2); below 0.2 rad, where those
-    forms cancel, Taylor series up to a^8."""
-    a2 = angle * angle
-    return _switch(
-        angle < _Q_TAYLOR_ANGLE,
-        lambda: _taylor(a2, _Q_SERIES),
-        lambda: (c2, (0.5 - c1) / a2, (3.0 * c2 - c1) / (2.0 * a2)),
-    )
 
 
 def _so3_jacobian_inv(k, k2, c1, c2, q2):
     """J_l(r)^-1 = I - k/2 + ((c2 - 2 q2) / (2 c1)) k^2 for k = hat(r): the
     coefficient is 1/a^2 - (1 + cos a) / (2 a sin a) (Barfoot & Furgale,
-    IEEE T-RO 2014) written through the Taylor-switched c1, c2 and q2, whose
+    IEEE T-RO 2014) written through c1, c2 and q2 of ``_so3_coeffs``, whose
     difference does not cancel. Coefficients come shaped by ``_m``."""
     return _I3 - 0.5 * k + ((c2 - 2.0 * q2) / (2.0 * c1)) * k2
 
@@ -323,7 +309,7 @@ def se3_vee(m: np.ndarray) -> np.ndarray:
 def se3_exp(xi: np.ndarray) -> Pose:
     """Exponential map of SE(3): rotation by r, translation block J_l(r) @ rho."""
     xi = np.asarray(xi, dtype=float)
-    k, k2, a2, c1, c2 = _so3_terms(xi[..., 3:])
+    k, k2, a2, c1, c2, _, _ = _so3_terms(xi[..., 3:])
     return _pose(_rodrigues(k, k2, a2, c1, c2), np.matvec(_left_jacobian(k, k2, c1, c2), xi[..., :3]))
 
 
@@ -334,14 +320,10 @@ def se3_log(pose: Pose) -> np.ndarray:
     the log stops being unique; a batch raises when any of its rows is.
     """
     r = _so3_log(pose.rotation)
-    angle = _norm(r)
-    near_pi = angle > np.pi - 1e-6
-    if np.count_nonzero(near_pi):
+    if np.count_nonzero(_norm(r) > np.pi - 1e-6):
         raise NearPiRotation("rotation angle within 1e-6 of pi")
-    k = hat3(r)
-    c1, c2 = _so3_jacobian_coeffs(angle)
-    q2 = _q_coeffs(angle, c1, c2)[1]
-    jac_inv = _so3_jacobian_inv(k, k @ k, _m(c1), _m(c2), _m(q2))
+    k, k2, _, c1, c2, q2, _ = _so3_terms(r)
+    jac_inv = _so3_jacobian_inv(k, k2, c1, c2, q2)
     return np.concatenate([np.matvec(jac_inv, pose.translation_block), r], axis=-1)
 
 
@@ -370,20 +352,19 @@ def _se3_jacobian_terms(xi: np.ndarray):
 
     Q = p/2 + q1 (k p + p k - d k) + q2 (k^2 p + p k^2 + 3 d k) - 2 q3 d k^2 is
     Barfoot & Furgale's coupling block (IEEE T-RO 2014), reduced by
-    k p k = -d k for p = hat(rho), d = r . rho, with q1..q3 from ``_q_coeffs``.
+    k p k = -d k for p = hat(rho), d = r . rho, with q1 = c2, q2 and q3 from
+    ``_so3_coeffs``.
     """
     xi = np.asarray(xi, dtype=float)
     rho, r = xi[..., :3], xi[..., 3:]
-    angle = _norm(r)
-    k, p = hat3(r), hat3(rho)
-    k2, kp = k @ k, k @ p
+    k, k2, _, c1, c2, q2, q3 = _so3_terms(r)
+    p = hat3(rho)
+    kp = k @ p
     k2p = k @ kp
     d = _m(np.vecdot(r, rho))
-    c1, c2 = _so3_jacobian_coeffs(angle)
-    q1, q2, q3 = (_m(q) for q in _q_coeffs(angle, c1, c2))
     # p k = (k p)^T and p k^2 = -(k^2 p)^T because k and p are skew
-    q = 0.5 * p + q1 * (kp + kp.mT - d * k) + q2 * (k2p - k2p.mT + 3.0 * d * k) - 2.0 * q3 * d * k2
-    return k, k2, _m(c1), _m(c2), q2, q
+    q = 0.5 * p + c2 * (kp + kp.mT - d * k) + q2 * (k2p - k2p.mT + 3.0 * d * k) - 2.0 * q3 * d * k2
+    return k, k2, c1, c2, q2, q
 
 
 def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:

@@ -92,6 +92,8 @@ class ScenarioConfig:
             raise ValueError("ue_start position must be finite")
         if len(self.anchors) < 2:
             raise ValueError("at least 2 anchors are required for observability")
+        if not self.segments:
+            raise ValueError("at least 1 trajectory segment is required")
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be >= 1")
         if self.filter_selection not in FILTER_NAMES + ("all",):
@@ -99,6 +101,11 @@ class ScenarioConfig:
         for name in ("measurement_noise_scale", "process_noise_rho_m", "process_noise_rot_rad"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        for name in ("process_noise_rho_m", "process_noise_rot_rad"):
+            # the process-noise covariance holds the square
+            value = float(getattr(self, name))
+            if not np.isfinite(value * value):
+                raise ValueError(f"{name} squared must be finite, got {value:g}")
 
     @property
     def selected_filters(self) -> tuple:
@@ -274,10 +281,17 @@ class MetricSeries:
 def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
     """Truth trajectory (a list of K poses) with the error-bound report at
     every true pose: one report with a leading axis of K rows, from one
-    batched pass of the bound pipeline. Raises UnobservableState naming the
-    first true pose whose bound is unobservable."""
-    truths = generate_trajectory(cfg.ue_start, cfg.segments)
-    reports = pose_error_bounds(Pose.stack(truths), cfg.anchors, cfg.ue_array, cfg.signal, beams)
+    batched pass of the bound pipeline. Raises RadioPoseError naming the first
+    true pose that is not finite, before any bound, and UnobservableState
+    naming the first whose bound is unobservable."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        truths = generate_trajectory(cfg.ue_start, cfg.segments)
+    stacked = Pose.stack(truths)
+    finite = np.isfinite(stacked.matrix()).all(axis=(-2, -1))
+    if not finite.all():
+        first = int(np.flatnonzero(~finite)[0])
+        raise RadioPoseError(f"truth pose {first} of {len(truths)} is not finite: the trajectory overflows")
+    reports = pose_error_bounds(stacked, cfg.anchors, cfg.ue_array, cfg.signal, beams)
     if not reports.observable.all():
         first = int(np.flatnonzero(~reports.observable)[0])
         raise UnobservableState(f"state FIM unobservable at truth pose {first} of {len(truths)}")

@@ -157,12 +157,6 @@ def predict(state: FilterState, cmd: MotionCommand) -> FilterState:
     return _state(f @ state.pose, ad @ state.cov @ ad.T + cmd.process_noise)
 
 
-def _fusion_gain(h: np.ndarray) -> np.ndarray:
-    """A = J_l(-h)^-1, so that h = log(T_m T^-1) moves by -A eps when T <- exp(eps) T;
-    the block-triangular inverse in closed form (``se3_left_jacobian_inv``)."""
-    return se3_left_jacobian_inv(-h)
-
-
 def fuse_poses(sources, initial: Pose) -> FilterState:
     """Iterated Gauss-Newton fusion of pose estimates in the tangent space.
 
@@ -199,7 +193,8 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
     converged = np.zeros(batch, dtype=bool)
     for it in range(_FUSION_MAX_ITERS + 1):
         h = se3_log(poses @ t_in.inverse())
-        a = _fusion_gain(h)
+        # h moves by -A eps when T <- exp(eps) T, with A = J_l(-h)^-1
+        a = se3_left_jacobian_inv(-h)
         aw = a.mT @ weights
         normal = np.sum(aw @ a, axis=0)
         rhs = np.sum(np.matvec(aw, h), axis=0)

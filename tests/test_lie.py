@@ -1,5 +1,7 @@
 """Lie-core tests against independent series and conjugation oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,40 @@ def random_tangent(rng, rot_scale=1.0, trans_scale=1.0):
     xi[:3] *= trans_scale
     xi[3:] *= rot_scale
     return xi
+
+
+def exact_coeffs(angle: float) -> tuple:
+    """(c1, c2, q2, q3) of ``lie._so3_coeffs`` at ``angle`` from their defining
+    closed forms over the sine and cosine series, summed to 40 terms in exact
+    rational arithmetic, where no difference cancels."""
+    a = Fraction(angle)
+    terms = [Fraction(1)]  # a^n / n!
+    for n in range(1, 80):
+        terms.append(terms[-1] * a / n)
+    sin, cos = sum(terms[1::4]) - sum(terms[3::4]), sum(terms[::4]) - sum(terms[2::4])
+    c1, c2 = (1 - cos) / a**2, (a - sin) / a**3
+    return c1, c2, (a**2 + 2 * cos - 2) / (2 * a**4), (2 * a - 3 * sin + a * cos) / (2 * a**5)
+
+
+class TestCoefficients:
+    def test_coefficients_match_exact_series(self):
+        # 300 angles in (0, pi] and both sides of the switch and of 1e-2, in
+        # one mixed batch. Above the switch q2 cannot reach 1e-14: its first
+        # factor a - 2 sin(a/2) is exact, but half an ulp of sin(a/2) is
+        # 4.2e-14 of a/2 - sin(a/2) at a = 0.2. q3 inherits c2's 1e-14 times
+        # 3 c2 / (3 c2 - c1), about 750 there.
+        angles = np.concatenate([
+            np.linspace(np.pi / 300, np.pi, 300),
+            [1e-8, 1e-4, 1e-2 - 1e-14, 1e-2, 1e-2 + 1e-14],
+            [lie._TAYLOR_ANGLE - 1e-12, lie._TAYLOR_ANGLE, lie._TAYLOR_ANGLE + 1e-12],
+        ])
+        got = np.array(lie._so3_coeffs(angles)).T
+        worst = np.zeros(4)
+        for angle, row in zip(angles, got):
+            exact = exact_coeffs(float(angle))
+            errs = [abs(float((Fraction(float(g)) - e) / e)) for g, e in zip(row, exact)]
+            worst = np.maximum(worst, errs)
+        assert np.all(worst <= [1e-14, 1e-14, 5e-14, 1e-11]), worst
 
 
 class TestHatVee:
@@ -322,10 +358,11 @@ class TestPose:
 
 
 # Edge angles of the property tests: zero, both sides of each Taylor switch
-# and the near-pi band of the SO(3) log, all in one mixed batch.
+# and of 1e-2 rad, where the closed form of c2 would lose up to 1e-11, and
+# the near-pi band of the SO(3) log, all in one mixed batch.
 _EDGE_ANGLES = [0.0, 1e-12, 1e-9, lie._SMALL_ANGLE - 1e-20, lie._SMALL_ANGLE, lie._SMALL_ANGLE + 1e-20,
-                1e-6, 1e-3, lie._TAYLOR_ANGLE - 1e-14, lie._TAYLOR_ANGLE, lie._TAYLOR_ANGLE + 1e-14,
-                lie._Q_TAYLOR_ANGLE - 1e-12, lie._Q_TAYLOR_ANGLE, lie._Q_TAYLOR_ANGLE + 1e-12,
+                1e-6, 1e-3, 1e-2 - 1e-14, 1e-2, 1e-2 + 1e-14,
+                lie._TAYLOR_ANGLE - 1e-12, lie._TAYLOR_ANGLE, lie._TAYLOR_ANGLE + 1e-12,
                 0.5, 1.5, 3.0, np.pi - 1e-3, np.pi - 1e-5]
 
 

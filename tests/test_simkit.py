@@ -82,6 +82,10 @@ class TestDefaultScenario:
         with pytest.raises(ValueError):
             replace(cfg, anchors=cfg.anchors[:1])
 
+    def test_one_segment_minimum_enforced(self):
+        with pytest.raises(ValueError, match="at least 1 trajectory segment"):
+            replace(simkit.default_scenario(), segments=())
+
     @pytest.mark.parametrize(
         "name", ["measurement_noise_scale", "process_noise_rho_m", "process_noise_rot_rad"]
     )
@@ -89,6 +93,15 @@ class TestDefaultScenario:
     def test_noise_fields_must_be_finite_and_non_negative(self, name, value):
         with pytest.raises(ValueError):
             replace(simkit.default_scenario(), **{name: value})
+
+    @pytest.mark.parametrize("name", ["process_noise_rho_m", "process_noise_rot_rad"])
+    def test_process_noise_must_have_a_finite_square(self, name):
+        # the process-noise covariance holds the square, which overflows
+        cfg = simkit.default_scenario()
+        with pytest.raises(ValueError, match=f"{name} squared must be finite"):
+            replace(cfg, **{name: 1e200})
+        with pytest.raises(ConfigError, match=name):
+            cli._override(cfg, **{name: 1e200})
 
 
 class TestTrajectory:
@@ -385,6 +398,22 @@ class TestRunMonteCarlo:
         with pytest.raises(UnobservableState, match="truth pose 4 of 8"):
             simkit.scenario_reports(cfg, beams)
 
+    def test_overflowing_trajectory_names_its_first_pose(self, monkeypatch):
+        # the third segment turns through dt * w = inf rad; the error names its
+        # first pose, without a numpy warning, before the bound pipeline runs
+        cfg = tiny_scenario(n_segments=3)
+        cfg = replace(cfg, segments=cfg.segments[:2] + (replace(cfg.segments[2], dt=1e308),))
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+
+        def no_bounds(*args):
+            raise AssertionError("the bound pipeline ran")
+
+        monkeypatch.setattr(simkit, "pose_error_bounds", no_bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RadioPoseError, match="truth pose 6 of 9 is not finite"):
+                simkit.scenario_reports(cfg, beams)
+
     def test_metric_series_shapes(self):
         cfg = tiny_scenario(mc_runs=2, steps=3, filter_selection="fusion")
         series = simkit.run_monte_carlo(cfg)
@@ -520,6 +549,28 @@ class TestScenarioIo:
         assert np.abs(loaded.anchors[0].orientation - pitched).max() < 1e-12
         assert np.abs(loaded.ue_start.rotation - pitched).max() < 1e-12
         assert np.abs(loaded.ue_start.position - cfg.ue_start.position).max() < 1e-12
+
+    def test_overflowing_process_noise_raises_config_error(self, tmp_path):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["process_noise_rho_m"] = 1e200
+        path = tmp_path / "noise.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError, match="process_noise_rho_m"):
+            simkit.load_scenario(path)
+        rc = cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 2
+
+    def test_empty_trajectory_raises_config_error(self, tmp_path):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["segments"] = []
+        path = tmp_path / "empty.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError, match="segment"):
+            simkit.load_scenario(path)
+        out = str(tmp_path / "out")
+        assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", out]) == 2
+        assert cli.main(["track", "--config", str(path), "--out", out + ".csv"]) == 2
+        assert cli.main(["bounds", "--config", str(path), "--powers", "0", "--out", out + ".csv"]) == 2
 
     def test_non_finite_noise_scale_raises_config_error(self, tmp_path):
         raw = simkit.scenario_to_dict(tiny_scenario())
@@ -831,6 +882,23 @@ class TestCli:
         cfg_path = self._write_config(tmp_path, cfg)
         rc = cli.main(["mc", "--config", cfg_path, "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
         assert rc in (0, 3)
+
+    def test_huge_measurement_noise_scale_exits_3_at_sampling(self, tmp_path, capsys):
+        # unlike the process noise, the scale is never squared: the file loads
+        # and the study fails where the draw overflows
+        cfg_path = self._write_config(tmp_path, tiny_scenario(mc_runs=1, measurement_noise_scale=1e200))
+        rc = cli.main(["mc", "--config", cfg_path, "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 3
+        assert "measurement_noise_scale 1e+200 overflows" in capsys.readouterr().err
+
+    def test_overflowing_trajectory_exits_3_naming_the_pose(self, tmp_path, capsys):
+        raw = simkit.scenario_to_dict(tiny_scenario(n_segments=3))
+        raw["segments"][2]["dt_s"] = 1e308
+        path = tmp_path / "dt.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        rc = cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 3
+        assert "truth pose 6 of 9 is not finite" in capsys.readouterr().err
 
     def test_exit_code_io_error(self, tmp_path):
         cfg_path = self._write_config(tmp_path, tiny_scenario())

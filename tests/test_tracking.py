@@ -123,13 +123,14 @@ class TestFusion:
         grad = np.zeros(6)
         for pose, cov in sources:
             h = se3_log(pose @ out.pose.inverse())
-            a = tracking._fusion_gain(h)
+            a = lie.se3_left_jacobian_inv(-h)
             grad += -2.0 * a.T @ np.linalg.solve(cov, h)
         assert np.linalg.norm(grad) < 10 * 1e-8
 
     def test_stationary_point_of_the_fused_cost(self, monkeypatch):
         # The returned pose minimises sum h' W h: the central finite-difference
-        # gradient over left perturbations vanishes (independent of _fusion_gain).
+        # gradient over left perturbations vanishes (independent of the gain
+        # J_l(-h)^-1 that fuse_poses linearizes with).
         monkeypatch.setattr(tracking, "_FUSION_EPS", 1e-10)
 
         def cost(sources, pose):
