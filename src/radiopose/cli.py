@@ -46,10 +46,10 @@ def parse_powers(text: str):
             if step <= 0:
                 raise ValueError("step must be positive")
             count = np.floor((stop - start) / step + 1e-9) + 1  # a float: may be huge or inf
-            if count < 1:
-                raise ValueError("empty power range")
         else:
             count = len(values)
+        if count < 1:
+            raise ValueError("empty power range" if ranged else "no power values")
         if count > MAX_POWERS:
             raise ValueError(f"more than {MAX_POWERS} powers")
         return [start + k * step for k in range(int(count))] if ranged else values

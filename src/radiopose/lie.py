@@ -98,21 +98,22 @@ def _so3_terms(r: np.ndarray):
     return (k, k @ k, _m(angle * angle), *(_m(c) for c in _so3_coeffs(angle)))
 
 
-def _rodrigues(k, k2, a2, c1, c2) -> np.ndarray:
-    """exp(k) = I + (sin a / a) k + c1 k^2 (``_so3_terms``), with
+def _rodrigues(terms) -> np.ndarray:
+    """exp(k) = I + (sin a / a) k + c1 k^2 from ``_so3_terms``, with
     sin a / a = 1 - a^2 c2 so that one coefficient set serves exp and J_l."""
+    k, k2, a2, c1, c2, _, _ = terms
     return _I3 + (1.0 - a2 * c2) * k + c1 * k2
 
 
-def _left_jacobian(k, k2, c1, c2) -> np.ndarray:
-    """J_l = I + c1 k + c2 k^2 (``_so3_terms``)."""
+def _left_jacobian(terms) -> np.ndarray:
+    """J_l = I + c1 k + c2 k^2 from ``_so3_terms``."""
+    k, k2, _, c1, c2, _, _ = terms
     return _I3 + c1 * k + c2 * k2
 
 
 def so3_exp(r: np.ndarray) -> np.ndarray:
     """Rotation matrix exp(hat(r)), the Rodrigues formula (``_rodrigues``)."""
-    k, k2, a2, c1, c2, _, _ = _so3_terms(np.asarray(r, dtype=float))
-    return _rodrigues(k, k2, a2, c1, c2)
+    return _rodrigues(_so3_terms(np.asarray(r, dtype=float)))
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -175,22 +176,24 @@ def _so3_coeffs(angle) -> tuple:
         c1, c2 = 2.0 * s**2 / a2, (angle - np.sin(angle)) / (a2 * angle)
         return c1, c2, (angle - 2.0 * s) * (angle + 2.0 * s) / (2.0 * a2 * a2), (3.0 * c2 - c1) / (2.0 * a2)
 
-    return _switch(
-        angle < _TAYLOR_ANGLE, lambda: tuple(np.moveaxis((a2[..., None] ** _POWERS) @ _SERIES, -1, 0)), closed
-    )
+    def taylor():
+        series = (a2[..., None] ** _POWERS) @ _SERIES
+        return series[..., 0], series[..., 1], series[..., 2], series[..., 3]
+
+    return _switch(angle < _TAYLOR_ANGLE, taylor, closed)
 
 
 def so3_left_jacobian(r: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3), I + c1 hat(r) + c2 hat(r)^2 (``_left_jacobian``)."""
-    k, k2, _, c1, c2, _, _ = _so3_terms(np.asarray(r, dtype=float))
-    return _left_jacobian(k, k2, c1, c2)
+    return _left_jacobian(_so3_terms(np.asarray(r, dtype=float)))
 
 
-def _so3_jacobian_inv(k, k2, c1, c2, q2):
+def _so3_jacobian_inv(terms):
     """J_l(r)^-1 = I - k/2 + ((c2 - 2 q2) / (2 c1)) k^2 for k = hat(r): the
     coefficient is 1/a^2 - (1 + cos a) / (2 a sin a) (Barfoot & Furgale,
     IEEE T-RO 2014) written through c1, c2 and q2 of ``_so3_coeffs``, whose
-    difference does not cancel. Coefficients come shaped by ``_m``."""
+    difference does not cancel. Takes the ``_so3_terms`` of r."""
+    k, k2, _, c1, c2, q2, _ = terms
     return _I3 - 0.5 * k + ((c2 - 2.0 * q2) / (2.0 * c1)) * k2
 
 
@@ -309,8 +312,18 @@ def se3_vee(m: np.ndarray) -> np.ndarray:
 def se3_exp(xi: np.ndarray) -> Pose:
     """Exponential map of SE(3): rotation by r, translation block J_l(r) @ rho."""
     xi = np.asarray(xi, dtype=float)
-    k, k2, a2, c1, c2, _, _ = _so3_terms(xi[..., 3:])
-    return _pose(_rodrigues(k, k2, a2, c1, c2), np.matvec(_left_jacobian(k, k2, c1, c2), xi[..., :3]))
+    return _se3_exp(xi, _so3_terms(xi[..., 3:]))
+
+
+def _se3_exp(xi, terms) -> Pose:
+    return _pose(_rodrigues(terms), np.matvec(_left_jacobian(terms), xi[..., :3]))
+
+
+def se3_exp_and_jacobian(xi: np.ndarray):
+    """``se3_exp(xi)`` and ``se3_left_jacobian(xi)`` from one ``_so3_terms`` evaluation."""
+    xi = np.asarray(xi, dtype=float)
+    terms = _so3_terms(xi[..., 3:])
+    return _se3_exp(xi, terms), _se3_left_jacobian(xi, terms)
 
 
 def se3_log(pose: Pose) -> np.ndarray:
@@ -319,12 +332,23 @@ def se3_log(pose: Pose) -> np.ndarray:
     Raises NearPiRotation when a rotation angle is within 1e-6 of pi, where
     the log stops being unique; a batch raises when any of its rows is.
     """
+    return _se3_log(pose)[0]
+
+
+def _se3_log(pose: Pose):
+    """``se3_log`` and the ``_so3_terms`` of its rotation part."""
     r = _so3_log(pose.rotation)
     if np.count_nonzero(_norm(r) > np.pi - 1e-6):
         raise NearPiRotation("rotation angle within 1e-6 of pi")
-    k, k2, _, c1, c2, q2, _ = _so3_terms(r)
-    jac_inv = _so3_jacobian_inv(k, k2, c1, c2, q2)
-    return np.concatenate([np.matvec(jac_inv, pose.translation_block), r], axis=-1)
+    terms = _so3_terms(r)
+    return np.concatenate([np.matvec(_so3_jacobian_inv(terms), pose.translation_block), r], axis=-1), terms
+
+
+def se3_log_and_inv_jacobian(pose: Pose):
+    """h = ``se3_log(pose)`` and ``se3_left_jacobian_inv(-h)`` from one ``_so3_terms``
+    evaluation: at -h the terms are those at h with hat(r) negated, exactly."""
+    h, (k, *rest) = _se3_log(pose)
+    return h, _se3_left_jacobian_inv(-h, (-k, *rest))
 
 
 def _block_triangular(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -346,37 +370,43 @@ def small_adjoint(xi: np.ndarray) -> np.ndarray:
     return _block_triangular(hat3(xi[..., 3:]), hat3(xi[..., :3]))
 
 
-def _se3_jacobian_terms(xi: np.ndarray):
-    """k = hat(r), k^2, the coefficients c1, c2, q2 (shaped by ``_m``) and the
-    coupling block Q of the SE(3) left Jacobian [[J, Q], [0, J]] at xi = [rho, r].
+def _coupling_block(xi: np.ndarray, terms) -> np.ndarray:
+    """Coupling block Q of the SE(3) left Jacobian [[J, Q], [0, J]] at
+    xi = [rho, r], from the ``_so3_terms`` of r.
 
     Q = p/2 + q1 (k p + p k - d k) + q2 (k^2 p + p k^2 + 3 d k) - 2 q3 d k^2 is
     Barfoot & Furgale's coupling block (IEEE T-RO 2014), reduced by
-    k p k = -d k for p = hat(rho), d = r . rho, with q1 = c2, q2 and q3 from
-    ``_so3_coeffs``.
+    k p k = -d k for k = hat(r), p = hat(rho), d = r . rho, with q1 = c2, q2
+    and q3 from ``_so3_coeffs``.
     """
-    xi = np.asarray(xi, dtype=float)
     rho, r = xi[..., :3], xi[..., 3:]
-    k, k2, _, c1, c2, q2, q3 = _so3_terms(r)
+    k, k2, _, _, c2, q2, q3 = terms
     p = hat3(rho)
     kp = k @ p
     k2p = k @ kp
     d = _m(np.vecdot(r, rho))
     # p k = (k p)^T and p k^2 = -(k^2 p)^T because k and p are skew
-    q = 0.5 * p + c2 * (kp + kp.mT - d * k) + q2 * (k2p - k2p.mT + 3.0 * d * k) - 2.0 * q3 * d * k2
-    return k, k2, c1, c2, q2, q
+    return 0.5 * p + c2 * (kp + kp.mT - d * k) + q2 * (k2p - k2p.mT + 3.0 * d * k) - 2.0 * q3 * d * k2
 
 
 def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
     """6x6 left Jacobian of SE(3), [[J, Q], [0, J]] with J = J_l(r)
-    (``_left_jacobian``, ``_se3_jacobian_terms``)."""
-    k, k2, c1, c2, _, q = _se3_jacobian_terms(xi)
-    return _block_triangular(_left_jacobian(k, k2, c1, c2), q)
+    (``_left_jacobian``, ``_coupling_block``)."""
+    xi = np.asarray(xi, dtype=float)
+    return _se3_left_jacobian(xi, _so3_terms(xi[..., 3:]))
+
+
+def _se3_left_jacobian(xi, terms) -> np.ndarray:
+    return _block_triangular(_left_jacobian(terms), _coupling_block(xi, terms))
 
 
 def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     """Inverse of ``se3_left_jacobian``, [[J^-1, -J^-1 Q J^-1], [0, J^-1]] in closed
-    form (``_so3_jacobian_inv``, ``_se3_jacobian_terms``)."""
-    k, k2, c1, c2, q2, q = _se3_jacobian_terms(xi)
-    jac_inv = _so3_jacobian_inv(k, k2, c1, c2, q2)
-    return _block_triangular(jac_inv, -(jac_inv @ q @ jac_inv))
+    form (``_so3_jacobian_inv``, ``_coupling_block``)."""
+    xi = np.asarray(xi, dtype=float)
+    return _se3_left_jacobian_inv(xi, _so3_terms(xi[..., 3:]))
+
+
+def _se3_left_jacobian_inv(xi, terms) -> np.ndarray:
+    jac_inv = _so3_jacobian_inv(terms)
+    return _block_triangular(jac_inv, -(jac_inv @ _coupling_block(xi, terms) @ jac_inv))

@@ -39,13 +39,14 @@ from .tracking import (
     euler_predict,
     euler_state_from_pose,
     fusion_update,
-    motion_matrix,
     pose_from_euler_state,
     predict,
     rotation_from_euler,
 )
 
 FILTER_NAMES = ("fusion", "eskf", "euler")
+# libyaml's parser when PyYAML was built with it; the constructor is SafeLoader's either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,11 @@ def default_scenario() -> ScenarioConfig:
 
 
 def segment_commands(segments, process_noise: np.ndarray | None = None):
-    """Flatten segments into one MotionCommand per step."""
+    """One MotionCommand per step; a segment's steps share one, so its factor is evaluated once."""
     q = np.zeros((6, 6)) if process_noise is None else process_noise
     out = []
     for seg in segments:
-        out.extend(MotionCommand(v=seg.v, w=seg.w, dt=seg.dt, process_noise=q) for _ in range(seg.steps))
+        out.extend([MotionCommand(v=seg.v, w=seg.w, dt=seg.dt, process_noise=q)] * seg.steps)
     return out
 
 
@@ -202,7 +203,7 @@ def generate_trajectory(start: Pose, segments):
     poses = []
     pose = start
     for cmd in segment_commands(segments):
-        pose = motion_matrix(cmd) @ pose
+        pose = cmd.factor @ pose
         poses.append(pose)
     return poses
 
@@ -678,10 +679,10 @@ def load_scenario(path) -> ScenarioConfig:
     """Parse a YAML scenario file; raises ConfigError on any schema problem."""
     try:
         with open(path) as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a mapping")

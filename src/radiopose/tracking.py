@@ -29,12 +29,13 @@ from .lie import (
     Pose,
     _norm,
     _pose,
+    _readonly,
     adjoint,
     hat3,
     se3_exp,
-    se3_left_jacobian,
-    se3_left_jacobian_inv,
+    se3_exp_and_jacobian,
     se3_log,
+    se3_log_and_inv_jacobian,
     so3_exp,
 )
 
@@ -123,6 +124,16 @@ class MotionCommand:
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
         object.__setattr__(self, "process_noise", check_cov_tangent(self.process_noise))
 
+    @cached_property
+    def factor(self) -> Pose:
+        """Left-multiplied kinematics factor F, rotation exp(dt w^) and block dt v.
+        It and ``factor_adjoint``, Ad(F), are evaluated once per command and read-only."""
+        return _pose(so3_exp(self.dt * self.w), self.dt * self.v)
+
+    @cached_property
+    def factor_adjoint(self) -> np.ndarray:
+        return _readonly(adjoint(self.factor))
+
 
 @dataclass(frozen=True)
 class PoseMeasurement:
@@ -145,16 +156,10 @@ class PoseMeasurement:
         return cov
 
 
-def motion_matrix(cmd: MotionCommand) -> Pose:
-    """Left-multiplied kinematics factor with rotation exp(dt w^) and block dt v."""
-    return _pose(so3_exp(cmd.dt * cmd.w), cmd.dt * cmd.v)
-
-
 def predict(state: FilterState, cmd: MotionCommand) -> FilterState:
-    """Propagate pose and covariance one step: T <- F T, P <- Ad(F) P Ad(F)' + Q."""
-    f = motion_matrix(cmd)
-    ad = adjoint(f)
-    return _state(f @ state.pose, ad @ state.cov @ ad.T + cmd.process_noise)
+    """Propagate pose and covariance one step: T <- F T, P <- Ad(F) P Ad(F)' + Q, F = ``cmd.factor``."""
+    ad = cmd.factor_adjoint
+    return _state(cmd.factor @ state.pose, ad @ state.cov @ ad.T + cmd.process_noise)
 
 
 def fuse_poses(sources, initial: Pose) -> FilterState:
@@ -192,9 +197,8 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
     steps = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     for it in range(_FUSION_MAX_ITERS + 1):
-        h = se3_log(poses @ t_in.inverse())
         # h moves by -A eps when T <- exp(eps) T, with A = J_l(-h)^-1
-        a = se3_left_jacobian_inv(-h)
+        h, a = se3_log_and_inv_jacobian(poses @ t_in.inverse())
         aw = a.mT @ weights
         normal = np.sum(aw @ a, axis=0)
         rhs = np.sum(np.matvec(aw, h), axis=0)
@@ -223,11 +227,9 @@ def eskf_core(pred_pose: Pose, pred_cov: np.ndarray, meas_pose: Pose, meas_cov: 
     pred_cov = np.asarray(pred_cov)
     innov_cov = pred_cov + np.asarray(meas_cov)
     gain = _gain(pred_cov, innov_cov)
-    delta = np.matvec(gain, gamma)
-    pose = se3_exp(delta) @ pred_pose
+    step, jac = se3_exp_and_jacobian(np.matvec(gain, gamma))
     sigma_eps = (np.eye(6) - gain) @ pred_cov
-    jac = se3_left_jacobian(delta)
-    return _state(pose, jac @ _symmetrize(sigma_eps) @ jac.mT)
+    return _state(step @ pred_pose, jac @ _symmetrize(sigma_eps) @ jac.mT)
 
 
 def _gain(cov: np.ndarray, innov_cov: np.ndarray) -> np.ndarray:
@@ -337,7 +339,7 @@ def _euler_transition(state: np.ndarray, cmd: MotionCommand):
     of the angles, a global increment R_w E(ypr) d of R', moves p' by
     R'^T hat(dt v) R_w E(ypr) d and ypr' by E(ypr')^-1 R_w E(ypr) d.
     """
-    f = motion_matrix(cmd)
+    f = cmd.factor
     pose = f @ pose_from_euler_state(state)
     new_state = euler_state_from_pose(pose)
     rate = f.rotation @ euler_rate_matrix(state[..., 3:])

@@ -436,3 +436,59 @@ class TestBatchedKernels:
             lie.se3_log(pose[2])
         for i in (0, 1, 3):
             lie.se3_log(pose[i])
+
+
+# Angles of the shared-term checks: below _SMALL_ANGLE, on both sides of the
+# Taylor switch and within 1e-14 of it, and up to near pi.
+_SHARED_ANGLES = [0.0, 1e-12, lie._SMALL_ANGLE / 2, 1e-3, 0.1, lie._TAYLOR_ANGLE - 1e-14, lie._TAYLOR_ANGLE,
+                  lie._TAYLOR_ANGLE + 1e-14, 0.3, 1.5, 3.0, np.pi - 1e-5]
+
+
+def shared_batches(seed=43):
+    """Tangents [rho, r] at ``_SHARED_ANGLES``: the mixed batch, its rows below
+    ``_SMALL_ANGLE``, below and from ``_TAYLOR_ANGLE`` on, a (2, 6) batch with
+    two leading axes, and each row unbatched."""
+    rng = np.random.default_rng(seed)
+    axes = rng.standard_normal((len(_SHARED_ANGLES), 3))
+    r = axes / np.linalg.norm(axes, axis=1, keepdims=True) * np.array(_SHARED_ANGLES)[:, None]
+    xi = np.concatenate([rng.uniform(-5.0, 5.0, r.shape), r], axis=1)
+    angle = np.array(_SHARED_ANGLES)
+    return [xi, xi[angle < lie._SMALL_ANGLE], xi[angle < lie._TAYLOR_ANGLE], xi[angle >= lie._TAYLOR_ANGLE],
+            xi.reshape(2, 6, 6)] + list(xi)
+
+
+class TestSharedTerms:
+    """The kernels that share one ``_so3_terms`` evaluation equal the separate
+    calls bit for bit, and evaluate the terms once."""
+
+    @pytest.mark.parametrize("index", range(len(shared_batches())))
+    def test_exp_and_jacobian_equal_separate_calls(self, index):
+        xi = shared_batches()[index]
+        pose, jac = lie.se3_exp_and_jacobian(xi)
+        ref = lie.se3_exp(xi)
+        np.testing.assert_array_equal(pose.rotation, ref.rotation)
+        np.testing.assert_array_equal(pose.translation_block, ref.translation_block)
+        np.testing.assert_array_equal(jac, lie.se3_left_jacobian(xi))
+
+    @pytest.mark.parametrize("index", range(len(shared_batches())))
+    def test_log_and_inv_jacobian_equal_separate_calls(self, index):
+        pose = lie.se3_exp(shared_batches()[index])
+        h, a = lie.se3_log_and_inv_jacobian(pose)
+        ref = lie.se3_log(pose)
+        np.testing.assert_array_equal(h, ref)
+        np.testing.assert_array_equal(a, lie.se3_left_jacobian_inv(-ref))
+
+    def test_terms_evaluated_once_per_call(self, monkeypatch):
+        xi = shared_batches()[0]
+        pose = lie.se3_exp(xi)
+        calls = []
+        original = lie._so3_terms
+        monkeypatch.setattr(lie, "_so3_terms", lambda r: calls.append(r.shape) or original(r))
+        lie.se3_exp_and_jacobian(xi)
+        lie.se3_log_and_inv_jacobian(pose)
+        assert calls == [(len(xi), 3)] * 2
+
+    def test_near_pi_rotation_raises(self):
+        pose = lie.se3_exp(np.array([1.0, 2.0, 3.0, 0.0, 0.0, np.pi - 1e-8]))
+        with pytest.raises(NearPiRotation):
+            lie.se3_log_and_inv_jacobian(pose)

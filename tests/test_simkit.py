@@ -124,6 +124,50 @@ class TestTrajectory:
         cfg = simkit.default_scenario()
         assert len(simkit.generate_trajectory(cfg.ue_start, cfg.segments)) == 120
 
+    def test_segment_commands_share_one_object_per_segment(self):
+        cfg = simkit.default_scenario()
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        assert len(commands) == sum(seg.steps for seg in cfg.segments)
+        assert len({id(cmd) for cmd in commands}) == len(cfg.segments)
+        start = 0
+        for seg in cfg.segments:
+            assert all(cmd is commands[start] for cmd in commands[start:start + seg.steps])
+            start += seg.steps
+
+    def test_cached_factor_is_exact_and_read_only(self):
+        for seg in simkit.default_scenario().segments:
+            cmd = simkit.segment_commands([seg])[0]
+            ref = lie._pose(lie.so3_exp(seg.dt * seg.w), seg.dt * seg.v)
+            assert cmd.factor is cmd.factor and cmd.factor_adjoint is cmd.factor_adjoint
+            np.testing.assert_array_equal(cmd.factor.rotation, ref.rotation)
+            np.testing.assert_array_equal(cmd.factor.translation_block, ref.translation_block)
+            np.testing.assert_array_equal(cmd.factor_adjoint, lie.adjoint(ref))
+            for array in (cmd.factor.rotation, cmd.factor.translation_block, cmd.factor_adjoint):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    def test_study_evaluates_motion_once_per_segment(self, monkeypatch):
+        calls = []
+        original = tracking.so3_exp
+        monkeypatch.setattr(tracking, "so3_exp", lambda r: calls.append(r) or original(r))
+        cfg = replace(simkit.default_scenario(), mc_runs=2)
+        simkit.run_monte_carlo(cfg)
+        # one factor per segment for the truth trajectory and one for the
+        # filters' commands, against 120 steps
+        assert len(calls) == 2 * len(cfg.segments)
+
+    def test_trajectory_equals_per_step_factors(self):
+        cfg = simkit.default_scenario()
+        pose, expected = cfg.ue_start, []
+        for seg in cfg.segments:
+            for _ in range(seg.steps):
+                pose = lie._pose(lie.so3_exp(seg.dt * seg.w), seg.dt * seg.v) @ pose
+                expected.append(pose)
+        poses = simkit.generate_trajectory(cfg.ue_start, cfg.segments)
+        assert len(poses) == len(expected)
+        for got, ref in zip(poses, expected):
+            np.testing.assert_array_equal(got.matrix(), ref.matrix())
+
     def test_each_step_matches_noise_free_predict(self):
         cfg = simkit.default_scenario()
         poses = simkit.generate_trajectory(cfg.ue_start, cfg.segments)
@@ -728,6 +772,39 @@ class TestScenarioIo:
         with pytest.raises(ConfigError):
             simkit.load_scenario(path)
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loader_gives_the_python_loaders_dict(self, tmp_path):
+        assert simkit._YAML_LOADER is yaml.CSafeLoader
+        path = tmp_path / "default.yaml"
+        simkit.save_scenario(simkit.default_scenario(), path)
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_python_loader_fallback_loads_the_same_scenario(self, tmp_path, monkeypatch):
+        path = tmp_path / "default.yaml"
+        simkit.save_scenario(simkit.default_scenario(), path)
+        loaded = simkit.scenario_to_dict(simkit.load_scenario(path))
+        monkeypatch.setattr(simkit, "_YAML_LOADER", yaml.SafeLoader)
+        assert simkit.scenario_to_dict(simkit.load_scenario(path)) == loaded
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    @pytest.mark.parametrize("text", [
+        b"{unbalanced", b"seed:\n\tmc_runs: 1\n", b"seed: *missing\n", b"seed: !!python/object:os.system 1\n",
+        b"seed: 1\n---\nseed: 2\n", b"seed: \x01\n", b"seed: \xff\xfe\n",
+    ])
+    def test_malformed_yaml_is_config_error(self, tmp_path, monkeypatch, capsys, loader, text):
+        if loader == "python":
+            monkeypatch.setattr(simkit, "_YAML_LOADER", yaml.SafeLoader)
+        elif not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        path = tmp_path / "broken.yaml"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            simkit.load_scenario(path)
+        rc = cli.main(["bounds", "--config", str(path), "--powers=0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "invalid YAML" in capsys.readouterr().err
+
     def test_missing_file_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             simkit.load_scenario(tmp_path / "nope.yaml")
@@ -778,6 +855,15 @@ class TestCli:
         for text in [f"0:1:{cli.MAX_POWERS}", "0:1e-6:1", "0:1e-300:1e300", ",".join(["1"] * 10_001)]:
             with pytest.raises(ConfigError):
                 cli.parse_powers(text)
+
+    @pytest.mark.parametrize("text", ["", ",", " "])
+    def test_empty_powers_exit_config_error(self, tmp_path, text, capsys):
+        with pytest.raises(ConfigError, match="no power values"):
+            cli.parse_powers(text)
+        rc = cli.main(["bounds", f"--powers={text}", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert f"bad --powers specification {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_too_many_powers_exit_config_error(self, tmp_path):
         rc = cli.main(["bounds", "--powers", "0:1e-6:1", "--out", str(tmp_path / "x.csv")])

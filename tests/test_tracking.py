@@ -65,7 +65,7 @@ class TestPredict:
         q = np.diag([1e-4, 2e-4, 1.5e-4, 5e-5, 8e-5, 6e-5])
         cmd = command([0.4, -0.2, 0.1], [0.1, 0.2, -0.3], q=q)
         predicted = tracking.predict(state, cmd)
-        f = tracking.motion_matrix(cmd)
+        f = cmd.factor
 
         # one batch of 10,000 samples: per sample a state draw, then a noise draw
         z = rng.standard_normal((10_000, 2, 6))
