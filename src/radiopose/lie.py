@@ -27,6 +27,7 @@ from .errors import NearPiRotation, NotSkew
 _SMALL_ANGLE = 1e-8
 _TAYLOR_ANGLE = 0.2
 _NEAR_PI = 1e-3
+_LOG_PI_MARGIN = 1e-6  # se3_log raises NearPiRotation this close to pi
 _SKEW_TOL = 1e-8
 _ROTATION_TOL = 1e-10
 
@@ -338,7 +339,7 @@ def se3_log(pose: Pose) -> np.ndarray:
 def _se3_log(pose: Pose):
     """``se3_log`` and the ``_so3_terms`` of its rotation part."""
     r = _so3_log(pose.rotation)
-    if np.count_nonzero(_norm(r) > np.pi - 1e-6):
+    if np.count_nonzero(_norm(r) > np.pi - _LOG_PI_MARGIN):
         raise NearPiRotation("rotation angle within 1e-6 of pi")
     terms = _so3_terms(r)
     return np.concatenate([np.matvec(_so3_jacobian_inv(terms), pose.translation_block), r], axis=-1), terms

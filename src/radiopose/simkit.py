@@ -27,17 +27,18 @@ from .channel import (
 )
 from . import tracking
 from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState
-from .lie import Pose, _norm, _pose, _so3_log, se3_log, so3_exp
+from .lie import _LOG_PI_MARGIN, Pose, _norm, _pose, _so3_log, se3_log, so3_exp
 from .tracking import (
     FilterState,
     MotionCommand,
     PoseMeasurement,
+    _GIMBAL_SIN,
     _euler_from_rotation,
+    _measurement,
     _state,
     eskf_update,
     euler_ekf_update,
     euler_predict,
-    euler_state_from_pose,
     fusion_update,
     pose_from_euler_state,
     predict,
@@ -97,6 +98,8 @@ class ScenarioConfig:
             raise ValueError("at least 1 trajectory segment is required")
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.filter_selection not in FILTER_NAMES + ("all",):
             raise ValueError(f"filter_selection must be one of {FILTER_NAMES + ('all',)}")
         for name in ("measurement_noise_scale", "process_noise_rho_m", "process_noise_rot_rad"):
@@ -232,7 +235,7 @@ def sample_measurement(truth: Pose, icrb_sqrt: np.ndarray, normals: np.ndarray, 
 
 def run_rng(seed: int, run_index: int):
     """Counter-based per-run generator keyed by (seed, run index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(run_index)], dtype=np.uint64)
+    key = np.array([seed, run_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -305,7 +308,7 @@ def _tangent_state(meas: PoseMeasurement) -> FilterState:
 
 def _euler_state(meas: PoseMeasurement):
     batch = meas.pose.translation_block.shape[:-1]
-    return euler_state_from_pose(meas.pose), np.broadcast_to(meas.cov_state_icrb, batch + (6, 6))
+    return meas.euler_state, np.broadcast_to(meas.cov_state_icrb, batch + (6, 6))
 
 
 # Per filter: (state from the first measurement, one predict + update step,
@@ -324,7 +327,11 @@ _FILTERS = {
 
 
 def _runs_of(state, runs):
-    """The runs ``runs`` (a boolean mask, or one index) of a batched filter state."""
+    """The runs ``runs`` (a boolean mask, or indices) of a batched filter state,
+    or of a step's measurements with the cached properties they hold."""
+    if isinstance(state, PoseMeasurement):
+        cached = {k: v[runs] for k, v in vars(state).items() if k in ("cov_tangent", "euler_state")}
+        return _measurement(state.pose[runs], state.cov_state_icrb, **cached)
     if isinstance(state, FilterState):
         return _state(state.pose[runs], state.cov[runs])
     return tuple(part[runs] for part in state)
@@ -343,8 +350,9 @@ class _Track:
     nonconverged: int
 
 
-def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _Track:
-    """Run one filter over ``n_runs`` runs, one batched step per time step.
+def _track(name: str, n_runs: int, measurements, commands) -> tuple:
+    """Run one filter over ``n_runs`` runs, one batched step per time step,
+    for ``_with_errors``: the (R, K) estimates NaN from a run's failure on.
 
     The one place that knows a batch can fail in some of its runs: a batched
     step that raises a RadioPoseError, or leaves an estimate that is not
@@ -358,10 +366,9 @@ def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _
     def advance(k, state, meas):
         new = init(meas) if k == 0 else step(state, commands[k], meas)
         est = pose_of(new)
-        err = se3_log(est @ truth_inv[k])
-        if not np.isfinite(err).all():
+        if not (np.isfinite(est.rotation).all() and np.isfinite(est.translation_block).all()):
             raise RadioPoseError(f"estimate is not finite at step {k}")
-        return new, est, err
+        return new, est
 
     def failure_alone(k, state, meas, i):
         run_state = None if state is None else _runs_of(state, i)
@@ -374,17 +381,16 @@ def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _
     n_steps = len(measurements)
     rotation = np.full((n_runs, n_steps, 3, 3), np.nan)
     block = np.full((n_runs, n_steps, 3), np.nan)
-    errors = np.full((n_runs, n_steps, 6), np.nan)
+    limited = np.zeros((n_runs, n_steps), dtype=bool)
     failed = [None] * n_runs
-    nonconverged = 0
     alive = np.arange(n_runs)
     state = None
     for k, meas in enumerate(measurements):
         while alive.size:
             if alive.size < n_runs:
-                meas = PoseMeasurement(measurements[k].pose[alive], measurements[k].cov_state_icrb)
+                meas = _runs_of(measurements[k], alive)
             try:
-                new, est, err = advance(k, state, meas)
+                new, est = advance(k, state, meas)
                 break
             except RadioPoseError as exc:
                 # an unbatched run's failure is its own
@@ -401,10 +407,27 @@ def _track(name: str, n_runs: int, truth_inv: Pose, measurements, commands) -> _
             break
         state = new
         rows = slice(None) if alive.size == n_runs else alive
-        rotation[rows, k], block[rows, k], errors[rows, k] = est.rotation, est.translation_block, err
+        rotation[rows, k], block[rows, k] = est.rotation, est.translation_block
         if getattr(new, "iterations", None) is not None:
-            nonconverged += int(np.sum(new.iterations >= tracking._FUSION_MAX_ITERS))
-    return _Track(_pose(rotation, block), errors, failed, nonconverged)
+            limited[rows, k] = new.iterations >= tracking._FUSION_MAX_ITERS
+    return rotation, block, limited, failed
+
+
+def _with_errors(rotation, block, limited, failed, truth_inv: Pose) -> _Track:
+    """The ``_Track`` of a ``_track`` loop, errors from one ``se3_log``. A run
+    whose error is within 1e-6 of pi at step k, where that log raises, ends
+    at k, overriding a later failure in the loop but not one at k itself."""
+    near_pi = _norm(_so3_log(rotation @ truth_inv.rotation)) > np.pi - _LOG_PI_MARGIN  # NaN rows: False
+    for run in np.flatnonzero(near_pi.any(axis=1)):
+        k = np.argmax(near_pi[run])
+        failed[run] = "rotation angle within 1e-6 of pi"
+        rotation[run, k:], block[run, k:] = np.nan, np.nan
+    estimates = _pose(rotation, block)
+    done = np.isfinite(block[..., 0])
+    logs = se3_log((estimates @ truth_inv)[done])
+    errors = np.full(block.shape[:-1] + (6,), np.nan)
+    errors[done] = logs
+    return _Track(estimates, errors, failed, int(np.count_nonzero(limited & done)))
 
 
 def _run_batch(cfg: ScenarioConfig, runs, truths, reports, commands):
@@ -413,17 +436,29 @@ def _run_batch(cfg: ScenarioConfig, runs, truths, reports, commands):
     truths (K,), the measurements (R, K) and a ``_Track`` per selected filter.
 
     Each run draws its (K, 6) normals from its own generator (``run_rng``):
-    the same numbers, in the same order, as K draws of 6. A single run goes
-    through the filters without a run axis: the unbatched case of the same
-    kernels, which costs less per call than a batch of one.
+    the same numbers, in the same order, as K draws of 6. The measurements'
+    ``cov_tangent`` and Euler state are evaluated once over the (R, K) stack,
+    and each step holds its slice; a step with a pitch in the gimbal guard
+    band leaves its Euler state to the update, which raises. A single run
+    goes through the filters without a run axis: the unbatched case of the
+    same kernels, which costs less per call than a batch of one.
     """
     truth = Pose.stack(truths)
-    normals = np.stack([run_rng(cfg.seed, run).standard_normal((len(truths), 6)) for run in runs])
-    measured = sample_measurement(truth, reports.icrb_sqrt, normals, cfg.measurement_noise_scale)
+    normals = [run_rng(cfg.seed, run).standard_normal((len(truths), 6)) for run in runs]
+    measured = sample_measurement(truth, reports.icrb_sqrt, np.stack(normals), cfg.measurement_noise_scale)
+    del normals  # before the (R, K, 6, 6) covariances, the study's largest arrays
+    cov_tangent = PoseMeasurement(measured, reports.icrb).cov_tangent
+    euler = np.concatenate([measured.position, _euler_from_rotation(measured.rotation)], axis=-1)
+    locked = np.abs(measured.rotation[..., 2, 0]) >= _GIMBAL_SIN  # as euler_from_rotation refuses
     rows = slice(None) if len(runs) > 1 else 0
-    steps = [PoseMeasurement(measured[rows, k], icrb) for k, icrb in enumerate(reports.icrb)]
-    tracks = {name: _track(name, len(runs), truth.inverse(), steps, commands) for name in cfg.selected_filters}
-    return truth, measured, tracks
+    steps = [_measurement(measured[rows, k], icrb, cov_tangent=cov_tangent[rows, k],
+                          **({} if locked[rows, k].any() else {"euler_state": euler[rows, k]}))
+             for k, icrb in enumerate(reports.icrb)]
+    loops = {name: _track(name, len(runs), steps, commands) for name in cfg.selected_filters}
+    # the errors' batched log needs the room that the measurements' terms take
+    del steps, cov_tangent, euler
+    truth_inv = truth.inverse()
+    return truth, measured, {name: _with_errors(*loop, truth_inv) for name, loop in loops.items()}
 
 
 def run_single(cfg: ScenarioConfig, run_index: int, truths, reports, commands) -> RunResult:

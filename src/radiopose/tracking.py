@@ -155,6 +155,18 @@ class PoseMeasurement:
         cov.flags.writeable = False
         return cov
 
+    @cached_property
+    def euler_state(self) -> np.ndarray:
+        """``euler_state_from_pose`` of the measured pose, which the Euler EKF reads."""
+        return euler_state_from_pose(self.pose)
+
+
+def _measurement(pose: Pose, cov_state_icrb: np.ndarray, **cached) -> PoseMeasurement:
+    """PoseMeasurement holding ``cached`` properties: slices of one evaluation over a larger stack."""
+    meas = PoseMeasurement(pose, cov_state_icrb)
+    meas.__dict__.update(cached)
+    return meas
+
 
 def predict(state: FilterState, cmd: MotionCommand) -> FilterState:
     """Propagate pose and covariance one step: T <- F T, P <- Ad(F) P Ad(F)' + Q, F = ``cmd.factor``."""
@@ -168,31 +180,28 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
     ``sources`` is a sequence of (pose, tangent covariance) pairs. Each
     iteration linearizes the errors h_m = log(T_m T_in^-1) around the
     current iterate, solves the weighted normal equations for the step, and
-    applies it as a left perturbation, until a step is shorter than
-    ``_FUSION_EPS`` (1e-8). The posterior covariance is the inverse normal
-    matrix at the converged iterate. After ``_FUSION_MAX_ITERS`` (50) steps
-    without convergence the state is returned with converged=False.
+    applies it as a left perturbation. A step shorter than ``_FUSION_EPS``
+    (1e-8) is not applied: the iterate where the normal equations were last
+    formed is returned, with their inverse as the posterior covariance. After
+    ``_FUSION_MAX_ITERS`` (50) steps without convergence the state has
+    converged=False; ``iterations``, the steps applied, reach 50 only then.
 
     Over a batch each run keeps its own convergence flag: a converged run
     takes zero steps, which leave its iterate exactly as it is, while the
     others go on, so a run's iterates do not depend on its batch.
     """
     batch = initial.translation_block.shape[:-1]
-    weights = [
-        _checked(np.linalg.inv, SingularNormalEquations, "source covariance is singular",
-                 np.asarray(cov, dtype=float))
-        for _, cov in sources
-    ]
-    # the sources stacked on a leading axis: one log and one gain per pass
-    # serve all of them
+    # the sources stacked on a leading axis: one inverse, and one log and one
+    # gain per pass, serve all of them
     poses = _pose(
         np.stack([np.broadcast_to(pose.rotation, batch + (3, 3)) for pose, _ in sources]),
         np.stack([np.broadcast_to(pose.translation_block, batch + (3,)) for pose, _ in sources]),
     )
-    weights = np.stack([np.broadcast_to(w, batch + (6, 6)) for w in weights])
+    covs = np.stack([np.broadcast_to(np.asarray(cov, dtype=float), batch + (6, 6)) for _, cov in sources])
+    weights = _checked(np.linalg.inv, SingularNormalEquations, "source covariance is singular", covs)
 
-    # Each pass accumulates the normal equations at the current iterate; the
-    # pass after a run's last step supplies its posterior information.
+    # Each pass accumulates the normal equations at the current iterate: a
+    # run's posterior information once its solved step is below tolerance.
     t_in = initial
     steps = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
@@ -201,16 +210,18 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
         h, a = se3_log_and_inv_jacobian(poses @ t_in.inverse())
         aw = a.mT @ weights
         normal = np.sum(aw @ a, axis=0)
-        rhs = np.sum(np.matvec(aw, h), axis=0)
-        if converged.all() or it == _FUSION_MAX_ITERS:
+        if it == _FUSION_MAX_ITERS:
             break
+        rhs = np.sum(np.matvec(aw, h), axis=0)
         eps = _checked(np.linalg.solve, SingularNormalEquations, "normal equations singular",
                        normal, rhs[..., None])[..., 0]
+        converged = converged | (_norm(eps) < _FUSION_EPS)
+        if converged.all():
+            break
         if converged.any():
             eps = np.where(converged[..., None], 0.0, eps)
         t_in = se3_exp(eps) @ t_in
         steps = steps + ~converged
-        converged = converged | (_norm(eps) < _FUSION_EPS)
 
     post_cov = _checked(np.linalg.inv, SingularNormalEquations, "posterior information matrix singular", normal)
     return _state(t_in, post_cov, bool(converged.all()), steps)
@@ -367,8 +378,7 @@ def euler_ekf_update(state: np.ndarray, cov: np.ndarray, meas: PoseMeasurement):
     state = np.asarray(state, dtype=float)
     if np.count_nonzero(np.abs(state[..., 4]) >= np.pi / 2.0 - _GIMBAL_GUARD):
         raise GimbalLock("predicted pitch within guard band of +/-pi/2")
-    z = euler_state_from_pose(meas.pose)
-    innov = z - state
+    innov = meas.euler_state - state
     innov[..., 3:] = wrap_angle(innov[..., 3:])
     cov = np.asarray(cov)
     gain = _gain(cov, cov + np.asarray(meas.cov_state_icrb))

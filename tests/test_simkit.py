@@ -94,6 +94,15 @@ class TestDefaultScenario:
         with pytest.raises(ValueError):
             replace(simkit.default_scenario(), **{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])
+    def test_seed_must_fit_the_64_bit_key(self, seed):
+        # run_rng keys each run's generator with the seed as a uint64: a seed
+        # outside [0, 2**64) would wrap onto another seed's study
+        with pytest.raises(ValueError, match="seed must be in"):
+            replace(simkit.default_scenario(), seed=seed)
+        for edge in (0, 2**64 - 1):
+            assert replace(simkit.default_scenario(), seed=edge).seed == edge
+
     @pytest.mark.parametrize("name", ["process_noise_rho_m", "process_noise_rot_rad"])
     def test_process_noise_must_have_a_finite_square(self, name):
         # the process-noise covariance holds the square, which overflows
@@ -409,6 +418,110 @@ class TestRunMonteCarlo:
         series = simkit.run_monte_carlo(cfg)
         assert series.dropped_runs == {run: {"eskf": reason} for run, (_, reason) in poisons.items()}
 
+    @pytest.mark.parametrize(
+        "poison_step, raise_step, nan_block, reason",
+        [(1, 2, False, "rotation angle within 1e-6 of pi"), (2, None, True, "estimate is not finite at step 2")],
+        ids=["near_pi_before_a_loop_failure", "loop_failure_at_the_near_pi_step"],
+    )
+    def test_near_pi_error_ends_its_run_at_its_step(self, monkeypatch, poison_step, raise_step, nan_block, reason):
+        # run 1's ESKF estimate turns half a turn away from the truth at
+        # poison_step. Its errors are taken after the loop, yet the run ends
+        # there: with the near-pi message even though its update raises at a
+        # later step, but with the loop's own failure when the estimate at that
+        # step is not finite either
+        cfg = tiny_scenario(mc_runs=3, steps=3)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        _, measured, clean = simkit._run_batch(cfg, range(3), truths, reports, commands)
+        real_update = simkit.eskf_update
+
+        def poisoned(pred, meas):
+            if raise_step is not None and np.any(holds(meas, measured[1, raise_step])):
+                raise SingularInnovationCovariance("injected in run 1")
+            out = real_update(pred, meas)
+            rot, block = np.array(out.pose.rotation), np.array(out.pose.translation_block)
+            bad = holds(meas, measured[1, poison_step])
+            rot[bad] = _HALF_TURN_ESTIMATE[0](truths[poison_step].rotation)
+            if nan_block:
+                block[bad] = np.nan
+            return tracking.FilterState(lie._pose(rot, block), out.cov)
+
+        monkeypatch.setattr(simkit, "eskf_update", poisoned)
+        _, _, tracks = simkit._run_batch(cfg, range(3), truths, reports, commands)
+        eskf = tracks["eskf"]
+        assert eskf.failed == [None, reason, None]
+        assert np.all(np.isnan(eskf.errors[1, poison_step:]))
+        assert np.all(np.isnan(eskf.estimates[1, poison_step:].rotation))
+        np.testing.assert_array_equal(eskf.errors[1, :poison_step], clean["eskf"].errors[1, :poison_step])
+        for name in clean:
+            for run in (0, 2):
+                np.testing.assert_array_equal(tracks[name].errors[run], clean[name].errors[run])
+        single = simkit.run_single(cfg, 1, truths, reports, commands)
+        assert single.failed["eskf"] == reason
+        assert len(single.estimates["eskf"]) == poison_step
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    def test_error_series_takes_one_log_per_filter(self, monkeypatch, steps):
+        # log(est truth^-1) is taken once per filter over all (run, step)
+        # estimates after the step loop, whatever the number of steps
+        calls = []
+        real_log = simkit.se3_log
+        monkeypatch.setattr(simkit, "se3_log", lambda pose: calls.append(pose.rotation.shape) or real_log(pose))
+        simkit.run_monte_carlo(tiny_scenario(mc_runs=3, steps=steps))
+        assert calls == [(3 * 2 * steps, 3, 3)] * 3
+
+    def test_measurement_terms_evaluated_once_per_study(self, monkeypatch):
+        # every step reads its slice of one evaluation over the (R, K) stack
+        calls = {"cov_tangent": [], "euler_state": []}
+        for name, shapes in calls.items():
+            prop = tracking.PoseMeasurement.__dict__[name]
+            monkeypatch.setattr(
+                prop, "func", lambda meas, f=prop.func, shapes=shapes: shapes.append(meas.pose.rotation.shape) or f(meas)
+            )
+        simkit.run_monte_carlo(tiny_scenario(mc_runs=3, steps=3))
+        assert calls == {"cov_tangent": [(3, 6, 3, 3)], "euler_state": []}
+
+    def test_runs_left_after_a_drop_keep_reading_their_slices(self, monkeypatch):
+        # only the runs retaken alone at the failing step evaluate their
+        # cov_tangent again; the two runs left read the study's slices after it
+        cfg = tiny_scenario(mc_runs=3, steps=3)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        _, measured, _ = simkit._run_batch(cfg, range(3), truths, reports, commands)
+        monkeypatch.setattr(simkit, "eskf_update", failing_on(simkit.eskf_update, measured[1, 1], "injected"))
+        prop = tracking.PoseMeasurement.__dict__["cov_tangent"]
+        shapes = []
+        monkeypatch.setattr(prop, "func", lambda meas, f=prop.func: shapes.append(meas.pose.rotation.shape) or f(meas))
+        assert simkit.run_monte_carlo(cfg).dropped_runs == {1: {"eskf": "injected"}}
+        assert shapes == [(3, 6, 3, 3), (3, 3), (3, 3)]
+
+    def test_gimbal_locked_measurement_fails_only_its_run(self, monkeypatch):
+        # the Euler state of the stack is computed without the guard; a
+        # measurement in the guard band still ends its own run at its step
+        cfg = tiny_scenario(mc_runs=3, steps=3)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        commands = simkit.segment_commands(cfg.segments, cfg.process_noise)
+        _, _, clean = simkit._run_batch(cfg, range(3), truths, reports, commands)
+        real_sample = simkit.sample_measurement
+        locked = tracking.rotation_from_euler(np.array([0.3, np.pi / 2, 0.0]))
+
+        def sample_locked(truth, icrb_sqrt, normals, scale):
+            out = real_sample(truth, icrb_sqrt, normals, scale)
+            rot = np.array(out.rotation)
+            rot[1, 2] = locked  # run 1 at step 2
+            return lie._pose(rot, np.array(out.translation_block))
+
+        monkeypatch.setattr(simkit, "sample_measurement", sample_locked)
+        _, _, tracks = simkit._run_batch(cfg, range(3), truths, reports, commands)
+        assert tracks["euler"].failed == [None, "pitch within guard band of +/-pi/2", None]
+        assert np.all(np.isnan(tracks["euler"].errors[1, 2:]))
+        np.testing.assert_array_equal(tracks["euler"].errors[1, :2], clean["euler"].errors[1, :2])
+        for run in (0, 2):
+            np.testing.assert_array_equal(tracks["euler"].errors[run], clean["euler"].errors[run])
+
     def test_fusion_non_convergence_is_counted(self, monkeypatch, tmp_path, capsys):
         cfg = tiny_scenario(mc_runs=3, steps=3)
         assert simkit.run_monte_carlo(cfg).fusion_nonconverged == 0
@@ -425,6 +538,29 @@ class TestRunMonteCarlo:
         assert "fusion hit the Gauss-Newton iteration limit in 15 update(s)" in capsys.readouterr().err
         header = (tmp_path / "mc_rmse.csv").read_text().splitlines()[0]
         assert "converge" not in header
+
+    def test_fusion_converging_on_its_last_allowed_solve_is_not_counted(self, monkeypatch):
+        cfg = tiny_scenario(mc_runs=3, steps=3)
+        real_fuse = tracking.fuse_poses
+        states = []
+        monkeypatch.setattr(tracking, "fuse_poses", lambda *a, **k: states.append(real_fuse(*a, **k)) or states[-1])
+        simkit.run_monte_carlo(cfg)
+        most = max(int(np.max(s.iterations)) for s in states)
+        needing_most = sum(int(np.sum(s.iterations == most)) for s in states)
+        assert needing_most > 0
+        # most + 1 solves let every update take its steps and solve the one
+        # below tolerance after them
+        monkeypatch.setattr(tracking, "_FUSION_MAX_ITERS", most + 1)
+        states.clear()
+        assert simkit.run_monte_carlo(cfg).fusion_nonconverged == 0
+        assert all(s.converged for s in states)
+        assert sum(int(np.sum(s.iterations == most)) for s in states) == needing_most
+        # one solve fewer stops exactly the updates that needed them all
+        monkeypatch.setattr(tracking, "_FUSION_MAX_ITERS", most)
+        states.clear()
+        assert simkit.run_monte_carlo(cfg).fusion_nonconverged == needing_most
+        assert sum(int(np.sum(s.iterations >= most)) for s in states) == needing_most
+        assert sum(not s.converged for s in states) == sum(bool(np.any(s.iterations >= most)) for s in states)
 
     def test_unobservable_truth_pose_is_named(self, monkeypatch):
         # a study needs the bound at every true pose: the first pose whose
@@ -667,6 +803,17 @@ class TestScenarioIo:
         out = str(tmp_path / "out")
         args = {"bounds": ["--powers", "0", "--out", out + ".csv"], "mc": ["--runs", "1", "--out-prefix", out]}
         assert cli.main([command, "--config", str(path)] + args[command]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_raises_config_error(self, tmp_path, seed):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["seed"] = seed
+        path = tmp_path / "seed.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError, match="seed must be in"):
+            simkit.load_scenario(path)
+        rc = cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 2
 
     @pytest.mark.parametrize(
         "section, key",
@@ -951,6 +1098,13 @@ class TestCli:
         rc = cli.main(["mc", "--config", cfg_path, "--out-prefix", str(tmp_path / "mc")])
         assert rc == 3
         assert "all Monte Carlo runs failed (run 0: fusion: injected;" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "99999999999999999999999"])
+    def test_seed_override_out_of_range_exits_config_error(self, tmp_path, seed, capsys):
+        rc = cli.main(["--seed", seed, "mc", "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "mc_rmse.csv").exists()
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_bad_runs_override_exits_config_error(self, tmp_path, runs, capsys):

@@ -163,6 +163,50 @@ class TestFusion:
         assert not out.converged
 
 
+    @staticmethod
+    def _sources(seed):
+        rng = np.random.default_rng(seed)
+        sources = []
+        for _ in range(2):
+            a = rng.standard_normal((6, 6))
+            sources.append((se3_exp(0.3 * rng.standard_normal(6)), 0.1 * (a @ a.T + 6 * np.eye(6))))
+        return sources
+
+    def test_posterior_is_the_inverse_normal_matrix_at_the_returned_pose(self):
+        # recomputed from the public log and SE(3) Jacobian at the pose that
+        # comes back, not at the step that was solved but not applied
+        for seed in range(5):
+            sources = self._sources(seed)
+            out = tracking.fuse_poses(sources, initial=sources[0][0])
+            normal = np.zeros((6, 6))
+            for pose, cov in sources:
+                a = lie.se3_left_jacobian_inv(-se3_log(pose @ out.pose.inverse()))
+                normal += a.T @ np.linalg.inv(cov) @ a
+            expected = np.linalg.inv(normal)
+            np.testing.assert_allclose(out.cov, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_step_below_tolerance_is_not_applied(self):
+        # started at the optimum, the first solved step is below 1e-8: no step
+        # is taken and the initial pose comes back as it is
+        pose, cov = self._sources(8)[0]
+        out = tracking.fuse_poses([(pose, cov), (pose, cov)], initial=pose)
+        assert out.converged and int(out.iterations) == 0
+        assert np.array_equal(out.pose.matrix(), pose.matrix())
+
+    def test_convergence_on_the_last_allowed_solve_is_convergence(self, monkeypatch):
+        sources = self._sources(9)
+        steps = int(tracking.fuse_poses(sources, initial=sources[0][0]).iterations)
+        assert steps >= 1
+        # a limit of steps + 1 solves lets the run take its steps and then
+        # solve the step below tolerance, which it does not take
+        monkeypatch.setattr(tracking, "_FUSION_MAX_ITERS", steps + 1)
+        out = tracking.fuse_poses(sources, initial=sources[0][0])
+        assert out.converged and int(out.iterations) == steps < tracking._FUSION_MAX_ITERS
+        monkeypatch.setattr(tracking, "_FUSION_MAX_ITERS", steps)
+        out = tracking.fuse_poses(sources, initial=sources[0][0])
+        assert not out.converged and int(out.iterations) == steps == tracking._FUSION_MAX_ITERS
+
+
 class TestEskf:
     def test_zero_innovation_keeps_pose(self):
         rng = np.random.default_rng(6)
