@@ -31,6 +31,12 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 #: number of unconstrained parameters per anchor: tau, two 3d directions, Re/Im gain
 PARAMS_PER_ANCHOR = 9
 
+#: caps on the sizes a scenario sets, each a ValueError at construction rather than
+#: an allocation that fails; README's CLI section gives the memory each stands for
+MAX_SUBCARRIERS = 65_536
+MAX_TRANSMISSIONS = 4_096
+MAX_ARRAY_ELEMENTS = 4_096
+
 #: beam sets kept per process; one draw of the wideband benchmark (4 anchors x
 #: 64 beams x (256 + 64) elements) is about 1.3 MB
 _BEAM_CACHE_SIZE = 8
@@ -66,7 +72,9 @@ class ArrayGeometry:
 
     @classmethod
     def upa(cls, nx: int, ny: int, spacing_m: float) -> "ArrayGeometry":
-        """Uniform planar array on the local x-y plane, centered grid."""
+        """Uniform planar array on the local x-y plane, centered grid, of at most ``MAX_ARRAY_ELEMENTS``."""
+        if nx * ny > MAX_ARRAY_ELEMENTS:
+            raise ValueError(f"array_shape {nx}x{ny} exceeds {MAX_ARRAY_ELEMENTS} elements")
         ix = np.arange(nx) - (nx - 1) / 2.0
         iy = np.arange(ny) - (ny - 1) / 2.0
         gx, gy = np.meshgrid(ix, iy, indexing="ij")
@@ -138,6 +146,9 @@ class SignalConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.num_subcarriers < 2:
             raise ValueError("num_subcarriers must be >= 2 for delay identifiability")
+        for name, cap in (("num_subcarriers", MAX_SUBCARRIERS), ("num_transmissions", MAX_TRANSMISSIONS)):
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} must be at most {cap}, got {getattr(self, name)}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -442,45 +453,3 @@ def angle_jacobian(direction: np.ndarray) -> np.ndarray:
             [0.0, 0.0, 1.0 / np.sqrt(1.0 - t[2] ** 2)],
         ]
     )
-
-
-def fim_direction_from_angles(angle_fim: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Pull a 2x2 azimuth/elevation FIM back to the 3d direction vector.
-
-    Returns J_t.T @ F_angles @ J_t, a rank <= 2 matrix.
-    """
-    jac = angle_jacobian(direction)
-    angle_fim = np.asarray(angle_fim, dtype=float)
-    if angle_fim.shape != (2, 2):
-        raise ValueError("angle_fim must be 2x2 (azimuth, elevation)")
-    return jac.T @ angle_fim @ jac
-
-
-def _direction_wrt_angles(direction: np.ndarray) -> np.ndarray:
-    """3x2 derivative of the unit vector with respect to (azimuth, elevation)."""
-    t = np.asarray(direction, dtype=float)
-    az = np.arctan2(t[1], t[0])
-    el = np.arcsin(np.clip(t[2], -1.0, 1.0))
-    return np.array(
-        [
-            [-np.cos(el) * np.sin(az), -np.sin(el) * np.cos(az)],
-            [np.cos(el) * np.cos(az), -np.sin(el) * np.sin(az)],
-            [0.0, np.cos(el)],
-        ]
-    )
-
-
-def fim_angles_per_anchor(fim_anchor: np.ndarray, dir_ue: np.ndarray, dir_bs: np.ndarray) -> np.ndarray:
-    """Re-parametrize one anchor's 9x9 FIM over
-    [tau, t_ue(3), t_bs(3), Re gain, Im gain] into the 7x7 angle-domain FIM
-    over [tau, az/el at the anchor, az/el at the UE, Re gain, Im gain]."""
-    fim_anchor = np.asarray(fim_anchor, dtype=float)
-    if fim_anchor.shape != (PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR):
-        raise ValueError("expected a per-anchor 9x9 FIM")
-    m = np.zeros((PARAMS_PER_ANCHOR, 7))
-    m[0, 0] = 1.0
-    m[4:7, 1:3] = _direction_wrt_angles(dir_bs)
-    m[1:4, 3:5] = _direction_wrt_angles(dir_ue)
-    m[7:, 5:] = np.eye(2)
-    out = m.T @ fim_anchor @ m
-    return (out + out.T) / 2.0

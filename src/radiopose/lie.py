@@ -252,13 +252,6 @@ class Pose:
         return cls(rotation, rotation @ np.asarray(position, dtype=float))
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4) or np.any(np.abs(m[3] - np.array([0, 0, 0, 1.0])) > 1e-12):
-            raise ValueError("expected a homogeneous 4x4 transform")
-        return cls(m[:3, :3], m[:3, 3])
-
-    @classmethod
     def stack(cls, poses) -> "Pose":
         """A sequence of poses as one pose with a leading axis."""
         return _pose(np.stack([p.rotation for p in poses]), np.stack([p.translation_block for p in poses]))
@@ -363,12 +356,6 @@ def _block_triangular(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
 def adjoint(pose: Pose) -> np.ndarray:
     """6x6 adjoint [[R, hat3(b) R], [0, R]] acting on [rho, r] tangents."""
     return _block_triangular(pose.rotation, hat3(pose.translation_block) @ pose.rotation)
-
-
-def small_adjoint(xi: np.ndarray) -> np.ndarray:
-    """6x6 algebra adjoint [[hat3(r), hat3(rho)], [0, hat3(r)]]."""
-    xi = np.asarray(xi, dtype=float)
-    return _block_triangular(hat3(xi[..., 3:]), hat3(xi[..., :3]))
 
 
 def _coupling_block(xi: np.ndarray, terms) -> np.ndarray:

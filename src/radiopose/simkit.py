@@ -32,20 +32,21 @@ from .tracking import (
     FilterState,
     MotionCommand,
     PoseMeasurement,
-    _GIMBAL_SIN,
     _euler_from_rotation,
-    _measurement,
-    _state,
     eskf_update,
     euler_ekf_update,
+    euler_initial,
     euler_predict,
     fusion_update,
+    initial_state,
     pose_from_euler_state,
     predict,
     rotation_from_euler,
 )
 
 FILTER_NAMES = ("fusion", "eskf", "euler")
+# cap on mc_runs x trajectory steps: a study holds about 1.1 kB per run-step, 2.2 GB at the cap
+MAX_RUN_STEPS = 2_000_000
 # libyaml's parser when PyYAML was built with it; the constructor is SafeLoader's either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -98,6 +99,9 @@ class ScenarioConfig:
             raise ValueError("at least 1 trajectory segment is required")
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be >= 1")
+        run_steps = self.mc_runs * sum(s.steps for s in self.segments)
+        if run_steps > MAX_RUN_STEPS:
+            raise ValueError(f"mc_runs x trajectory steps must be at most {MAX_RUN_STEPS}, got {run_steps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.filter_selection not in FILTER_NAMES + ("all",):
@@ -302,24 +306,15 @@ def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
     return truths, reports
 
 
-def _tangent_state(meas: PoseMeasurement) -> FilterState:
-    return FilterState(meas.pose, meas.cov_tangent)
-
-
-def _euler_state(meas: PoseMeasurement):
-    batch = meas.pose.translation_block.shape[:-1]
-    return meas.euler_state, np.broadcast_to(meas.cov_state_icrb, batch + (6, 6))
-
-
 # Per filter: (state from the first measurement, one predict + update step,
 # estimated pose of a state), each over a batch of runs. The lambdas resolve
 # the filter functions when called, so a rebinding of the module attribute
 # is honoured.
 _FILTERS = {
-    "fusion": (_tangent_state, lambda s, cmd, m: fusion_update(predict(s, cmd), m), lambda s: s.pose),
-    "eskf": (_tangent_state, lambda s, cmd, m: eskf_update(predict(s, cmd), m), lambda s: s.pose),
+    "fusion": (initial_state, lambda s, cmd, m: fusion_update(predict(s, cmd), m), lambda s: s.pose),
+    "eskf": (initial_state, lambda s, cmd, m: eskf_update(predict(s, cmd), m), lambda s: s.pose),
     "euler": (
-        _euler_state,
+        euler_initial,
         lambda s, cmd, m: euler_ekf_update(*euler_predict(*s, cmd), m),
         lambda s: pose_from_euler_state(s[0]),
     ),
@@ -327,14 +322,8 @@ _FILTERS = {
 
 
 def _runs_of(state, runs):
-    """The runs ``runs`` (a boolean mask, or indices) of a batched filter state,
-    or of a step's measurements with the cached properties they hold."""
-    if isinstance(state, PoseMeasurement):
-        cached = {k: v[runs] for k, v in vars(state).items() if k in ("cov_tangent", "euler_state")}
-        return _measurement(state.pose[runs], state.cov_state_icrb, **cached)
-    if isinstance(state, FilterState):
-        return _state(state.pose[runs], state.cov[runs])
-    return tuple(part[runs] for part in state)
+    """The runs ``runs`` (a boolean mask, or indices) of a batched filter state, or None."""
+    return state[runs] if isinstance(state, FilterState) else state and tuple(part[runs] for part in state)
 
 
 @dataclass
@@ -371,9 +360,8 @@ def _track(name: str, n_runs: int, measurements, commands) -> tuple:
         return new, est
 
     def failure_alone(k, state, meas, i):
-        run_state = None if state is None else _runs_of(state, i)
         try:
-            advance(k, run_state, PoseMeasurement(meas.pose[i], meas.cov_state_icrb))
+            advance(k, _runs_of(state, i), meas[i])
         except RadioPoseError as exc:
             return str(exc)
         return None
@@ -385,10 +373,9 @@ def _track(name: str, n_runs: int, measurements, commands) -> tuple:
     failed = [None] * n_runs
     alive = np.arange(n_runs)
     state = None
-    for k, meas in enumerate(measurements):
+    for k in range(n_steps):
         while alive.size:
-            if alive.size < n_runs:
-                meas = _runs_of(measurements[k], alive)
+            meas = measurements[k] if alive.size == n_runs else measurements[k][alive]
             try:
                 new, est = advance(k, state, meas)
                 break
@@ -401,15 +388,14 @@ def _track(name: str, n_runs: int, measurements, commands) -> tuple:
                 for run, message in zip(alive, own):
                     failed[run] = message
                 alive = alive[~ended]
-                if alive.size and state is not None:
+                if alive.size:
                     state = _runs_of(state, ~ended)
         if not alive.size:
             break
         state = new
-        rows = slice(None) if alive.size == n_runs else alive
-        rotation[rows, k], block[rows, k] = est.rotation, est.translation_block
+        rotation[alive, k], block[alive, k] = est.rotation, est.translation_block
         if getattr(new, "iterations", None) is not None:
-            limited[rows, k] = new.iterations >= tracking._FUSION_MAX_ITERS
+            limited[alive, k] = new.iterations >= tracking._FUSION_MAX_ITERS
     return rotation, block, limited, failed
 
 
@@ -436,27 +422,22 @@ def _run_batch(cfg: ScenarioConfig, runs, truths, reports, commands):
     truths (K,), the measurements (R, K) and a ``_Track`` per selected filter.
 
     Each run draws its (K, 6) normals from its own generator (``run_rng``):
-    the same numbers, in the same order, as K draws of 6. The measurements'
-    ``cov_tangent`` and Euler state are evaluated once over the (R, K) stack,
-    and each step holds its slice; a step with a pitch in the gimbal guard
-    band leaves its Euler state to the update, which raises. A single run
-    goes through the filters without a run axis: the unbatched case of the
-    same kernels, which costs less per call than a batch of one.
+    the same numbers, in the same order, as K draws of 6. The terms the
+    filters read from the measurements are evaluated once over the (R, K)
+    stack, and each step holds its slice. A single run goes through the
+    filters without a run axis: the unbatched case of the same kernels,
+    which costs less per call than a batch of one.
     """
     truth = Pose.stack(truths)
     normals = [run_rng(cfg.seed, run).standard_normal((len(truths), 6)) for run in runs]
     measured = sample_measurement(truth, reports.icrb_sqrt, np.stack(normals), cfg.measurement_noise_scale)
     del normals  # before the (R, K, 6, 6) covariances, the study's largest arrays
-    cov_tangent = PoseMeasurement(measured, reports.icrb).cov_tangent
-    euler = np.concatenate([measured.position, _euler_from_rotation(measured.rotation)], axis=-1)
-    locked = np.abs(measured.rotation[..., 2, 0]) >= _GIMBAL_SIN  # as euler_from_rotation refuses
+    meas = PoseMeasurement(measured, reports.icrb).evaluated()
     rows = slice(None) if len(runs) > 1 else 0
-    steps = [_measurement(measured[rows, k], icrb, cov_tangent=cov_tangent[rows, k],
-                          **({} if locked[rows, k].any() else {"euler_state": euler[rows, k]}))
-             for k, icrb in enumerate(reports.icrb)]
+    steps = [meas[rows, k] for k in range(len(truths))]
     loops = {name: _track(name, len(runs), steps, commands) for name in cfg.selected_filters}
     # the errors' batched log needs the room that the measurements' terms take
-    del steps, cov_tangent, euler
+    del steps, meas
     truth_inv = truth.inverse()
     return truth, measured, {name: _with_errors(*loop, truth_inv) for name, loop in loops.items()}
 

@@ -74,36 +74,47 @@ def check_cov_tangent(cov: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _indexed(obj, index):
+    """``obj`` with its fields and evaluated cached terms indexed, read-only and unchecked."""
+    out = object.__new__(type(obj))
+    for name, value in vars(obj).items():
+        value = None if value is None else value[index]
+        vars(out)[name] = _frozen(value) if isinstance(value, np.ndarray) else value
+    return out
+
+
 @dataclass(frozen=True)
 class FilterState:
-    """Nominal pose plus 6x6 tangent covariance (left perturbation).
-
-    The constructor checks each covariance of a batch (``check_cov_tangent``);
-    the states that ``predict`` and the updates return are symmetrized, not checked.
-    ``converged`` holds when the Gauss-Newton loop of ``fuse_poses`` converged
-    in every run of the batch; ``iterations`` is its step count per run (None
-    for states that no fusion made).
-    """
+    """Nominal pose plus 6x6 tangent covariance (left perturbation), over
+    leading run axes that indexing selects. The constructor checks each
+    covariance (``check_cov_tangent``); the states that ``predict`` and the
+    updates return are symmetrized, not checked. ``iterations`` counts the
+    Gauss-Newton steps of ``fuse_poses`` per run, None where no fusion ran."""
 
     pose: Pose
     cov: np.ndarray
-    converged: bool = True
     iterations: np.ndarray | None = None
 
     def __post_init__(self):
-        cov = check_cov_tangent(self.cov)
-        cov.flags.writeable = False
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", _frozen(check_cov_tangent(self.cov)))
+
+    @property
+    def converged(self) -> bool:
+        """False exactly where some run took ``_FUSION_MAX_ITERS`` steps."""
+        return self.iterations is None or not np.any(self.iterations >= _FUSION_MAX_ITERS)
+
+    __getitem__ = _indexed
 
 
-def _state(pose: Pose, cov: np.ndarray, converged: bool = True, iterations=None) -> FilterState:
-    """FilterState of a covariance the filters computed: symmetrized and frozen
-    like the constructor does, without ``check_cov_tangent``."""
+def _state(pose: Pose, cov: np.ndarray, iterations=None) -> FilterState:
+    """FilterState of a covariance the filters computed: symmetrized and frozen, not checked."""
     state = object.__new__(FilterState)
-    cov = _symmetrize(cov)
-    cov.flags.writeable = False
-    for name, value in (("pose", pose), ("cov", cov), ("converged", converged), ("iterations", iterations)):
-        object.__setattr__(state, name, value)
+    vars(state).update(pose=pose, cov=_frozen(_symmetrize(cov)), iterations=iterations)
     return state
 
 
@@ -137,35 +148,40 @@ class MotionCommand:
 
 @dataclass(frozen=True)
 class PoseMeasurement:
-    """Measured pose with its 6x6 state-domain bound over [position, rotation]."""
+    """Measured pose with its 6x6 state-domain bound over [position, rotation],
+    broadcast to the pose's leading axes as a read-only view. Indexing selects
+    along them; a slice holds the slices of the terms already evaluated."""
 
     pose: Pose
     cov_state_icrb: np.ndarray
 
     def __post_init__(self):
         cov = _symmetrize(np.asarray(self.cov_state_icrb, dtype=float))
-        cov.flags.writeable = False
-        object.__setattr__(self, "cov_state_icrb", cov)
+        batch = self.pose.translation_block.shape[:-1]
+        object.__setattr__(self, "cov_state_icrb", np.broadcast_to(cov, batch + (6, 6)))
+
+    __getitem__ = _indexed
+
+    def evaluated(self) -> "PoseMeasurement":
+        """Itself, with every term the filters read evaluated for its slices to share."""
+        _ = self.cov_tangent, self.euler_state
+        return self
 
     @cached_property
     def cov_tangent(self) -> np.ndarray:
         """The bound mapped into the [rho, r] tangent at the measured rotation,
         computed once and shared by every filter that consumes this measurement."""
-        cov = measurement_covariance(self.cov_state_icrb, self.pose.rotation)
-        cov.flags.writeable = False
-        return cov
+        return _frozen(measurement_covariance(self.cov_state_icrb, self.pose.rotation))
 
     @cached_property
     def euler_state(self) -> np.ndarray:
-        """``euler_state_from_pose`` of the measured pose, which the Euler EKF reads."""
-        return euler_state_from_pose(self.pose)
+        """[position, yaw, pitch, roll] of the measured pose, at any pitch."""
+        return np.concatenate([self.pose.position, _euler_from_rotation(self.pose.rotation)], axis=-1)
 
 
-def _measurement(pose: Pose, cov_state_icrb: np.ndarray, **cached) -> PoseMeasurement:
-    """PoseMeasurement holding ``cached`` properties: slices of one evaluation over a larger stack."""
-    meas = PoseMeasurement(pose, cov_state_icrb)
-    meas.__dict__.update(cached)
-    return meas
+def initial_state(meas: PoseMeasurement) -> FilterState:
+    """Fusion or ESKF state at a first measurement: its pose and tangent covariance."""
+    return FilterState(meas.pose, meas.cov_tangent)
 
 
 def predict(state: FilterState, cmd: MotionCommand) -> FilterState:
@@ -184,7 +200,7 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
     (1e-8) is not applied: the iterate where the normal equations were last
     formed is returned, with their inverse as the posterior covariance. After
     ``_FUSION_MAX_ITERS`` (50) steps without convergence the state has
-    converged=False; ``iterations``, the steps applied, reach 50 only then.
+    ``converged`` False; ``iterations``, the steps applied, reach 50 only then.
 
     Over a batch each run keeps its own convergence flag: a converged run
     takes zero steps, which leave its iterate exactly as it is, while the
@@ -224,7 +240,7 @@ def fuse_poses(sources, initial: Pose) -> FilterState:
         steps = steps + ~converged
 
     post_cov = _checked(np.linalg.inv, SingularNormalEquations, "posterior information matrix singular", normal)
-    return _state(t_in, post_cov, bool(converged.all()), steps)
+    return _state(t_in, post_cov, steps)
 
 
 def fusion_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
@@ -261,9 +277,7 @@ def eskf_update(pred: FilterState, meas: PoseMeasurement) -> FilterState:
 
 def wrap_angle(a):
     """Wrap angles to (-pi, pi]."""
-    out = np.asarray(a, dtype=float)
-    out = -((-out + np.pi) % (2.0 * np.pi) - np.pi)
-    return out
+    return -((-np.asarray(a, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 # Entries of Rz(yaw), Ry(pitch), Rx(roll) in row-major order, as indices into
@@ -291,14 +305,16 @@ def rotation_from_euler(ypr: np.ndarray) -> np.ndarray:
 
 
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """Intrinsic Z-Y-X (yaw, pitch, roll) angles of a rotation matrix.
-
-    Raises GimbalLock when the pitch is within the guard band of +/-pi/2.
-    """
+    """Intrinsic Z-Y-X (yaw, pitch, roll) angles of a rotation matrix; raises
+    GimbalLock when the pitch is within the guard band of +/-pi/2."""
     rot = np.asarray(rot, dtype=float)
+    _require_pitch(rot)
+    return _euler_from_rotation(rot)
+
+
+def _require_pitch(rot: np.ndarray) -> None:
     if np.count_nonzero(np.abs(rot[..., 2, 0]) >= _GIMBAL_SIN):
         raise GimbalLock("pitch within guard band of +/-pi/2")
-    return _euler_from_rotation(rot)
 
 
 def _euler_from_rotation(rot: np.ndarray) -> np.ndarray:
@@ -367,22 +383,29 @@ def euler_predict(state: np.ndarray, cov: np.ndarray, cmd: MotionCommand):
     return new_state, _symmetrize(jac @ np.asarray(cov) @ jac.mT + cmd.process_noise)
 
 
+def euler_initial(meas: PoseMeasurement):
+    """Euler EKF state and covariance at a first measurement, GimbalLock in the guard band."""
+    _require_pitch(meas.pose.rotation)
+    return meas.euler_state, meas.cov_state_icrb
+
+
 def euler_ekf_update(state: np.ndarray, cov: np.ndarray, meas: PoseMeasurement):
     """Standard EKF update on [position, yaw, pitch, roll].
 
     The measured rotation is converted to Euler angles, angle residuals are
     wrapped to (-pi, pi], and the state-domain bound of the measurement is
     used directly as the Euclidean measurement covariance (the naive
-    reinterpretation this baseline is known for).
+    reinterpretation this baseline is known for). A predicted or measured
+    pitch within the guard band of +/-pi/2 raises GimbalLock.
     """
     state = np.asarray(state, dtype=float)
     if np.count_nonzero(np.abs(state[..., 4]) >= np.pi / 2.0 - _GIMBAL_GUARD):
         raise GimbalLock("predicted pitch within guard band of +/-pi/2")
+    _require_pitch(meas.pose.rotation)
     innov = meas.euler_state - state
     innov[..., 3:] = wrap_angle(innov[..., 3:])
     cov = np.asarray(cov)
-    gain = _gain(cov, cov + np.asarray(meas.cov_state_icrb))
+    gain = _gain(cov, cov + meas.cov_state_icrb)
     new_state = state + np.matvec(gain, innov)
     new_state[..., 3:] = wrap_angle(new_state[..., 3:])
-    new_cov = _symmetrize((np.eye(6) - gain) @ cov)
-    return new_state, new_cov
+    return new_state, _symmetrize((np.eye(6) - gain) @ cov)

@@ -21,6 +21,7 @@ from radiopose import bounds, channel, lie
 from radiopose.channel import AnchorConfig, ArrayGeometry
 from radiopose.simkit import default_scenario, generate_trajectory
 from radiopose.tracking import rotation_from_euler
+from references import signal_of
 
 STEP_POSITION_M = 1e-6
 STEP_ROTATION_RAD = 1e-7
@@ -60,22 +61,6 @@ def reduced_wideband():
         ue_array=ArrayGeometry.half_wavelength_upa(2, 2, carrier),
         signal=replace(cfg.signal, num_subcarriers=32, bandwidth_hz=48e6, num_transmissions=8),
     )
-
-
-def signal_of(z, ue, anchors, ue_array, sig, beams):
-    """Noise-free received signal, flattened, at state offset z[:6] = [delta p,
-    theta] from ``ue`` with anchor n's gain z[6 + 2n] + j z[7 + 2n]."""
-    pose = lie.Pose.from_rotation_position(lie.so3_exp(z[3:6]) @ ue.rotation, ue.position + z[:3])
-    out = []
-    for n, anchor in enumerate(anchors):
-        par = channel.channel_params(pose, anchor, sig)
-        a_ue = channel.steering_vector(ue_array, par.dir_ue, sig.carrier_hz)
-        a_bs = channel.steering_vector(anchor.array, par.dir_bs, sig.carrier_hz)
-        beam = (beams.combiners[n] @ a_ue) * (beams.precoders[n] @ a_bs)
-        gain = z[6 + 2 * n] + 1j * z[7 + 2 * n]
-        phases = channel._subcarrier_phases(par.delay_s, sig)
-        out.append(gain * sig.subcarrier_amplitude * np.outer(beam, phases).ravel())
-    return np.concatenate(out)
 
 
 def oracle_state_fim(ue, anchors, ue_array, sig, beams):

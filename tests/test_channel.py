@@ -11,6 +11,7 @@ from radiopose import bounds, channel, lie, simkit
 from radiopose.channel import SPEED_OF_LIGHT, ArrayGeometry
 from radiopose.errors import CoincidentPositions, PolarSingularity
 from radiopose.simkit import default_scenario
+from references import fim_angles_per_anchor, fim_direction_from_angles
 from test_bound_oracle import reduced_wideband
 
 
@@ -470,11 +471,11 @@ class TestAngleJacobian:
 
 class TestFimDirectionFromAngles:
     def test_zero_fim(self):
-        out = channel.fim_direction_from_angles(np.zeros((2, 2)), [1.0, 0, 0])
+        out = fim_direction_from_angles(np.zeros((2, 2)), [1.0, 0, 0])
         assert np.array_equal(out, np.zeros((3, 3)))
 
     def test_identity_fim_at_x_axis(self):
-        out = channel.fim_direction_from_angles(np.eye(2), [1.0, 0, 0])
+        out = fim_direction_from_angles(np.eye(2), [1.0, 0, 0])
         jac = channel.angle_jacobian([1.0, 0, 0])
         np.testing.assert_allclose(out, jac.T @ jac)
 
@@ -486,7 +487,7 @@ class TestFimDirectionFromAngles:
                 t[2] = 0.0
                 t = _unit(t)
             a = rng.standard_normal((2, 2))
-            out = channel.fim_direction_from_angles(a @ a.T, t)
+            out = fim_direction_from_angles(a @ a.T, t)
             assert np.linalg.matrix_rank(out, tol=1e-10 * max(np.abs(out).max(), 1e-30)) <= 2
 
     def test_null_direction_for_horizontal_directions(self):
@@ -496,7 +497,7 @@ class TestFimDirectionFromAngles:
             t = np.array([np.cos(az), np.sin(az), 0.0])
             a = rng.standard_normal((2, 2))
             fim = a @ a.T
-            out = channel.fim_direction_from_angles(fim, t)
+            out = fim_direction_from_angles(fim, t)
             assert np.linalg.norm(out @ t) < 1e-12 * np.abs(out).max()
 
     def test_chain_rule_consistency_with_signal_fim(self):
@@ -525,7 +526,7 @@ class TestFimDirectionFromAngles:
                 ]
             )
             f_angles = t_gamma.T @ f_t @ t_gamma
-            back = channel.fim_direction_from_angles(f_angles, t)
+            back = fim_direction_from_angles(f_angles, t)
             b = tangent_basis(t)
             lhs = b @ back @ b.T
             rhs = b @ f_t @ b.T
@@ -581,7 +582,7 @@ class TestFimAnglesPerAnchor:
         sig = small_signal()
         beams = channel.draw_beams([anchor], ue_array, sig)
         f9 = channel.fim_unconstrained(ue, [anchor], ue_array, sig, beams)
-        f7 = channel.fim_angles_per_anchor(f9, par.dir_ue, par.dir_bs)
+        f7 = fim_angles_per_anchor(f9, par.dir_ue, par.dir_bs)
         scale = np.abs(f7).max()
         assert f7.shape == (7, 7)
         assert np.linalg.norm(f7 - f7.T) < 1e-10 * scale
@@ -593,7 +594,7 @@ class TestFimAnglesPerAnchor:
         # projected direction-vector block
         from radiopose.bounds import tangent_basis
 
-        back = channel.fim_direction_from_angles(f7[3:5, 3:5], par.dir_ue)
+        back = fim_direction_from_angles(f7[3:5, 3:5], par.dir_ue)
         b = tangent_basis(par.dir_ue)
         np.testing.assert_allclose(
             b @ back @ b.T, b @ f9[1:4, 1:4] @ b.T, rtol=0, atol=1e-6 * scale
@@ -617,3 +618,22 @@ class TestErrorPaths:
             tracking.fuse_poses(
                 [(Pose.identity(), np.zeros((6, 6)))], initial=Pose.identity()
             )
+
+
+class TestSizeCaps:
+    """Each size a scenario sets has a cap, checked when the value is built
+    and before anything of that size is allocated."""
+
+    @pytest.mark.parametrize(
+        "name, cap", [("num_subcarriers", channel.MAX_SUBCARRIERS), ("num_transmissions", channel.MAX_TRANSMISSIONS)]
+    )
+    def test_signal_size_cap(self, name, cap):
+        assert getattr(small_signal(**{name: cap}), name) == cap
+        with pytest.raises(ValueError, match=f"{name} must be at most {cap}, got {cap + 1}"):
+            small_signal(**{name: cap + 1})
+
+    def test_array_element_cap_is_checked_before_the_grid(self):
+        assert ArrayGeometry.upa(64, 64, 0.005).num_elements == channel.MAX_ARRAY_ELEMENTS
+        for shape in ((65, 64), (10**12, 10**12)):  # no grid of the second shape could be allocated
+            with pytest.raises(ValueError, match=f"exceeds {channel.MAX_ARRAY_ELEMENTS} elements"):
+                ArrayGeometry.upa(*shape, 0.005)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from radiopose import channel, lie, simkit, tracking
 
+from references import small_adjoint
 from test_lie import expm_series, jacobian_series
 
 LIE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -75,7 +76,7 @@ def test_adjoint_conjugates_the_algebra(xi_pose, xi):
 @LIE
 @given(tangents())
 def test_se3_left_jacobian_matches_series(xi):
-    ref = jacobian_series(lie.small_adjoint(xi), 60)
+    ref = jacobian_series(small_adjoint(xi), 60)
     assert rel_err(lie.se3_left_jacobian(xi), ref) <= 1e-14
 
 

@@ -480,11 +480,11 @@ class TestRunMonteCarlo:
                 prop, "func", lambda meas, f=prop.func, shapes=shapes: shapes.append(meas.pose.rotation.shape) or f(meas)
             )
         simkit.run_monte_carlo(tiny_scenario(mc_runs=3, steps=3))
-        assert calls == {"cov_tangent": [(3, 6, 3, 3)], "euler_state": []}
+        assert calls == {"cov_tangent": [(3, 6, 3, 3)], "euler_state": [(3, 6, 3, 3)]}
 
     def test_runs_left_after_a_drop_keep_reading_their_slices(self, monkeypatch):
-        # only the runs retaken alone at the failing step evaluate their
-        # cov_tangent again; the two runs left read the study's slices after it
+        # the runs retaken alone at the failing step, and the two runs left
+        # after it, read the study's slices
         cfg = tiny_scenario(mc_runs=3, steps=3)
         beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
         truths, reports = simkit.scenario_reports(cfg, beams)
@@ -495,7 +495,7 @@ class TestRunMonteCarlo:
         shapes = []
         monkeypatch.setattr(prop, "func", lambda meas, f=prop.func: shapes.append(meas.pose.rotation.shape) or f(meas))
         assert simkit.run_monte_carlo(cfg).dropped_runs == {1: {"eskf": "injected"}}
-        assert shapes == [(3, 6, 3, 3), (3, 3), (3, 3)]
+        assert shapes == [(3, 6, 3, 3)]
 
     def test_gimbal_locked_measurement_fails_only_its_run(self, monkeypatch):
         # the Euler state of the stack is computed without the guard; a
@@ -804,6 +804,37 @@ class TestScenarioIo:
         args = {"bounds": ["--powers", "0", "--out", out + ".csv"], "mc": ["--runs", "1", "--out-prefix", out]}
         assert cli.main([command, "--config", str(path)] + args[command]) == 2
 
+    def test_run_steps_cap(self):
+        # built only: a study at the cap is never run here
+        cfg = tiny_scenario(mc_runs=1, steps=3)  # 6 steps per run
+        runs = simkit.MAX_RUN_STEPS // 6
+        assert replace(cfg, mc_runs=runs).mc_runs == runs
+        with pytest.raises(ValueError, match=f"at most {simkit.MAX_RUN_STEPS}, got {6 * (runs + 1)}"):
+            replace(cfg, mc_runs=runs + 1)
+
+    @pytest.mark.parametrize(
+        "key, cap, edit",
+        [
+            ("num_subcarriers", channel.MAX_SUBCARRIERS, lambda raw: raw["signal"].update(num_subcarriers=10**13)),
+            ("num_transmissions", channel.MAX_TRANSMISSIONS,
+             lambda raw: raw["signal"].update(num_transmissions=channel.MAX_TRANSMISSIONS + 1)),
+            ("array_shape", channel.MAX_ARRAY_ELEMENTS, lambda raw: raw["anchors"][1].update(array_shape=[10**6, 10**6])),
+            ("mc_runs", simkit.MAX_RUN_STEPS, lambda raw: raw.update(mc_runs=10**9)),
+            ("steps", simkit.MAX_RUN_STEPS, lambda raw: raw["segments"][0].update(steps=10**15)),
+        ],
+    )
+    def test_oversized_scenario_raises_config_error(self, tmp_path, key, cap, edit):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        edit(raw)
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError, match=f"{key}.*{cap}"):
+            simkit.load_scenario(path)
+        out = str(tmp_path / "out")
+        assert cli.main(["bounds", "--config", str(path), "--powers", "0", "--out", out + ".csv"]) == 2
+        assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", out]) == 2
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_raises_config_error(self, tmp_path, seed):
         raw = simkit.scenario_to_dict(tiny_scenario())
@@ -1111,6 +1142,12 @@ class TestCli:
         rc = cli.main(["mc", "--runs", runs, "--out-prefix", str(tmp_path / "mc")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_runs_over_the_cap_exit_config_error(self, tmp_path, capsys):
+        rc = cli.main(["mc", "--runs", str(simkit.MAX_RUN_STEPS + 1), "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 2
+        assert f"must be at most {simkit.MAX_RUN_STEPS}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e6, 1e200])

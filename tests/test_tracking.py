@@ -2,7 +2,7 @@
 and the Euler baseline. Scalar Kalman blends and Monte Carlo covariance
 propagation serve as the independent oracles."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -621,3 +621,83 @@ class TestBatchedFilters:
         assert_only_bad_rows_raise(GimbalLock, lambda r: tracking.euler_ekf_update(states[r], covs[r], meas), 3, [2])
         rot = np.stack([tracking.rotation_from_euler([0.1, p, 0.2]) for p in (0.3, np.pi / 2 - 1e-5, -0.2)])
         assert_only_bad_rows_raise(GimbalLock, lambda r: tracking.euler_from_rotation(rot[r]), 3, [1])
+
+
+class TestSlicing:
+    """Measurements and filter states index themselves along their leading
+    axes, as ``Pose`` does."""
+
+    def _stack(self, seed=60):
+        # (3 runs, 4 steps) of measured poses, each with its own bound
+        rng = np.random.default_rng(seed)
+        pose = se3_exp(0.5 * rng.standard_normal((3, 4, 6)))
+        a = rng.standard_normal((3, 4, 6, 6))
+        return pose, 1e-3 * (a @ a.mT + 6 * np.eye(6))
+
+    @pytest.mark.parametrize(
+        "index", [(slice(None), 2), (np.array([True, False, True]), 1), (1, 3)], ids=["step", "run_mask", "single_run"]
+    )
+    def test_measurement_slice_equals_a_fresh_measurement(self, index):
+        pose, icrb = self._stack()
+        part = PoseMeasurement(pose, icrb).evaluated()[index]
+        fresh = PoseMeasurement(pose[index], icrb[index])
+        # the slice holds its share of the stack's terms; the fresh one evaluates its own
+        assert {"cov_tangent", "euler_state"} <= vars(part).keys()
+        np.testing.assert_array_equal(part.pose.rotation, fresh.pose.rotation)
+        np.testing.assert_array_equal(part.pose.translation_block, fresh.pose.translation_block)
+        for name in ("cov_state_icrb", "cov_tangent", "euler_state"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(fresh, name))
+            assert not getattr(part, name).flags.writeable
+
+    def test_slice_before_evaluation_evaluates_its_own_terms(self):
+        pose, icrb = self._stack()
+        meas = PoseMeasurement(pose, icrb)
+        part = meas[:, 0]
+        assert "cov_tangent" not in vars(meas) and "cov_tangent" not in vars(part)
+        np.testing.assert_array_equal(part.cov_tangent, meas.cov_tangent[:, 0])
+
+    def test_bound_is_a_read_only_view_broadcast_to_the_pose(self):
+        pose, icrb = self._stack()
+        meas = PoseMeasurement(pose, icrb[0])  # one bound per step, shared by the runs
+        assert meas.cov_state_icrb.shape == (3, 4, 6, 6)
+        assert meas.cov_state_icrb.strides[0] == 0
+        assert not meas.cov_state_icrb.flags.writeable
+        np.testing.assert_array_equal(meas.cov_state_icrb[2], (icrb[0] + icrb[0].mT) / 2.0)
+
+    def test_gimbal_band_measurement_has_an_euler_state_the_filter_refuses(self):
+        locked = Pose(tracking.rotation_from_euler(np.array([0.3, np.pi / 2, 0.1])), np.zeros(3))
+        meas = PoseMeasurement(locked, np.eye(6))
+        assert np.all(np.isfinite(meas.euler_state))
+        with pytest.raises(GimbalLock, match="^pitch within guard band"):
+            tracking.euler_initial(meas)
+        with pytest.raises(GimbalLock, match="^pitch within guard band"):
+            tracking.euler_ekf_update(np.zeros(6), np.eye(6), meas)
+
+    @pytest.mark.parametrize("index", [2, np.array([0, 3]), np.array([True, False, True, False])])
+    def test_state_slice_carries_the_matching_rows(self, index):
+        rng = np.random.default_rng(61)
+        states = [random_state(rng) for _ in range(4)]
+        measured = [se3_exp(0.01 * rng.standard_normal(6)) @ s.pose for s in states]
+        fused = tracking.fusion_update(batch_of(states), measurement_batch(measured, 1e-4 * np.eye(6)))
+        part = fused[index]
+        np.testing.assert_array_equal(part.pose.rotation, fused.pose.rotation[index])
+        np.testing.assert_array_equal(part.pose.translation_block, fused.pose.translation_block[index])
+        np.testing.assert_array_equal(part.cov, fused.cov[index])
+        np.testing.assert_array_equal(part.iterations, fused.iterations[index])
+        assert not part.cov.flags.writeable
+        assert batch_of(states)[index].iterations is None
+
+
+class TestConvergenceRecord:
+    def test_converged_is_derived_from_iterations(self):
+        pose, cov = Pose.identity(), np.eye(6)
+        assert "converged" not in {f.name for f in fields(FilterState)}
+        assert FilterState(pose, cov).converged
+        limit = tracking._FUSION_MAX_ITERS
+        assert FilterState(pose, cov, iterations=np.array(limit - 1)).converged
+        assert not FilterState(pose, cov, iterations=np.array(limit)).converged
+        # over a batch: False where any run reached the limit
+        poses = se3_exp(np.zeros((2, 6)))
+        assert not FilterState(poses, np.stack([cov, cov]), iterations=np.array([3, limit])).converged
+        with pytest.raises(FrozenInstanceError):
+            FilterState(pose, cov).converged = False
