@@ -272,19 +272,14 @@ def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray
 
 
 def pose_error_bounds(
-    ue: Pose, anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: BeamSet
+    ue: Pose, anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: BeamSet, powers_dbm=None
 ) -> IcrbReport:
     """ICRB report (6x6 bound, PEB, RMEB) for one pose and signal setup: the
     full pipeline from the signal model through the 6x6 state FIM. A pose
     with leading axes gives a report with those axes, whose unobservable
-    rows are flagged rather than raised."""
-    return _error_bounds(ue, anchors, ue_array, sig, beams, None)
-
-
-def _error_bounds(ue, anchors, ue_array, sig, beams, powers_dbm) -> IcrbReport:
-    """``pose_error_bounds``, with a power axis in front when ``powers_dbm``
-    is a sequence (``fim_unconstrained``): the geometry, beam factors,
-    projector and state Jacobian are computed once for all powers."""
+    rows are flagged rather than raised. A sequence ``powers_dbm`` puts a
+    power axis in front (``fim_unconstrained``), with the geometry, beam
+    factors, projector and state Jacobian computed once for all powers."""
     params = [channel_params(ue, a, sig) for a in anchors]
     f_raw = fim_unconstrained(ue, anchors, ue_array, sig, beams, powers_dbm)
     f_z = efim_remove_gains(project_fim(f_raw, params))

@@ -84,18 +84,30 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _cdf_paths(out: str, names):
-    stem = out[:-4] if out.endswith(".csv") else out
-    return {name: f"{stem}_cdf_{name}.csv" for name in names}
+def _study(cfg, rmse_path: str):
+    """Run the study of ``cfg`` and write its RMSE CSV and one CDF CSV per
+    filter; report to stderr what the CSVs leave out: the dropped runs, by
+    reason, and the fusion updates that hit the Gauss-Newton iteration limit."""
+    series = run_monte_carlo(cfg)
+    emit_csv(metric_table(series), rmse_path)
+    stem = rmse_path[:-4] if rmse_path.endswith(".csv") else rmse_path
+    for name, metrics in series.filters.items():
+        emit_csv(cdf_table(metrics), f"{stem}_cdf_{name}.csv")
+    reasons = Counter(
+        f"{name}: {reason}" for failed in series.dropped_runs.values() for name, reason in failed.items()
+    )
+    for reason, count in reasons.most_common():
+        print(f"dropped {count} run(s), {reason}", file=sys.stderr)
+    if series.fusion_nonconverged:
+        print(f"fusion hit the Gauss-Newton iteration limit in {series.fusion_nonconverged} update(s)",
+              file=sys.stderr)
+    return series
 
 
 def _cmd_track(args) -> int:
     cfg = _load_config(args)
     cfg = _override(cfg, filter_selection=args.filter or cfg.filter_selection, mc_runs=1)
-    series = run_monte_carlo(cfg)
-    emit_csv(metric_table(series), args.out)
-    for name, path in _cdf_paths(args.out, series.filters).items():
-        emit_csv(cdf_table(series.filters[name]), path)
+    series = _study(cfg, args.out)
     print(f"wrote per-step series for {', '.join(series.filters)} to {args.out}")
     return EXIT_OK
 
@@ -106,23 +118,12 @@ def _cmd_mc(args) -> int:
         cfg = _override(cfg, filter_selection=args.filter)
     if args.runs is not None:
         cfg = _override(cfg, mc_runs=args.runs)
-    series = run_monte_carlo(cfg)
     rmse_path = f"{args.out_prefix}_rmse.csv"
-    emit_csv(metric_table(series), rmse_path)
-    for name, path in _cdf_paths(rmse_path, series.filters).items():
-        emit_csv(cdf_table(series.filters[name]), path)
+    series = _study(cfg, rmse_path)
     msg = f"wrote {series.n_runs - series.n_failed_runs}/{series.n_runs} runs to {rmse_path}"
     if series.n_failed_runs:
         msg += f" ({series.n_failed_runs} failed)"
     print(msg)
-    reasons = Counter(
-        f"{name}: {reason}" for failed in series.dropped_runs.values() for name, reason in failed.items()
-    )
-    for reason, count in reasons.most_common():
-        print(f"dropped {count} run(s), {reason}", file=sys.stderr)
-    if series.fusion_nonconverged:
-        print(f"fusion hit the Gauss-Newton iteration limit in {series.fusion_nonconverged} update(s)",
-              file=sys.stderr)
     return EXIT_OK
 
 

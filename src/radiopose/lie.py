@@ -339,10 +339,13 @@ def _se3_log(pose: Pose):
 
 
 def se3_log_and_inv_jacobian(pose: Pose):
-    """h = ``se3_log(pose)`` and ``se3_left_jacobian_inv(-h)`` from one ``_so3_terms``
-    evaluation: at -h the terms are those at h with hat(r) negated, exactly."""
+    """h = ``se3_log(pose)`` and the inverse of ``se3_left_jacobian(-h)``, [[J^-1, -J^-1 Q J^-1],
+    [0, J^-1]] in closed form, from one ``_so3_terms`` evaluation: at -h the
+    terms are those at h with hat(r) negated, exactly."""
     h, (k, *rest) = _se3_log(pose)
-    return h, _se3_left_jacobian_inv(-h, (-k, *rest))
+    terms = (-k, *rest)
+    jac_inv = _so3_jacobian_inv(terms)
+    return h, _block_triangular(jac_inv, -(jac_inv @ _coupling_block(-h, terms) @ jac_inv))
 
 
 def _block_triangular(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -386,15 +389,3 @@ def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
 
 def _se3_left_jacobian(xi, terms) -> np.ndarray:
     return _block_triangular(_left_jacobian(terms), _coupling_block(xi, terms))
-
-
-def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
-    """Inverse of ``se3_left_jacobian``, [[J^-1, -J^-1 Q J^-1], [0, J^-1]] in closed
-    form (``_so3_jacobian_inv``, ``_coupling_block``)."""
-    xi = np.asarray(xi, dtype=float)
-    return _se3_left_jacobian_inv(xi, _so3_terms(xi[..., 3:]))
-
-
-def _se3_left_jacobian_inv(xi, terms) -> np.ndarray:
-    jac_inv = _so3_jacobian_inv(terms)
-    return _block_triangular(jac_inv, -(jac_inv @ _coupling_block(xi, terms) @ jac_inv))

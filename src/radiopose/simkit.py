@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .bounds import _error_bounds, pose_error_bounds
+from .bounds import pose_error_bounds
 from .channel import (
     AnchorConfig,
     ArrayGeometry,
@@ -47,6 +47,8 @@ from .tracking import (
 FILTER_NAMES = ("fusion", "eskf", "euler")
 # cap on mc_runs x trajectory steps: a study holds about 1.1 kB per run-step, 2.2 GB at the cap
 MAX_RUN_STEPS = 2_000_000
+# cap on trajectory steps alone: the bound pipeline holds about 15.3 kB per truth pose, 2.0 GB at the cap
+MAX_TRAJECTORY_STEPS = 2**17
 # libyaml's parser when PyYAML was built with it; the constructor is SafeLoader's either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -99,9 +101,12 @@ class ScenarioConfig:
             raise ValueError("at least 1 trajectory segment is required")
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be >= 1")
-        run_steps = self.mc_runs * sum(s.steps for s in self.segments)
+        steps = sum(s.steps for s in self.segments)
+        run_steps = self.mc_runs * steps
         if run_steps > MAX_RUN_STEPS:
             raise ValueError(f"mc_runs x trajectory steps must be at most {MAX_RUN_STEPS}, got {run_steps}")
+        if steps > MAX_TRAJECTORY_STEPS:
+            raise ValueError(f"trajectory steps must be at most {MAX_TRAJECTORY_STEPS}, got {steps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.filter_selection not in FILTER_NAMES + ("all",):
@@ -129,71 +134,49 @@ class ScenarioConfig:
         return q
 
 
-def default_segments() -> tuple:
-    """Six equal constant-velocity segments, 20 samples each at 0.5 s."""
-    velocities = [
-        [0.5, 0.0, 0.0],
-        [0.0, 0.5, 0.0],
-        [-0.5, 0.0, 0.5],
-        [0.5, 0.5, 0.0],
-        [0.0, -0.5, 0.0],
-        [-0.5, 0.0, -0.5],
-    ]
-    turn = -np.pi / 4.0
-    rates = [
-        [0.0, 0.0, turn],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, turn],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, turn],
-        [0.0, 0.0, turn],
-    ]
-    return tuple(
-        TrajectorySegment(v=np.array(v), w=np.array(w), steps=20, dt=0.5)
-        for v, w in zip(velocities, rates)
-    )
+# The default scenario in the scenario file form; its keys and value types are the schema.
+_DEFAULT_SCENARIO = {
+    "seed": 3,
+    "mc_runs": 100,
+    "filter_selection": "all",
+    "measurement_noise_scale": 1.0,
+    "process_noise_rho_m": 0.01,
+    "process_noise_rot_rad": 0.005,
+    "signal": {
+        "carrier_hz": 30e9,
+        "subcarrier_spacing_hz": 120e3,
+        "num_subcarriers": 100,
+        "num_transmissions": 20,
+        "tx_power_dbm": 20.0,
+        "noise_psd_dbm_hz": -173.855,
+        "bandwidth_hz": 100e6,
+        "clock_bias_s": 0.0,
+        "rng_seed": 1,
+    },
+    "anchors": [
+        {"position_m": [5.0, 0.0, 0.0], "orientation_deg_zyx": [0.0, 15.0, 0.0], "array_shape": [8, 8]},
+        {"position_m": [0.0, 5.0, 0.0], "orientation_deg_zyx": [-30.0, 15.0, 0.0], "array_shape": [8, 8]},
+    ],
+    "ue": {
+        "start_position_m": [-5.0, -5.0, 0.0],
+        "start_orientation_deg_zyx": [20.0, -30.0, 0.0],
+        "array_shape": [4, 4],
+    },
+    "segments": [
+        {"v_mps": [0.5, 0.0, 0.0], "w_radps": [0.0, 0.0, -np.pi / 4], "steps": 20, "dt_s": 0.5},
+        {"v_mps": [0.0, 0.5, 0.0], "w_radps": [0.0, 0.0, 0.0], "steps": 20, "dt_s": 0.5},
+        {"v_mps": [-0.5, 0.0, 0.5], "w_radps": [0.0, 0.0, -np.pi / 4], "steps": 20, "dt_s": 0.5},
+        {"v_mps": [0.5, 0.5, 0.0], "w_radps": [0.0, 0.0, 0.0], "steps": 20, "dt_s": 0.5},
+        {"v_mps": [0.0, -0.5, 0.0], "w_radps": [0.0, 0.0, -np.pi / 4], "steps": 20, "dt_s": 0.5},
+        {"v_mps": [-0.5, 0.0, -0.5], "w_radps": [0.0, 0.0, -np.pi / 4], "steps": 20, "dt_s": 0.5},
+    ],
+}
 
 
 def default_scenario() -> ScenarioConfig:
-    """Default two-anchor 30 GHz scenario.
-
-    8x8 anchor arrays and a 4x4 UE array at half-wavelength spacing,
-    120 kHz subcarriers (100 of them) in a 100 MHz noise bandwidth,
-    20 random beam pairs per snapshot, anchors at [5,0,0] / [0,5,0] with
-    Z-Y-X orientations (0,15,0) and (-30,15,0) degrees, UE starting at
-    [-5,-5,0] with orientation (20,-30,0) degrees.
-    """
-    carrier_hz = 30e9
-    signal = SignalConfig(
-        carrier_hz=carrier_hz,
-        subcarrier_spacing_hz=120e3,
-        num_subcarriers=100,
-        num_transmissions=20,
-        tx_power_dbm=20.0,
-        noise_psd_dbm_hz=-173.855,
-        bandwidth_hz=100e6,
-        clock_bias_s=0.0,
-        rng_seed=1,
-    )
-    bs_array = ArrayGeometry.half_wavelength_upa(8, 8, carrier_hz)
-    ue_array = ArrayGeometry.half_wavelength_upa(4, 4, carrier_hz)
-    anchors = (
-        AnchorConfig(np.array([5.0, 0.0, 0.0]), rotation_from_euler(np.deg2rad([0.0, 15.0, 0.0])), bs_array),
-        AnchorConfig(np.array([0.0, 5.0, 0.0]), rotation_from_euler(np.deg2rad([-30.0, 15.0, 0.0])), bs_array),
-    )
-    ue_start = Pose.from_rotation_position(
-        rotation_from_euler(np.deg2rad([20.0, -30.0, 0.0])), np.array([-5.0, -5.0, 0.0])
-    )
-    return ScenarioConfig(
-        anchors=anchors,
-        ue_array=ue_array,
-        signal=signal,
-        ue_start=ue_start,
-        segments=default_segments(),
-        mc_runs=100,
-        seed=3,
-        filter_selection="all",
-    )
+    """Default two-anchor 30 GHz scenario: ``_DEFAULT_SCENARIO`` through the
+    constructors and checks of any scenario file."""
+    return scenario_from_dict(_DEFAULT_SCENARIO)
 
 
 def segment_commands(segments, process_noise: np.ndarray | None = None):
@@ -535,7 +518,7 @@ def bounds_sweep(cfg: ScenarioConfig, powers_dbm) -> list:
         if not np.isfinite(power):
             raise ValueError(f"tx_power_dbm must be finite, got {power}")
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
-    report = _error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams, powers)
+    report = pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams, powers)
     return [
         {"power_dbm": power, "peb_m": float(peb), "rmeb_rad": float(rmeb), "observable": bool(ok)}
         for power, peb, rmeb, ok in zip(powers, report.peb_m, report.rmeb_rad, report.observable)
@@ -706,8 +689,8 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def _known_keys(raw, template: dict, where: str) -> dict:
-    """``raw`` as a dict; ConfigError naming each key that ``template``, what
-    ``scenario_to_dict`` writes at this level, does not have."""
+    """``raw`` as a dict; ConfigError naming each key that ``template``, the
+    ``_DEFAULT_SCENARIO`` entry at this level, does not have."""
     raw = dict(raw)
     unknown = sorted(str(k) for k in raw.keys() - template.keys())
     if unknown:
@@ -716,7 +699,7 @@ def _known_keys(raw, template: dict, where: str) -> dict:
 
 
 def _typed(key: str, kind: type, value):
-    """``value`` as ``kind``, the type ``scenario_to_dict`` writes at ``key``; ConfigError
+    """``value`` as ``kind``, the type ``_DEFAULT_SCENARIO`` holds at ``key``; ConfigError
     for a boolean as a number or a non-integral integer, which a cast would truncate."""
     if kind in (int, float) and isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -750,11 +733,10 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Scenario from the form ``scenario_to_dict`` writes; raises ConfigError
     on a missing, unknown or invalid key.
 
-    The keys and value types ``scenario_to_dict`` writes for the default
-    scenario are the schema (``_typed``). An optional key that is absent
-    takes the dataclass default.
+    The keys and value types of ``_DEFAULT_SCENARIO`` are the schema
+    (``_typed``). An optional key that is absent takes the dataclass default.
     """
-    template = scenario_to_dict(default_scenario())
+    template = _DEFAULT_SCENARIO
     try:
         raw = _known_keys(raw, template, "scenario")
         sig_raw = _known_keys(raw["signal"], template["signal"], "signal")

@@ -23,6 +23,11 @@ def small_adjoint(xi) -> np.ndarray:
     return out
 
 
+def se3_left_jacobian_inv(xi) -> np.ndarray:
+    """Inverse of the SE(3) left Jacobian at xi = [rho, r], by numerical inversion."""
+    return np.linalg.inv(lie.se3_left_jacobian(xi))
+
+
 def fim_direction_from_angles(angle_fim, direction) -> np.ndarray:
     """Pull a 2x2 azimuth/elevation FIM back to the 3d direction vector.
 

@@ -77,6 +77,29 @@ class TestDefaultScenario:
         ypr = tracking.euler_from_rotation(cfg.ue_start.rotation)
         np.testing.assert_allclose(np.rad2deg(ypr), [20.0, -30.0, 0.0], atol=1e-10)
 
+    def test_literal_is_the_schema_the_writer_writes(self):
+        # the loader's schema is the literal: the writer gives the same keys
+        # and value types at every level
+        def kinds(value):
+            if isinstance(value, dict):
+                return {k: kinds(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [kinds(v) for v in value]
+            return type(value)
+
+        assert kinds(simkit.scenario_to_dict(simkit.default_scenario())) == kinds(simkit._DEFAULT_SCENARIO)
+
+    def test_published_rotations_and_turn_rates_are_exact(self):
+        cfg = simkit.default_scenario()
+        for anchor, deg in zip(cfg.anchors, ([0.0, 15.0, 0.0], [-30.0, 15.0, 0.0]), strict=True):
+            np.testing.assert_array_equal(anchor.orientation, tracking.rotation_from_euler(np.deg2rad(deg)))
+        np.testing.assert_array_equal(
+            cfg.ue_start.rotation, tracking.rotation_from_euler(np.deg2rad([20.0, -30.0, 0.0]))
+        )
+        turn, still = [0.0, 0.0, -np.pi / 4], [0.0, 0.0, 0.0]
+        for seg, w in zip(cfg.segments, [turn, still, turn, still, turn, turn], strict=True):
+            np.testing.assert_array_equal(seg.w, w)
+
     def test_two_anchor_minimum_enforced(self):
         cfg = simkit.default_scenario()
         with pytest.raises(ValueError):
@@ -539,6 +562,17 @@ class TestRunMonteCarlo:
         header = (tmp_path / "mc_rmse.csv").read_text().splitlines()[0]
         assert "converge" not in header
 
+    def test_track_reports_fusion_non_convergence(self, monkeypatch, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        simkit.save_scenario(tiny_scenario(steps=3), cfg_path)
+        monkeypatch.setattr(tracking, "_FUSION_MAX_ITERS", 1)
+        rc = cli.main(["track", "--config", str(cfg_path), "--out", str(tmp_path / "track.csv")])
+        assert rc == 0
+        # every fusion update after the first step stops at the one allowed step
+        assert "fusion hit the Gauss-Newton iteration limit in 5 update(s)" in capsys.readouterr().err
+        for path in tmp_path.glob("track*.csv"):
+            assert "converge" not in path.read_text()
+
     def test_fusion_converging_on_its_last_allowed_solve_is_not_counted(self, monkeypatch):
         cfg = tiny_scenario(mc_runs=3, steps=3)
         real_fuse = tracking.fuse_poses
@@ -811,6 +845,26 @@ class TestScenarioIo:
         assert replace(cfg, mc_runs=runs).mc_runs == runs
         with pytest.raises(ValueError, match=f"at most {simkit.MAX_RUN_STEPS}, got {6 * (runs + 1)}"):
             replace(cfg, mc_runs=runs + 1)
+
+    def test_trajectory_steps_cap(self, tmp_path, capsys):
+        # built only: a trajectory at the cap is never run here; one run keeps
+        # it under the run-step cap, which bounds the trajectory only with mc_runs
+        cfg = tiny_scenario(mc_runs=1, n_segments=1)
+        cap = simkit.MAX_TRAJECTORY_STEPS
+        at_cap = replace(cfg, segments=(replace(cfg.segments[0], steps=cap),))
+        assert at_cap.segments[0].steps == cap
+        with pytest.raises(ValueError, match=f"trajectory steps must be at most {cap}, got {cap + 1}"):
+            replace(cfg, segments=(replace(cfg.segments[0], steps=cap + 1),))
+        raw = simkit.scenario_to_dict(at_cap)
+        raw["segments"][0]["steps"] = cap + 1
+        path = tmp_path / "long.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError, match=f"steps must be at most {cap}, got {cap + 1}"):
+            simkit.load_scenario(path)
+        rc = cli.main(["mc", "--config", str(path), "--out-prefix", str(tmp_path / "mc")])
+        assert rc == 2
+        assert f"must be at most {cap}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("mc*"))
 
     @pytest.mark.parametrize(
         "key, cap, edit",
