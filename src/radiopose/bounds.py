@@ -12,10 +12,12 @@ delays, then per anchor the UE-side and anchor-side direction vectors, then
 per-anchor Re/Im gains. After projection each direction vector contributes
 two tangent coordinates.
 
-Every step takes leading batch axes (poses, or the transmit powers of a
-sweep) in front of its matrices; an unbatched call is the same code at batch
-size one. Numerical failures stay per row: a batch marks a failing row NaN
-and unobservable and carries on, where an unbatched call raises.
+Every step takes leading batch axes (poses) in front of its matrices; an
+unbatched call is the same code at batch size one. The pipeline runs once,
+at unit FIM weight, and a transmit power only scales its result
+(``pose_error_bounds``). Numerical failures stay per row: a batch marks a
+failing row NaN and unobservable and carries on, where an unbatched call
+raises.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .channel import (
     BeamSet,
     SignalConfig,
     _los_geometry,
-    channel_params,
-    fim_unconstrained,
+    _unit_fim,
 )
-from .errors import SingularNuisanceBlock, UnobservableState
+from .errors import RadioPoseError, SingularNuisanceBlock, UnobservableState
 from .lie import Pose, _norm, _readonly, hat3
 
 _COND_LIMIT = 1e12
@@ -60,9 +61,8 @@ def project_fim(f_unconstrained: np.ndarray, params) -> np.ndarray:
 
     Delays and gains are Euclidean and pass through unchanged; each
     direction vector (per anchor dir_ue, then dir_bs) is reduced to two
-    tangent coordinates by a block-diagonal (7N, 9N) projector, built once
-    from the ``params`` (with the leading axes of the poses) and applied to
-    every row of a power axis in front of them.
+    tangent coordinates by a block-diagonal (7N, 9N) projector built from
+    the ``params``, with the leading axes of the poses.
     """
     n = len(params)
     dirs = np.stack([d for p in params for d in (p.dir_ue, p.dir_bs)], axis=-2)  # (..., 2N, 3)
@@ -261,14 +261,19 @@ def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray
     exp([rho, r]) moves the position by R.T J_r(r) rho and the rotation by
     r, so to first order rho = R delta p and r = theta: the map is
     T @ icrb @ T.T with T = diag(R, I3). Both arguments broadcast over
-    leading axes.
+    leading axes. A map that is not finite, as where it overflows, raises
+    RadioPoseError without numpy warnings.
     """
     rotation = np.asarray(rotation, dtype=float)
     t = np.zeros(rotation.shape[:-2] + (6, 6))
     t[..., :3, :3] = rotation
     t[..., 3:, 3:] = np.eye(3)
-    out = t @ np.asarray(icrb, dtype=float) @ t.mT
-    return (out + out.mT) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = t @ np.asarray(icrb, dtype=float) @ t.mT
+        out = (out + out.mT) / 2.0
+    if not np.isfinite(out).all():
+        raise RadioPoseError("measurement covariance is not finite: the bound overflows at the measured pose")
+    return out
 
 
 def pose_error_bounds(
@@ -277,10 +282,27 @@ def pose_error_bounds(
     """ICRB report (6x6 bound, PEB, RMEB) for one pose and signal setup: the
     full pipeline from the signal model through the 6x6 state FIM. A pose
     with leading axes gives a report with those axes, whose unobservable
-    rows are flagged rather than raised. A sequence ``powers_dbm`` puts a
-    power axis in front (``fim_unconstrained``), with the geometry, beam
-    factors, projector and state Jacobian computed once for all powers."""
-    params = [channel_params(ue, a, sig) for a in anchors]
-    f_raw = fim_unconstrained(ue, anchors, ue_array, sig, beams, powers_dbm)
-    f_z = efim_remove_gains(project_fim(f_raw, params))
-    return icrb_report(state_fim(f_z, state_jacobian_tz(ue, anchors)))
+    rows are flagged rather than raised.
+
+    The pipeline runs once, at unit FIM weight; as the FIM is linear in the
+    weight w of a transmit power (``channel._unit_fim``), the report at the
+    power of ``sig``, or at each of ``powers_dbm`` on a power axis in front,
+    is the unit report scaled: icrb / w, PEB and RMEB / sqrt(w). A scaled
+    bound that is not finite, as at w = 0, is an unobservable row (an
+    unbatched call raises SingularNuisanceBlock)."""
+    sweep = powers_dbm is not None
+    powers = powers_dbm if sweep else [sig.tx_power_dbm]
+    params, unit, weight = _unit_fim(ue, anchors, ue_array, sig, beams, powers)
+    # a sweep's powers broadcast along a row axis in front: a batch, which
+    # flags its rows even at one pose
+    unit = unit[None] if sweep else unit
+    weight = weight.reshape(weight.shape + (1,) * (unit.ndim - 3)) if sweep else weight[0]
+    f_z = efim_remove_gains(project_fim(unit, params))
+    report = icrb_report(state_fim(f_z, state_jacobian_tz(ue, anchors)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ok = report.observable & np.isfinite(report.icrb / weight[..., None, None]).all(axis=(-2, -1))
+    if ok.ndim == 0 and not ok:
+        raise SingularNuisanceBlock(f"bound is not finite at FIM weight {weight:g}: no information")
+    weight = np.where(ok, weight, np.nan)  # NaN bounds in the rows that are not ok
+    root = np.sqrt(weight)
+    return IcrbReport(report.icrb / weight[..., None, None], report.peb_m / root, report.rmeb_rad / root, ok)

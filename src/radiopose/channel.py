@@ -383,10 +383,10 @@ def _anchor_signal_gradient(ue, anchor, ue_array, sig, precoders, combiners) -> 
     return grad
 
 
-def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm=None) -> np.ndarray:
-    """Unconstrained FIM of the channel geometric parameters, (..., 9N, 9N)
-    over the leading axes of the UE pose, in the grouped order of the module
-    docstring.
+def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
+    """Channel parameters of each link, the unconstrained FIM at unit
+    weight, (..., 9N, 9N) over the leading axes of the UE pose in the grouped
+    order of the module docstring, and the weights w of ``powers_dbm``.
 
     F = (2 / sigma^2) sum_{g,c} Re{conj(d mu / d eta) (d mu / d eta)^T} with
     both direction vectors carried as free 3-vectors; the sphere constraint
@@ -394,14 +394,11 @@ def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm=Non
     anchor's block is w Re[(conj(f) f^T) o S], with w = 2 |x|^2 / sigma^2
     and S_ij = sum_c conj(s_i(c)) s_j(c) the Gram of the subcarrier
     profiles: as |phi_c| = 1 it holds only C, sum w_c and sum w_c^2
-    (w_c = 2 pi c df) and does not depend on the delay.
-
-    ``powers_dbm`` (a sequence of transmit powers) puts a power axis in
-    front: row p carries the weight w at transmit power p on beam factors
-    computed once. Symmetric PSD, linear in transmit power; a FIM that is
-    not finite raises RadioPoseError naming the first such row's power,
-    without numpy warnings. Beams that do not fit the scenario raise
-    ValueError.
+    (w_c = 2 pi c df) and does not depend on the delay. Power and noise
+    enter only through w, 0 or inf where it underflows or overflows.
+    RadioPoseError, without numpy warnings, names the first power at which
+    w F is not finite: exactly where w times the largest |entry| of F is
+    not. Beams that do not fit the scenario raise ValueError.
     """
     _check_beams(anchors, ue_array, sig, beams)
     n_anchors = len(anchors)
@@ -411,30 +408,36 @@ def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm=Non
     gram[0, 0] = w @ w
     gram[0, 1:] = 1j * w.sum()
     gram[1:, 0] = -1j * w.sum()
-    blocks = []
+    params, blocks = [], []
     for n, anchor in enumerate(anchors):
-        _, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
+        par, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
+        params.append(par)
         blocks.append(np.real((np.conj(f) @ f.mT) * gram))
     # stacked positions of each anchor's [tau, t_ue, t_bs, Re gain, Im gain]
     n = np.arange(n_anchors)[:, None]
     idx = np.hstack([n, n_anchors + 6 * n + np.arange(6), 7 * n_anchors + 2 * n + np.arange(2)])
     unit = np.zeros(blocks[0].shape[:-2] + (PARAMS_PER_ANCHOR * n_anchors,) * 2)
     unit[..., idx[:, :, None], idx[:, None, :]] = np.stack(blocks, axis=-3)
-    powers = [sig.tx_power_dbm] if powers_dbm is None else [float(p) for p in powers_dbm]
-    noise_w = sig.noise_variance_w
+    powers = [float(p) for p in powers_dbm]
+    # dBm -> W in a scalar loop: numpy's vectorized power differs from pow in the last bit
+    watts = np.array([dbm_to_watt(p) for p in powers])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # w = 2 |x|^2 / sigma^2 per row; inf or 0 where it overflows or underflows.
-        # A scalar loop: numpy's vectorized power differs from pow in the last bit.
-        weight = np.array([np.float64(2.0) * dbm_to_watt(p) / sig.num_subcarriers / noise_w for p in powers])
-        fim = weight.reshape((-1,) + (1,) * unit.ndim) * unit
-        fim = (fim + fim.mT) / 2.0
-    finite = np.isfinite(fim).reshape(len(powers), -1).all(axis=1)
+        weight = 2.0 * watts / sig.num_subcarriers / sig.noise_variance_w
+        finite = np.isfinite(weight * np.abs(unit).max())
     if not finite.all():
         raise RadioPoseError(
             f"Fisher information is not finite at tx_power_dbm {powers[int(np.argmin(finite))]:g}, "
             f"noise_psd_dbm_hz {sig.noise_psd_dbm_hz:g}"
         )
-    return fim if powers_dbm is not None else fim[0]
+    return params, (unit + unit.mT) / 2.0, weight
+
+
+def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
+    """Unconstrained FIM at the transmit power of ``sig``: the unit-weight
+    FIM of ``_unit_fim`` times that power's weight. Symmetric PSD,
+    (..., 9N, 9N) over the leading axes of the UE pose."""
+    _, unit, (weight,) = _unit_fim(ue, anchors, ue_array, sig, beams, [sig.tx_power_dbm])
+    return weight * unit
 
 
 def angle_jacobian(direction: np.ndarray) -> np.ndarray:

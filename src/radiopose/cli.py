@@ -10,20 +10,20 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import CoincidentPositions, ConfigError, RadioPoseError, UnobservableState
 from .simkit import (
+    _DEFAULT_SCENARIO,
+    _read_scenario,
     bounds_sweep,
     bounds_table,
     cdf_table,
-    default_scenario,
     emit_csv,
-    load_scenario,
     metric_table,
     run_monte_carlo,
+    scenario_from_dict,
 )
 
 EXIT_OK = 0
@@ -57,20 +57,14 @@ def parse_powers(text: str):
         raise ConfigError(f"bad --powers specification {text!r}: {exc}") from exc
 
 
-def _override(cfg, **changes) -> "ScenarioConfig":
-    """``replace`` for command-line overrides: a value the scenario rejects is
-    a configuration error."""
-    try:
-        return replace(cfg, **changes)
-    except ValueError as exc:
-        raise ConfigError(f"bad command-line override: {exc}") from exc
-
-
-def _load_config(args) -> "ScenarioConfig":
-    cfg = load_scenario(args.config) if args.config else default_scenario()
-    if getattr(args, "seed", None) is not None:
-        cfg = _override(cfg, seed=args.seed)
-    return cfg
+def _load_config(args, **overrides) -> "ScenarioConfig":
+    """The scenario of ``--config``, or the default one, with the set
+    command-line values (``--seed`` and ``overrides``) written into its file
+    form before it is built and checked, once (``scenario_from_dict``)."""
+    raw = _read_scenario(args.config) if args.config else dict(_DEFAULT_SCENARIO)
+    overrides["seed"] = getattr(args, "seed", None)
+    raw.update({key: value for key, value in overrides.items() if value is not None})
+    return scenario_from_dict(raw)
 
 
 def _cmd_bounds(args) -> int:
@@ -105,19 +99,14 @@ def _study(cfg, rmse_path: str):
 
 
 def _cmd_track(args) -> int:
-    cfg = _load_config(args)
-    cfg = _override(cfg, filter_selection=args.filter or cfg.filter_selection, mc_runs=1)
+    cfg = _load_config(args, filter_selection=args.filter, mc_runs=1)
     series = _study(cfg, args.out)
     print(f"wrote per-step series for {', '.join(series.filters)} to {args.out}")
     return EXIT_OK
 
 
 def _cmd_mc(args) -> int:
-    cfg = _load_config(args)
-    if args.filter:
-        cfg = _override(cfg, filter_selection=args.filter)
-    if args.runs is not None:
-        cfg = _override(cfg, mc_runs=args.runs)
+    cfg = _load_config(args, filter_selection=args.filter, mc_runs=args.runs)
     rmse_path = f"{args.out_prefix}_rmse.csv"
     series = _study(cfg, rmse_path)
     msg = f"wrote {series.n_runs - series.n_failed_runs}/{series.n_runs} runs to {rmse_path}"

@@ -4,7 +4,7 @@ A filter call over a leading run axis raises for the whole call when any
 run fails; the caller that steps a batch of runs finds the failing runs by
 taking the step again one run at a time (``simkit._track``). The bound
 pipeline instead keeps a numerical failure in its row: a batch of poses or
-powers marks a row whose gain block or state FIM is singular as
+powers marks a row whose gain block, state FIM or scaled bound fails as
 unobservable, with NaN bounds, where an unbatched call raises.
 """
 

@@ -506,17 +506,17 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MetricSeries:
 def bounds_sweep(cfg: ScenarioConfig, powers_dbm) -> list:
     """PEB/RMEB at the start pose for each transmit power, identical beams.
 
-    One batched pass: the geometry, beam factors, projector and state
-    Jacobian of the pose are computed once, and each power is a row with its
-    own FIM weight. Unobservable rows carry NaN bounds and observable=False;
-    the sweep continues past them. A NaN or infinite power raises ValueError.
+    One pass of the bound pipeline at unit FIM weight, and each power a row
+    that scales its result (``pose_error_bounds``). Unobservable rows carry
+    NaN bounds and observable=False; the sweep continues past them. A NaN or
+    infinite power raises ValueError.
     """
     powers = [float(p) for p in powers_dbm]
     if not powers:
         raise ValueError("powers_dbm must be nonempty")
-    for power in powers:
-        if not np.isfinite(power):
-            raise ValueError(f"tx_power_dbm must be finite, got {power}")
+    finite = np.isfinite(powers)
+    if not finite.all():
+        raise ValueError(f"tx_power_dbm must be finite, got {powers[int(np.argmin(finite))]}")
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     report = pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams, powers)
     return [
@@ -674,8 +674,9 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
         yaml.safe_dump(scenario_to_dict(cfg), handle, sort_keys=False)
 
 
-def load_scenario(path) -> ScenarioConfig:
-    """Parse a YAML scenario file; raises ConfigError on any schema problem."""
+def _read_scenario(path) -> dict:
+    """The mapping of a YAML scenario file, unchecked; ConfigError when the
+    file cannot be read or does not hold a mapping."""
     try:
         with open(path) as handle:
             raw = yaml.load(handle, Loader=_YAML_LOADER)
@@ -685,7 +686,12 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a mapping")
-    return scenario_from_dict(raw)
+    return raw
+
+
+def load_scenario(path) -> ScenarioConfig:
+    """Parse a YAML scenario file; raises ConfigError on any schema problem."""
+    return scenario_from_dict(_read_scenario(path))
 
 
 def _known_keys(raw, template: dict, where: str) -> dict:

@@ -357,6 +357,15 @@ class TestBatchAxis:
                 assert abs(row["peb_m"] - rep.peb_m) <= 1e-12 * rep.peb_m
                 assert abs(row["rmeb_rad"] - rep.rmeb_rad) <= 1e-12 * rep.rmeb_rad
 
+    def test_sweep_on_the_power_scaling_line(self):
+        # criterion 3's line, to rounding: each power scales one unit-weight
+        # bound, so PEB and RMEB times 10^(P/20) agree across the sweep
+        powers = list(range(-20, 21, 5))
+        rows = bounds_sweep(self.cfg, powers)
+        for key in ("peb_m", "rmeb_rad"):
+            line = np.array([r[key] * 10.0 ** ((r["power_dbm"] - 20.0) / 20.0) for r in rows])
+            assert np.abs(line / line[-1] - 1.0).max() <= 1e-14
+
     def test_scenario_reports_match_per_pose_calls(self):
         cfg = self.cfg
         truths, reports = simkit.scenario_reports(cfg, self.beams)

@@ -133,7 +133,7 @@ class TestDefaultScenario:
         with pytest.raises(ValueError, match=f"{name} squared must be finite"):
             replace(cfg, **{name: 1e200})
         with pytest.raises(ConfigError, match=name):
-            cli._override(cfg, **{name: 1e200})
+            simkit.scenario_from_dict({**simkit.scenario_to_dict(cfg), name: 1e200})
 
 
 class TestTrajectory:
@@ -659,17 +659,35 @@ class TestBoundsSweep:
         assert all(np.isnan(r["peb_m"]) for r in rows)
 
     def test_zero_information_power_is_a_flagged_row(self):
-        # at -5000 dBm the transmit power underflows to 0 W: the gain block is
-        # singular, the row is unobservable, and the rows around it in the
-        # same batch equal their one-power sweeps
+        # at -5000 dBm the transmit power underflows to 0 W: the signal carries
+        # no information, the row is unobservable, and every row around it in
+        # the same batch equals its one-power sweep
         cfg = simkit.default_scenario()
+        powers = [-20.0, -5000.0, 0.0, -15.0, -10.0, -5.0, 5.0, 10.0, 15.0, 20.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            quiet, silent, loud = simkit.bounds_sweep(cfg, [-20.0, -5000.0, 0.0])
+            rows = simkit.bounds_sweep(cfg, powers)
+            singles = [simkit.bounds_sweep(cfg, [power])[0] for power in powers]
+        silent = rows[1]
         assert not silent["observable"] and np.isnan(silent["peb_m"]) and np.isnan(silent["rmeb_rad"])
-        assert quiet == simkit.bounds_sweep(cfg, [-20.0])[0]
-        assert loud == simkit.bounds_sweep(cfg, [0.0])[0]
-        assert quiet["observable"] and loud["observable"]
+        assert not singles[1]["observable"] and np.isnan(singles[1]["peb_m"])
+        for k in (0, *range(2, len(powers))):
+            assert rows[k] == singles[k] and rows[k]["observable"]
+
+    @pytest.mark.parametrize("n_powers", [1, 9])
+    def test_one_bound_pass_per_sweep(self, monkeypatch, n_powers):
+        # the pipeline runs once, at unit weight, whatever the number of
+        # powers: one state FIM row into icrb_report, and one channel_params
+        # call per anchor
+        cfg = simkit.default_scenario()
+        shapes, links = [], []
+        report, params = bounds.icrb_report, channel.channel_params
+        monkeypatch.setattr(bounds, "icrb_report", lambda f: shapes.append(np.shape(f)) or report(f))
+        monkeypatch.setattr(channel, "channel_params", lambda *args: links.append(1) or params(*args))
+        rows = simkit.bounds_sweep(cfg, [-20.0 + 5.0 * k for k in range(n_powers)])
+        assert len(rows) == n_powers and all(r["observable"] for r in rows)
+        assert shapes == [(1, 6, 6)]
+        assert len(links) == len(cfg.anchors)
 
     def test_empty_power_list_rejected(self):
         with pytest.raises(ValueError):
@@ -886,7 +904,7 @@ class TestScenarioIo:
             simkit.load_scenario(path)
         out = str(tmp_path / "out")
         assert cli.main(["bounds", "--config", str(path), "--powers", "0", "--out", out + ".csv"]) == 2
-        assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", out]) == 2
+        assert cli.main(["mc", "--config", str(path), "--out-prefix", out]) == 2
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -1202,6 +1220,43 @@ class TestCli:
         assert rc == 2
         assert f"must be at most {simkit.MAX_RUN_STEPS}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_run_cap_applies_to_the_runs_a_command_runs(self, tmp_path, capsys):
+        # the command-line values replace the file's before the one check:
+        # track runs one run, so a file whose mc_runs x steps is over the cap
+        # runs, as does mc with --runs 1, while mc on the file alone does not
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["mc_runs"] = simkit.MAX_RUN_STEPS
+        path = tmp_path / "many.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        out = str(tmp_path / "out")
+        assert cli.main(["track", "--config", str(path), "--out", out + ".csv"]) == 0
+        assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["mc", "--config", str(path), "--out-prefix", out + "_all"]) == 2
+        assert f"must be at most {simkit.MAX_RUN_STEPS}, got {6 * simkit.MAX_RUN_STEPS}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out_all*"))
+
+    @pytest.mark.parametrize("command", ["mc", "track"])
+    @pytest.mark.parametrize("bandwidth", [1e200, 1e300])
+    def test_huge_bandwidth_exits_3_where_the_covariance_overflows(self, tmp_path, command, bandwidth, capsys):
+        # the bound grows with the noise bandwidth and stays finite, but the
+        # rotations measured with that much noise are far from orthonormal,
+        # and their tangent covariance overflows
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["signal"]["bandwidth_hz"] = bandwidth
+        path = tmp_path / "wide.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        cfg = simkit.load_scenario(path)
+        _, reports = simkit.scenario_reports(cfg, channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal))
+        assert np.isfinite(reports.icrb).all()
+        args = ["--out-prefix", str(tmp_path / "mc")] if command == "mc" else ["--out", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", str(path), *args])
+        assert rc == 3
+        assert "measurement covariance is not finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e6, 1e200])
