@@ -259,11 +259,14 @@ def _check_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: Bea
 def _los_geometry(ue_position: np.ndarray, anchor_position: np.ndarray):
     """Unit vectors u from the anchor toward the UE (global frame) and the
     distances of the LOS paths, broadcast over the leading axes of both
-    positions; raises CoincidentPositions when any UE is within 1e-6 m of
-    its anchor."""
-    diff = ue_position - anchor_position
-    dist = _norm(diff)
-    if np.any(dist <= 1e-6):
+    positions; raises RadioPoseError, without numpy warnings, where a distance
+    is not finite, and CoincidentPositions where a UE is within 1e-6 m of its anchor."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = ue_position - anchor_position
+        dist = _norm(diff)
+    if not ((dist > 1e-6) & (dist < np.inf)).all():  # one pass for both checks
+        if not (dist < np.inf).all():
+            raise RadioPoseError("UE-anchor distance is not finite: the LOS geometry overflows")
         raise CoincidentPositions("UE and anchor positions coincide")
     return diff / dist[..., None], dist
 
@@ -396,16 +399,22 @@ def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
     profiles: as |phi_c| = 1 it holds only C, sum w_c and sum w_c^2
     (w_c = 2 pi c df) and does not depend on the delay. Power and noise
     enter only through w, 0 or inf where it underflows or overflows.
-    RadioPoseError, without numpy warnings, names the first power at which
-    w F is not finite: exactly where w times the largest |entry| of F is
-    not. Beams that do not fit the scenario raise ValueError.
+    RadioPoseError, without numpy warnings, names a subcarrier spacing so
+    wide that S overflows, and otherwise the first power at which w F is not
+    finite: exactly where w times the largest |entry| of F is not. Beams
+    that do not fit the scenario raise ValueError.
     """
     _check_beams(anchors, ue_array, sig, beams)
     n_anchors = len(anchors)
     # Gram of the subcarrier profiles: -j w on the delay row, 1 on the others
-    w = 2.0 * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = 2.0 * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
+        sum_sq = w @ w
+    # a finite sum of squares bounds each |w_c|, and with it sum w_c
+    if not np.isfinite(sum_sq):
+        raise RadioPoseError(f"Fisher information is not finite: subcarrier_spacing_hz {sig.subcarrier_spacing_hz:g}")
     gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(sig.num_subcarriers))
-    gram[0, 0] = w @ w
+    gram[0, 0] = sum_sq
     gram[0, 1:] = 1j * w.sum()
     gram[1:, 0] = -1j * w.sum()
     params, blocks = [], []

@@ -11,6 +11,7 @@ step per time step, and each run's numbers do not depend on the batch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +84,12 @@ class ScenarioConfig:
     signal: SignalConfig
     ue_start: Pose
     segments: tuple
-    mc_runs: int = 100
-    seed: int = 0
-    filter_selection: str = "all"
-    measurement_noise_scale: float = 1.0
-    process_noise_rho_m: float = 0.01
-    process_noise_rot_rad: float = 0.005
+    mc_runs: int
+    seed: int
+    filter_selection: str
+    measurement_noise_scale: float
+    process_noise_rho_m: float
+    process_noise_rot_rad: float
 
     def __post_init__(self):
         object.__setattr__(self, "anchors", tuple(self.anchors))
@@ -134,7 +135,7 @@ class ScenarioConfig:
         return q
 
 
-# The default scenario in the scenario file form; its keys and value types are the schema.
+# The default scenario in file form: its keys and value types are the schema, its settings the defaults.
 _DEFAULT_SCENARIO = {
     "seed": 3,
     "mc_runs": 100,
@@ -525,18 +526,13 @@ def bounds_sweep(cfg: ScenarioConfig, powers_dbm) -> list:
     ]
 
 
-def mean_sample_snr_db(cfg: ScenarioConfig) -> float:
-    """Mean post-beamforming per-sample SNR at the start pose over anchors, beams, subcarriers."""
+def power_for_target_snr(cfg: ScenarioConfig, target_snr_db: float) -> float:
+    """Transmit power (dBm) at which the mean post-beamforming per-sample SNR
+    at the start pose, over anchors, beams and subcarriers, hits the target."""
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     mu = noise_free_signal(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams)
-    snr = float(np.mean(np.abs(mu) ** 2) / cfg.signal.noise_variance_w)
-    return 10.0 * np.log10(snr)
-
-
-def power_for_target_snr(cfg: ScenarioConfig, target_snr_db: float) -> float:
-    """Transmit power (dBm) at which the mean per-sample SNR at the start pose hits the target."""
-    baseline = mean_sample_snr_db(cfg)
-    return cfg.signal.tx_power_dbm + (target_snr_db - baseline)
+    snr_db = 10.0 * np.log10(float(np.mean(np.abs(mu) ** 2) / cfg.signal.noise_variance_w))
+    return cfg.signal.tx_power_dbm + (target_snr_db - snr_db)
 
 
 def bootstrap_mean_diff(x, y, n_boot: int = 2000, seed: int = 0) -> np.ndarray:
@@ -611,25 +607,12 @@ def cdf_table(metrics: FilterMetrics) -> tuple:
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Plain-Python (YAML-safe) form of a scenario; raises ConfigError when
-    an array is not a half-wavelength planar grid, which the file cannot hold."""
+    an array is not a half-wavelength planar grid, which the file cannot hold.
+    The settings and the signal block take the keys and value types of ``_DEFAULT_SCENARIO``."""
+    template = _DEFAULT_SCENARIO
     return {
-        "seed": int(cfg.seed),
-        "mc_runs": int(cfg.mc_runs),
-        "filter_selection": cfg.filter_selection,
-        "measurement_noise_scale": float(cfg.measurement_noise_scale),
-        "process_noise_rho_m": float(cfg.process_noise_rho_m),
-        "process_noise_rot_rad": float(cfg.process_noise_rot_rad),
-        "signal": {
-            "carrier_hz": float(cfg.signal.carrier_hz),
-            "subcarrier_spacing_hz": float(cfg.signal.subcarrier_spacing_hz),
-            "num_subcarriers": int(cfg.signal.num_subcarriers),
-            "num_transmissions": int(cfg.signal.num_transmissions),
-            "tx_power_dbm": float(cfg.signal.tx_power_dbm),
-            "noise_psd_dbm_hz": float(cfg.signal.noise_psd_dbm_hz),
-            "bandwidth_hz": float(cfg.signal.bandwidth_hz),
-            "clock_bias_s": float(cfg.signal.clock_bias_s),
-            "rng_seed": int(cfg.signal.rng_seed),
-        },
+        **{k: type(v)(getattr(cfg, k)) for k, v in template.items() if not isinstance(v, (dict, list))},
+        "signal": {k: type(v)(getattr(cfg.signal, k)) for k, v in template["signal"].items()},
         "anchors": [
             {
                 "position_m": np.asarray(a.position).tolist(),
@@ -705,13 +688,19 @@ def _known_keys(raw, template: dict, where: str) -> dict:
 
 
 def _typed(key: str, kind: type, value):
-    """``value`` as ``kind``, the type ``_DEFAULT_SCENARIO`` holds at ``key``; ConfigError
-    for a boolean as a number or a non-integral integer, which a cast would truncate."""
-    if kind in (int, float) and isinstance(value, bool):
+    """``value`` as ``kind``, the type ``_DEFAULT_SCENARIO`` holds at ``key``; ConfigError for a non-number
+    or a boolean where a number is due, an integer that a cast would truncate, or a non-finite float."""
+    if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     if kind is int and not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return kind(value)
+    try:
+        typed = kind(value)
+    except OverflowError:  # an integer beyond the float range
+        typed = math.inf
+    if kind is float and not math.isfinite(typed):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return typed
 
 
 def _vector(entry: dict, key: str) -> np.ndarray:
@@ -740,7 +729,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     on a missing, unknown or invalid key.
 
     The keys and value types of ``_DEFAULT_SCENARIO`` are the schema
-    (``_typed``). An optional key that is absent takes the dataclass default.
+    (``_typed``). A top-level setting that is absent takes the literal's
+    value, and an absent optional signal key the ``SignalConfig`` default.
     """
     template = _DEFAULT_SCENARIO
     try:
@@ -773,14 +763,14 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             )
             for s in segments_raw
         ]
-        sections = ("signal", "anchors", "ue", "segments")
         return ScenarioConfig(
             anchors=anchors,
             ue_array=ue_array,
             signal=signal,
             ue_start=ue_start,
             segments=tuple(segments),
-            **{k: _typed(k, type(template[k]), v) for k, v in raw.items() if k not in sections},
+            **{k: _typed(k, type(v), raw.get(k, v))
+               for k, v in template.items() if not isinstance(v, (dict, list))},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario configuration: {exc}") from exc

@@ -1,5 +1,6 @@
 """Scenario, trajectory, sampling, Monte Carlo, CSV, config, and CLI tests."""
 
+import copy
 import subprocess
 import sys
 import warnings
@@ -815,8 +816,8 @@ class TestScenarioIo:
         rc = cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")])
         assert rc == 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    # an integer beyond the float range overflows the cast to a float
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), pytest.param(10**400, id="int10**400")])
     @pytest.mark.parametrize(
         "section, key",
         [
@@ -838,7 +839,7 @@ class TestScenarioIo:
             entry[key] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
             simkit.load_scenario(path)
         out = str(tmp_path / "out")
         assert cli.main(["bounds", "--config", str(path), "--powers", "0", "--out", out + ".csv"]) == 2
@@ -989,8 +990,10 @@ class TestScenarioIo:
         assert (loaded.mc_runs, loaded.signal.num_subcarriers) == (3, 100)
         assert type(loaded.mc_runs) is int
 
-    def test_required_keys_only_take_dataclass_defaults(self, tmp_path):
-        raw = simkit.scenario_to_dict(tiny_scenario())
+    def test_optional_keys_take_the_literal_and_signal_defaults(self, tmp_path):
+        # the six settings default to the literal's values, the three signal
+        # keys to SignalConfig's
+        raw = simkit.scenario_to_dict(tiny_scenario(mc_runs=7, seed=11, measurement_noise_scale=2.0))
         options = ("seed", "mc_runs", "filter_selection", "measurement_noise_scale",
                    "process_noise_rho_m", "process_noise_rot_rad")
         for key in options:
@@ -1000,15 +1003,27 @@ class TestScenarioIo:
         path = tmp_path / "bare.yaml"
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
         loaded = simkit.load_scenario(path)
-        bare = simkit.ScenarioConfig(
-            loaded.anchors, loaded.ue_array, loaded.signal, loaded.ue_start, loaded.segments
-        )
-        assert all(getattr(loaded, key) == getattr(bare, key) for key in options)
+        assert {key: getattr(loaded, key) for key in options} == {
+            key: simkit._DEFAULT_SCENARIO[key] for key in options
+        }
         sig = loaded.signal
         assert sig == channel.SignalConfig(
             sig.carrier_hz, sig.subcarrier_spacing_hz, sig.num_subcarriers, sig.num_transmissions,
             sig.tx_power_dbm, sig.noise_psd_dbm_hz,
         )
+        assert sig.bandwidth_hz == sig.num_subcarriers * sig.subcarrier_spacing_hz
+        assert (sig.clock_bias_s, sig.rng_seed) == (0.0, 0)
+
+    def test_file_without_seed_runs_the_literal_seed(self, tmp_path):
+        raw = simkit.scenario_to_dict(tiny_scenario(seed=simkit._DEFAULT_SCENARIO["seed"]))
+        (tmp_path / "seeded.yaml").write_text(yaml.safe_dump(raw, sort_keys=False))
+        del raw["seed"]
+        (tmp_path / "bare.yaml").write_text(yaml.safe_dump(raw, sort_keys=False))
+        for name in ("seeded", "bare"):
+            rc = cli.main(["mc", "--config", str(tmp_path / f"{name}.yaml"), "--out-prefix", str(tmp_path / name)])
+            assert rc == 0
+        for suffix in ("_rmse.csv", "_rmse_cdf_fusion.csv", "_rmse_cdf_eskf.csv", "_rmse_cdf_euler.csv"):
+            assert (tmp_path / f"bare{suffix}").read_bytes() == (tmp_path / f"seeded{suffix}").read_bytes()
 
     def test_missing_key_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -1058,6 +1073,46 @@ class TestScenarioIo:
     def test_missing_file_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             simkit.load_scenario(tmp_path / "nope.yaml")
+
+
+def _leaves(node, path=()):
+    """The paths to every value of a scenario's dict form that is not a dict or list."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [path]
+
+
+class TestBoundaryFuzz:
+    def test_non_finite_and_huge_leaves_end_in_a_documented_exit_without_warnings(self, tmp_path):
+        # every leaf of a small scenario file, set in turn to each value, goes
+        # through ``radiopose mc``: each call exits 0, 2, 3 or 4, without an
+        # exception or a numpy warning (ConfigError at the leaf, or a
+        # computation error where a huge value overflows the study)
+        cfg = tiny_scenario()
+        cfg = replace(cfg, signal=replace(cfg.signal, num_subcarriers=8, num_transmissions=4))
+        base = simkit.scenario_to_dict(cfg)
+        leaves = _leaves(base)
+        assert len(leaves) == 55
+        path = tmp_path / "fuzz.yaml"
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's emitter, for the time
+        outcomes = {}
+        for leaf in leaves:
+            for value in (float("nan"), float("inf"), float("-inf"), 1e300, -1e300):
+                raw = copy.deepcopy(base)
+                entry = raw
+                for step in leaf[:-1]:
+                    entry = entry[step]
+                entry[leaf[-1]] = value
+                path.write_text(yaml.dump(raw, Dumper=dumper))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        rc = cli.main(["mc", "--config", str(path), "--out-prefix", str(tmp_path / "mc")])
+                    except Exception as exc:  # every escape is a failure to report
+                        rc = repr(exc)
+                outcomes[leaf + (value,)] = rc
+        assert {k: rc for k, rc in outcomes.items() if rc not in (0, 2, 3, 4)} == {}
 
 
 class TestBootstrap:
@@ -1276,6 +1331,28 @@ class TestCli:
         rc = cli.main(["mc", "--config", cfg_path, "--out-prefix", str(tmp_path / "mc")])
         assert rc == 3
         assert "measurement_noise_scale 1e+200 overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw["anchors"][1].update(position_m=[1e300, 5.0, 0.0]), "UE-anchor distance is not finite"),
+            (lambda raw: raw["ue"].update(start_position_m=[-1e300, 0.0, 0.0]), "UE-anchor distance is not finite"),
+            (lambda raw: raw["signal"].update(subcarrier_spacing_hz=1e300),
+             "Fisher information is not finite: subcarrier_spacing_hz 1e+300"),
+        ],
+        ids=["far_anchor", "far_ue", "wide_spacing"],
+    )
+    def test_overflowing_geometry_exits_3_naming_it(self, tmp_path, capsys, edit, message):
+        # finite values whose distance or subcarrier Gram overflows a float
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        edit(raw)
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["bounds", "--config", str(path), "--powers=0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
 
     def test_overflowing_trajectory_exits_3_naming_the_pose(self, tmp_path, capsys):
         raw = simkit.scenario_to_dict(tiny_scenario(n_segments=3))
