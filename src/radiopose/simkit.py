@@ -526,13 +526,18 @@ def bounds_sweep(cfg: ScenarioConfig, powers_dbm) -> list:
     ]
 
 
-def power_for_target_snr(cfg: ScenarioConfig, target_snr_db: float) -> float:
-    """Transmit power (dBm) at which the mean post-beamforming per-sample SNR
-    at the start pose, over anchors, beams and subcarriers, hits the target."""
+def mean_sample_snr_db(cfg: ScenarioConfig) -> float:
+    """Mean post-beamforming per-sample SNR at the start pose over anchors, beams, subcarriers."""
     beams = draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     mu = noise_free_signal(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams)
-    snr_db = 10.0 * np.log10(float(np.mean(np.abs(mu) ** 2) / cfg.signal.noise_variance_w))
-    return cfg.signal.tx_power_dbm + (target_snr_db - snr_db)
+    snr = float(np.mean(np.abs(mu) ** 2) / cfg.signal.noise_variance_w)
+    return 10.0 * np.log10(snr)
+
+
+def power_for_target_snr(cfg: ScenarioConfig, target_snr_db: float) -> float:
+    """Transmit power (dBm) at which the mean per-sample SNR at the start pose hits the target."""
+    baseline = mean_sample_snr_db(cfg)
+    return cfg.signal.tx_power_dbm + (target_snr_db - baseline)
 
 
 def bootstrap_mean_diff(x, y, n_boot: int = 2000, seed: int = 0) -> np.ndarray:
@@ -688,9 +693,10 @@ def _known_keys(raw, template: dict, where: str) -> dict:
 
 
 def _typed(key: str, kind: type, value):
-    """``value`` as ``kind``, the type ``_DEFAULT_SCENARIO`` holds at ``key``; ConfigError for a non-number
-    or a boolean where a number is due, an integer that a cast would truncate, or a non-finite float."""
-    if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    """``value`` as ``kind``, the type ``_DEFAULT_SCENARIO`` holds at ``key``; ConfigError for a boolean
+    or a value ``float()`` cannot read where a number is due, an integer that a cast would truncate,
+    or a non-finite float. A string is read by ``float()``: YAML 1.1 loads ``3.0e10`` as one."""
+    if kind in (int, float) and isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     if kind is int and not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -698,6 +704,8 @@ def _typed(key: str, kind: type, value):
         typed = kind(value)
     except OverflowError:  # an integer beyond the float range
         typed = math.inf
+    except (TypeError, ValueError):  # None, a list or a string float() cannot read
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
     if kind is float and not math.isfinite(typed):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return typed

@@ -1,6 +1,7 @@
 """Scenario, trajectory, sampling, Monte Carlo, CSV, config, and CLI tests."""
 
 import copy
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -844,6 +845,26 @@ class TestScenarioIo:
         out = str(tmp_path / "out")
         assert cli.main(["bounds", "--config", str(path), "--powers", "0", "--out", out + ".csv"]) == 2
         assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", out]) == 2
+
+    def test_readme_example_loads(self, tmp_path):
+        # YAML 1.1 reads an exponent without a sign, as in 3.0e10, as a string
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block)["signal"]["carrier_hz"] == "3.0e10"
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        signal = simkit.load_scenario(path).signal
+        assert (signal.carrier_hz, signal.subcarrier_spacing_hz, signal.bandwidth_hz) == (3.0e10, 1.2e5, 1.0e8)
+
+    @pytest.mark.parametrize("value", [None, [3.0e10], "fast", True, "nan"])
+    def test_non_number_names_the_key(self, tmp_path, value):
+        raw = simkit.scenario_to_dict(tiny_scenario())
+        raw["signal"]["carrier_hz"] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigError, match="carrier_hz must be (a number|finite)"):
+            simkit.load_scenario(path)
+        assert cli.main(["mc", "--config", str(path), "--runs", "1", "--out-prefix", str(tmp_path / "mc")]) == 2
 
     @pytest.mark.parametrize("command", ["bounds", "mc"])
     def test_negative_beam_seed_raises_config_error(self, tmp_path, command):
