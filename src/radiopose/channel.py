@@ -407,14 +407,12 @@ def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
     _check_beams(anchors, ue_array, sig, beams)
     n_anchors = len(anchors)
     # Gram of the subcarrier profiles: -j w on the delay row, 1 on the others
+    gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(sig.num_subcarriers))
     with np.errstate(over="ignore", invalid="ignore"):
         w = 2.0 * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
-        sum_sq = w @ w
-    # a finite sum of squares bounds each |w_c|, and with it sum w_c
-    if not np.isfinite(sum_sq):
+        gram[0, 0] = w @ w
+    if not np.isfinite(gram[0, 0]):  # a finite sum of squares bounds each |w_c|, and with it sum w_c
         raise RadioPoseError(f"Fisher information is not finite: subcarrier_spacing_hz {sig.subcarrier_spacing_hz:g}")
-    gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(sig.num_subcarriers))
-    gram[0, 0] = sum_sq
     gram[0, 1:] = 1j * w.sum()
     gram[1:, 0] = -1j * w.sum()
     params, blocks = [], []

@@ -632,12 +632,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "array_shape": _grid_shape(cfg.ue_array, cfg.signal.carrier_hz),
         },
         "segments": [
-            {
-                "v_mps": np.asarray(s.v).tolist(),
-                "w_radps": np.asarray(s.w).tolist(),
-                "steps": int(s.steps),
-                "dt_s": float(s.dt),
-            }
+            {"v_mps": s.v.tolist(), "w_radps": s.w.tolist(), "steps": int(s.steps), "dt_s": float(s.dt)}
             for s in cfg.segments
         ],
     }
@@ -693,9 +688,9 @@ def _known_keys(raw, template: dict, where: str) -> dict:
 
 
 def _typed(key: str, kind: type, value):
-    """``value`` as ``kind``, the type ``_DEFAULT_SCENARIO`` holds at ``key``; ConfigError for a boolean
-    or a value ``float()`` cannot read where a number is due, an integer that a cast would truncate,
-    or a non-finite float. A string is read by ``float()``: YAML 1.1 loads ``3.0e10`` as one."""
+    """``value`` as ``kind``, the type ``_DEFAULT_SCENARIO`` holds at ``key``; ConfigError for a boolean or a value
+    ``float()`` cannot read (YAML 1.1 loads ``3.0e10`` as a string, which it can) where a number is due, an
+    integer that a cast would truncate, or a non-finite float."""
     if kind in (int, float) and isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     if kind is int and not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
@@ -724,12 +719,10 @@ def _grid_array(entry: dict, carrier_hz: float) -> ArrayGeometry:
     """The half-wavelength grid of ``entry["array_shape"]``; ConfigError naming
     ``array_shape`` unless it is exactly two positive integers."""
     value = entry["array_shape"]
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+    shape = [_typed("array_shape", int, v) for v in value] if isinstance(value, (list, tuple)) else []
+    if len(shape) != 2 or min(shape) < 1:
         raise ConfigError(f"array_shape must be a list of 2 positive integers, got {value!r}")
-    nx, ny = (_typed("array_shape", int, v) for v in value)
-    if nx < 1 or ny < 1:
-        raise ConfigError(f"array_shape must be a list of 2 positive integers, got {value!r}")
-    return ArrayGeometry.half_wavelength_upa(nx, ny, carrier_hz)
+    return ArrayGeometry.half_wavelength_upa(*shape, carrier_hz)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
