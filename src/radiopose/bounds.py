@@ -1,16 +1,15 @@
 """Intrinsic error-bound pipeline for the 6D state.
 
-Steps: project the unconstrained channel-parameter FIM onto the tangent
-spaces of the unit-sphere direction vectors, Schur-complement away the
-complex gains, map to the 6D state tangent [position(3), rotation(3)]
-through the geometry Jacobian, invert, and read off PEB/RMEB. A final
-transform converts the state-domain covariance into the [rho, r] tangent
-covariance consumed by the tracking filters.
+Steps, per anchor: Schur-complement the complex gain out of the anchor's
+9x9 unconstrained FIM block and map the rest, over [tau, t_ue, t_bs], to the
+6D state tangent [position(3), rotation(3)] by the chain rule; sum over
+anchors, invert, and read off PEB/RMEB. A final transform converts the
+bound into the [rho, r] tangent covariance of the tracking filters.
 
-Stacked parameter order, as ``channel.fim_unconstrained`` builds it: all
-delays, then per anchor the UE-side and anchor-side direction vectors, then
-per-anchor Re/Im gains. After projection each direction vector contributes
-two tangent coordinates.
+The intrinsic form projects each unit direction t onto two tangent
+coordinates (``tangent_basis``, ``project_fim``, ``state_jacobian_tz``). The
+pipeline skips it: for a tangent basis B, B.T B = I - t t.T, and the chain
+Jacobian's direction columns lie in the tangent plane, so T_z.T B F B.T T_z = J.T F J.
 
 Every step takes leading batch axes (poses) in front of its matrices; an
 unbatched call is the same code at batch size one. The pipeline runs once,
@@ -32,6 +31,7 @@ from .channel import (
     ArrayGeometry,
     BeamSet,
     SignalConfig,
+    _local_directions,
     _los_geometry,
     _unit_fim,
 )
@@ -76,78 +76,71 @@ def project_fim(f_unconstrained: np.ndarray, params) -> np.ndarray:
     return (out + out.mT) / 2.0
 
 
-def schur_complement_keep_top(f: np.ndarray, n_keep: int) -> np.ndarray:
-    """Schur complement f_aa - f_ab f_bb^-1 f_ba keeping the leading block,
-    row by row over leading axes.
+def efim_remove_gains(blocks: np.ndarray) -> np.ndarray:
+    """Schur complement f_aa - f_ab f_bb^-1 f_ba removing the trailing two
+    gain rows of each anchor's FIM block, (..., N, m, m) -> (..., N, m-2, m-2).
 
-    A row whose trailing block is near-singular is ridge-regularized by
-    1e-12 * tr/2 before the complement, and only that row. A row whose block
-    stays singular comes out NaN; an unbatched call raises
-    SingularNuisanceBlock instead.
+    A row whose whole 2N gain block (block-diagonal, so its eigenvalues are
+    the anchors') is near-singular gets its ridge 1e-12 * tr/2 on every
+    anchor, and only that row. A row whose block stays singular comes out
+    NaN; an unbatched call, (N, m, m), raises SingularNuisanceBlock instead.
     """
-    f = np.asarray(f, dtype=float)
-    faa = f[..., :n_keep, :n_keep]
-    fab = f[..., :n_keep, n_keep:]
-    fbb = f[..., n_keep:, n_keep:]
-    eye = np.eye(fbb.shape[-1])
-    eig = np.linalg.eigvalsh(fbb)
-    ridge = (eig[..., 0] <= 0) | (eig[..., -1] > 1e12 * eig[..., 0])
+    f = np.asarray(blocks, dtype=float)
+    faa, fab, fbb = f[..., :-2, :-2], f[..., :-2, -2:], f[..., -2:, -2:]
+    eye = np.eye(2)
+    eig = np.linalg.eigvalsh(fbb)  # (..., N, 2)
+    lowest = eig[..., 0].min(axis=-1)
+    ridge = (lowest <= 0) | (eig[..., 1].max(axis=-1) > 1e12 * lowest)
     if ridge.any():
-        shift = np.where(ridge, 1e-12 * np.trace(fbb, axis1=-2, axis2=-1) / 2.0, 0.0)
-        fbb = fbb + shift[..., None, None] * eye
-        eig = np.linalg.eigvalsh(fbb)
-    singular = (eig[..., 0] <= 0)[..., None, None]
+        shift = np.where(ridge, 1e-12 * np.trace(fbb, axis1=-2, axis2=-1).sum(axis=-1) / 2.0, 0.0)
+        fbb = fbb + shift[..., None, None, None] * eye
+        lowest = np.linalg.eigvalsh(fbb)[..., 0].min(axis=-1)
+    singular = (lowest <= 0)[..., None, None, None]
     if singular.any():
-        if f.ndim == 2:
+        if f.ndim == 3:
             raise SingularNuisanceBlock("nuisance block singular after regularization")
         fbb = np.where(singular, eye, fbb)
     out = faa - fab @ np.linalg.solve(fbb, fab.mT)
     return np.where(singular, np.nan, (out + out.mT) / 2.0)
 
 
-def efim_remove_gains(f_projected: np.ndarray) -> np.ndarray:
-    """Remove the trailing 2N gain rows of a (..., 7N, 7N) projected FIM."""
-    f = np.asarray(f_projected, dtype=float)
-    if f.shape[-1] % 7 != 0:
-        raise ValueError("projected FIM must be (7N, 7N)")
-    return schur_complement_keep_top(f, 5 * (f.shape[-1] // 7))
-
-
-def state_jacobian_tz(ue: Pose, anchors) -> np.ndarray:
-    """(..., 5N, 6) Jacobian of the projected channel parameters in the state
-    tangent, over the leading axes of the pose.
-
-    Columns 1-3 differentiate against the global UE position, columns 4-6
-    against a left rotation increment R <- exp(hat(theta)) R. Rows follow
-    the gain-free stacked order: all delays, then per anchor two tangent
-    coordinates for the UE-side direction and two for the anchor-side one.
-    """
-    n = len(anchors)
+def _chain_jacobian(ue: Pose, anchors, u: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """(..., N, 7, 6) derivative of each anchor's [tau, t_ue(3), t_bs(3)] at LOS unit
+    vectors u (..., N, 3) and distances: columns 1-3 against the global UE
+    position, 4-6 against a left rotation increment R <- exp(hat(theta)) R."""
     r_ut = ue.rotation.mT[..., None, :, :]  # (..., 1, 3, 3), against the anchor axis
     r_bst = np.stack([a.orientation.T for a in anchors])  # (N, 3, 3)
-    u, dist = _los_geometry(ue.position[..., None, :], np.stack([a.position for a in anchors]))
     proj = (np.eye(3) - u[..., :, None] * u[..., None, :]) / dist[..., None, None]
-    # (..., N, 2, 2, 3): per anchor the tangent bases of dir_ue and dir_bs
-    bases = tangent_basis(np.stack([-np.matvec(r_ut, u), np.matvec(r_bst, u)], axis=-2))
-    b_ue, b_bs = bases[..., 0, :, :], bases[..., 1, :, :]
-    out = np.zeros(u.shape[:-2] + (5 * n, 6))
-    out[..., :n, :3] = u / SPEED_OF_LIGHT
-    rows = np.zeros(u.shape[:-1] + (4, 6))  # (..., N, 4, 6)
+    out = np.zeros(u.shape[:-1] + (7, 6))
+    out[..., 0, :3] = u / SPEED_OF_LIGHT
     # position sensitivity of both local directions
-    rows[..., :2, :3] = b_ue @ -(r_ut @ proj)
+    out[..., 1:4, :3] = -(r_ut @ proj)
     # left rotation increment: d dir_ue / d theta_j = R.T (e_j x u), the
     # columns of R.T hat(u).T
-    rows[..., :2, 3:] = b_ue @ (r_ut @ hat3(u).mT)
-    rows[..., 2:, :3] = b_bs @ (r_bst @ proj)
-    out[..., n:, :] = rows.reshape(rows.shape[:-3] + (4 * n, 6))
+    out[..., 1:4, 3:] = r_ut @ hat3(u).mT
+    out[..., 4:, :3] = r_bst @ proj
     return out
 
 
-def state_fim(f_z: np.ndarray, t_z: np.ndarray) -> np.ndarray:
-    """(..., 6, 6) state FIM T_z.T @ F_z @ T_z."""
-    t_z = np.asarray(t_z)
-    out = t_z.mT @ np.asarray(f_z) @ t_z
-    return (out + out.mT) / 2.0
+def state_jacobian_tz(ue: Pose, anchors) -> np.ndarray:
+    """(..., 5N, 6) ``_chain_jacobian`` of the projected channel parameters,
+    its direction rows in each direction's ``tangent_basis``. Rows follow the
+    gain-free order of ``project_fim``: all delays, then per anchor two
+    tangent coordinates of the UE-side direction and two of the anchor-side one.
+    """
+    u, dist = _los_geometry(ue.position[..., None, :], np.stack([a.position for a in anchors]))
+    jac = _chain_jacobian(ue, anchors, u, dist)
+    dir_bs, dir_ue = _local_directions(ue.rotation[..., None, :, :], np.stack([a.orientation for a in anchors]), u)
+    # (..., N, 4, 6): per anchor two tangent rows of dir_ue, then two of dir_bs
+    rows = np.concatenate([tangent_basis(dir_ue) @ jac[..., 1:4, :], tangent_basis(dir_bs) @ jac[..., 4:, :]], -2)
+    return np.concatenate([jac[..., 0, :], rows.reshape(rows.shape[:-3] + (4 * len(anchors), 6))], axis=-2)
+
+
+def state_fim(e: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) state FIM sum_n J_n.T @ E_n @ J_n over the anchor axis of
+    gain-free blocks E (..., N, m, m) and their Jacobians J (..., N, m, 6);
+    ``icrb_report`` symmetrizes it."""
+    return (jac.mT @ e @ jac).sum(axis=-3)
 
 
 @dataclass(frozen=True)
@@ -292,13 +285,12 @@ def pose_error_bounds(
     unbatched call raises SingularNuisanceBlock)."""
     sweep = powers_dbm is not None
     powers = powers_dbm if sweep else [sig.tx_power_dbm]
-    params, unit, weight = _unit_fim(ue, anchors, ue_array, sig, beams, powers)
+    (u, dist), blocks, weight = _unit_fim(ue, anchors, ue_array, sig, beams, powers)
     # a sweep's powers broadcast along a row axis in front: a batch, which
     # flags its rows even at one pose
-    unit = unit[None] if sweep else unit
-    weight = weight.reshape(weight.shape + (1,) * (unit.ndim - 3)) if sweep else weight[0]
-    f_z = efim_remove_gains(project_fim(unit, params))
-    report = icrb_report(state_fim(f_z, state_jacobian_tz(ue, anchors)))
+    blocks = blocks[None] if sweep else blocks
+    weight = weight.reshape(weight.shape + (1,) * (blocks.ndim - 4)) if sweep else weight[0]
+    report = icrb_report(state_fim(efim_remove_gains(blocks), _chain_jacobian(ue, anchors, u, dist)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ok = report.observable & np.isfinite(report.icrb / weight[..., None, None]).all(axis=(-2, -1))
     if ok.ndim == 0 and not ok:

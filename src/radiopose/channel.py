@@ -9,11 +9,11 @@ poses) and returns its results with the same leading axes; the unbatched
 pose is the same code at batch size one.
 
 Anchors transmit orthogonally (time/frequency), so the received tensor and
-the FIM are block-separable across anchors. Per anchor the unconstrained
-parameter vector is [tau, t_ue(3), t_bs(3), Re(gain), Im(gain)]. The stacked
-vector of N anchors is grouped by parameter kind: the N delays, then per
-anchor the six direction components [t_ue, t_bs], then per anchor the two
-gain components.
+the FIM are block-separable across anchors (``_unit_fim`` keeps one 9x9
+block per anchor). Per anchor the unconstrained parameter vector is
+[tau, t_ue(3), t_bs(3), Re(gain), Im(gain)]. The stacked vector of N anchors
+is grouped by parameter kind: the N delays, then per anchor the six
+direction components [t_ue, t_bs], then per anchor the two gain components.
 """
 
 from __future__ import annotations
@@ -271,9 +271,9 @@ def _los_geometry(ue_position: np.ndarray, anchor_position: np.ndarray):
     return diff / dist[..., None], dist
 
 
-def _local_directions(ue: Pose, anchor: AnchorConfig, u: np.ndarray):
-    """(dir_bs, dir_ue) of the LOS direction u: R_bs.T u and -R_ue.T u."""
-    return np.matvec(anchor.orientation.T, u), -np.matvec(ue.rotation.mT, u)
+def _local_directions(rotation: np.ndarray, anchor_orientation: np.ndarray, u: np.ndarray):
+    """(dir_bs, dir_ue) of the LOS direction u: R_bs.T u and -R_ue.T u, over leading axes."""
+    return np.matvec(anchor_orientation.mT, u), -np.matvec(rotation.mT, u)
 
 
 def direction_vectors(ue: Pose, anchor: AnchorConfig):
@@ -284,7 +284,7 @@ def direction_vectors(ue: Pose, anchor: AnchorConfig):
     R_bs @ dir_bs = -R_ue @ dir_ue.
     """
     u, _ = _los_geometry(ue.position, anchor.position)
-    return _local_directions(ue, anchor, u)
+    return _local_directions(ue.rotation, anchor.orientation, u)
 
 
 def delay(ue: Pose, anchor: AnchorConfig, clock_bias_s: float) -> float:
@@ -293,23 +293,25 @@ def delay(ue: Pose, anchor: AnchorConfig, clock_bias_s: float) -> float:
     return dist / SPEED_OF_LIGHT + clock_bias_s
 
 
-def channel_params(ue: Pose, anchor: AnchorConfig, sig: SignalConfig) -> ChannelParams:
-    """Delay, local directions and free-space LOS gain (amplitude lambda/(4 pi d),
-    carrier propagation phase) of one link, from one LOS geometry."""
-    u, dist = _los_geometry(ue.position, anchor.position)
-    dir_bs, dir_ue = _local_directions(ue, anchor, u)
+def _links(position, rotation, anchor_position, anchor_orientation, sig: SignalConfig):
+    """LOS unit vectors u, distances and ``ChannelParams`` (delay, local
+    directions, free-space gain: amplitude lambda/(4 pi d), carrier
+    propagation phase) of the links from anchors at ``anchor_position``
+    (orientation local -> global) to a UE at ``position`` with ``rotation``,
+    from one ``_los_geometry`` call over the leading axes of all four."""
+    u, dist = _los_geometry(position, anchor_position)
+    dir_bs, dir_ue = _local_directions(rotation, anchor_orientation, u)
     amp = SPEED_OF_LIGHT / sig.carrier_hz / (4.0 * np.pi * dist)
-    par = object.__new__(ChannelParams)
-    for name, value in (
-        ("delay_s", dist / SPEED_OF_LIGHT + sig.clock_bias_s),
-        ("dir_ue", dir_ue),
-        ("dir_bs", dir_bs),
-        # the phase in real arithmetic: a complex division rounds differently
-        # in a batch than for one pose
-        ("gain", amp * np.exp(-1j * (2.0 * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT))),
-    ):
-        object.__setattr__(par, name, value)
-    return par
+    par = object.__new__(ChannelParams)  # unchecked: the geometry gives unit directions
+    # the phase in real arithmetic: a complex division rounds differently in a batch than for one pose
+    par.__dict__.update(delay_s=dist / SPEED_OF_LIGHT + sig.clock_bias_s, dir_ue=dir_ue, dir_bs=dir_bs,
+                        gain=amp * np.exp(-1j * (2.0 * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT)))
+    return u, dist, par
+
+
+def channel_params(ue: Pose, anchor: AnchorConfig, sig: SignalConfig) -> ChannelParams:
+    """Delay, local directions and free-space LOS gain of one link (``_links``)."""
+    return _links(ue.position, ue.rotation, anchor.position, anchor.orientation, sig)[2]
 
 
 def steering_vector(array: ArrayGeometry, direction: np.ndarray, carrier_hz: float) -> np.ndarray:
@@ -325,9 +327,9 @@ def _subcarrier_phases(delay_s: float, sig: SignalConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * delay_s * c_idx * sig.subcarrier_spacing_hz)
 
 
-def _beam_factors(ue, anchor, ue_array, sig, precoders, combiners):
-    """Channel parameters of one link and its beam factors f, shape (..., 9, G)
-    over the leading axes of the UE pose, at unit transmit amplitude.
+def _beam_factors(dir_ue, dir_bs, gain, anchor, ue_array, sig, precoders, combiners):
+    """Beam factors f of one link, shape (..., 9, G) over the leading axes of
+    its local directions and gain, at unit transmit amplitude.
 
     The only copy of the steering vectors, beam gains and their direction
     derivatives; none of it depends on the transmit power. Over
@@ -337,10 +339,9 @@ def _beam_factors(ue, anchor, ue_array, sig, precoders, combiners):
     the delay row and s = 1 on every other row; the signal itself is
     mu_gc = x gain f_7(g) phi_c.
     """
-    par = channel_params(ue, anchor, sig)
     kappa = 2.0 * np.pi * sig.carrier_hz / SPEED_OF_LIGHT
-    a_ue = steering_vector(ue_array, par.dir_ue, sig.carrier_hz)  # (..., N_ue)
-    a_bs = steering_vector(anchor.array, par.dir_bs, sig.carrier_hz)  # (..., N_bs)
+    a_ue = steering_vector(ue_array, dir_ue, sig.carrier_hz)  # (..., N_ue)
+    a_bs = steering_vector(anchor.array, dir_bs, sig.carrier_hz)  # (..., N_bs)
     # one matrix-vector product per pose, so a row does not depend on its batch
     ue_gain = np.matvec(combiners, a_ue)  # (..., G)
     bs_gain = np.matvec(precoders, a_bs)  # (..., G)
@@ -348,14 +349,14 @@ def _beam_factors(ue, anchor, ue_array, sig, precoders, combiners):
     # whose temporary is (..., elements, 3) rather than (..., G, elements)
     d_ue = 1j * kappa * (combiners @ (a_ue[..., None] * ue_array.element_positions))  # (..., G, 3)
     d_bs = 1j * kappa * (precoders @ (a_bs[..., None] * anchor.array.element_positions))
-    gain = np.asarray(par.gain)[..., None]
+    gain = np.asarray(gain)[..., None]
     f = np.empty(ue_gain.shape[:-1] + (PARAMS_PER_ANCHOR, ue_gain.shape[-1]), dtype=complex)
     f[..., 7, :] = ue_gain * bs_gain
     f[..., 8, :] = 1j * f[..., 7, :]
     f[..., 0, :] = gain * f[..., 7, :]
     f[..., 1:4, :] = gain[..., None] * (d_ue * bs_gain[..., None]).mT
     f[..., 4:7, :] = gain[..., None] * (ue_gain[..., None] * d_bs).mT
-    return par, f
+    return f
 
 
 def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
@@ -367,8 +368,9 @@ def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
     """
     _check_beams(anchors, ue_array, sig, beams)
     out = np.zeros((len(anchors), sig.num_transmissions, sig.num_subcarriers), dtype=complex)
-    for n, anchor in enumerate(anchors):
-        par, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
+    for n, (anchor, precoders, combiners) in enumerate(zip(anchors, beams.precoders, beams.combiners)):
+        par = channel_params(ue, anchor, sig)
+        f = _beam_factors(par.dir_ue, par.dir_bs, par.gain, anchor, ue_array, sig, precoders, combiners)
         out[n] = (sig.subcarrier_amplitude * par.gain) * np.outer(f[7], _subcarrier_phases(par.delay_s, sig))
     return out
 
@@ -380,16 +382,17 @@ def _anchor_signal_gradient(ue, anchor, ue_array, sig, precoders, combiners) -> 
     eta = [tau, t_ue(3), t_bs(3), Re gain, Im gain]. Direction derivatives
     come from the steering phase gradients; tau and gain are elementary.
     """
-    par, f = _beam_factors(ue, anchor, ue_array, sig, precoders, combiners)
+    par = channel_params(ue, anchor, sig)
+    f = _beam_factors(par.dir_ue, par.dir_bs, par.gain, anchor, ue_array, sig, precoders, combiners)
     grad = sig.subcarrier_amplitude * f[:, :, None] * _subcarrier_phases(par.delay_s, sig)
     grad[0] *= -2j * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
     return grad
 
 
 def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
-    """Channel parameters of each link, the unconstrained FIM at unit
-    weight, (..., 9N, 9N) over the leading axes of the UE pose in the grouped
-    order of the module docstring, and the weights w of ``powers_dbm``.
+    """LOS geometry (u, dist) of every link, each anchor's block of the
+    unconstrained FIM at unit weight, (..., N, 9, 9) over the leading axes
+    of the UE pose, and the weights w of ``powers_dbm``.
 
     F = (2 / sigma^2) sum_{g,c} Re{conj(d mu / d eta) (d mu / d eta)^T} with
     both direction vectors carried as free 3-vectors; the sphere constraint
@@ -405,7 +408,6 @@ def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
     that do not fit the scenario raise ValueError.
     """
     _check_beams(anchors, ue_array, sig, beams)
-    n_anchors = len(anchors)
     # Gram of the subcarrier profiles: -j w on the delay row, 1 on the others
     gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(sig.num_subcarriers))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,35 +417,40 @@ def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
         raise RadioPoseError(f"Fisher information is not finite: subcarrier_spacing_hz {sig.subcarrier_spacing_hz:g}")
     gram[0, 1:] = 1j * w.sum()
     gram[1:, 0] = -1j * w.sum()
-    params, blocks = [], []
+    # every link along an anchor axis: u (..., N, 3), dist (..., N)
+    u, dist, links = _links(ue.position[..., None, :], ue.rotation[..., None, :, :],
+                            np.stack([a.position for a in anchors]), np.stack([a.orientation for a in anchors]), sig)
+    blocks = []
     for n, anchor in enumerate(anchors):
-        par, f = _beam_factors(ue, anchor, ue_array, sig, beams.precoders[n], beams.combiners[n])
-        params.append(par)
+        f = _beam_factors(links.dir_ue[..., n, :], links.dir_bs[..., n, :], links.gain[..., n], anchor,
+                          ue_array, sig, beams.precoders[n], beams.combiners[n])
         blocks.append(np.real((np.conj(f) @ f.mT) * gram))
-    # stacked positions of each anchor's [tau, t_ue, t_bs, Re gain, Im gain]
-    n = np.arange(n_anchors)[:, None]
-    idx = np.hstack([n, n_anchors + 6 * n + np.arange(6), 7 * n_anchors + 2 * n + np.arange(2)])
-    unit = np.zeros(blocks[0].shape[:-2] + (PARAMS_PER_ANCHOR * n_anchors,) * 2)
-    unit[..., idx[:, :, None], idx[:, None, :]] = np.stack(blocks, axis=-3)
+    blocks = np.stack(blocks, axis=-3)
     powers = [float(p) for p in powers_dbm]
     # dBm -> W in a scalar loop: numpy's vectorized power differs from pow in the last bit
     watts = np.array([dbm_to_watt(p) for p in powers])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weight = 2.0 * watts / sig.num_subcarriers / sig.noise_variance_w
-        finite = np.isfinite(weight * np.abs(unit).max())
+        finite = np.isfinite(weight * np.abs(blocks).max())
     if not finite.all():
         raise RadioPoseError(
             f"Fisher information is not finite at tx_power_dbm {powers[int(np.argmin(finite))]:g}, "
             f"noise_psd_dbm_hz {sig.noise_psd_dbm_hz:g}"
         )
-    return params, (unit + unit.mT) / 2.0, weight
+    return (u, dist), (blocks + blocks.mT) / 2.0, weight
 
 
 def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
-    """Unconstrained FIM at the transmit power of ``sig``: the unit-weight
-    FIM of ``_unit_fim`` times that power's weight. Symmetric PSD,
-    (..., 9N, 9N) over the leading axes of the UE pose."""
-    _, unit, (weight,) = _unit_fim(ue, anchors, ue_array, sig, beams, [sig.tx_power_dbm])
+    """Unconstrained FIM at the transmit power of ``sig``: the blocks of
+    ``_unit_fim`` times that power's weight in the grouped order of the module
+    docstring. Symmetric PSD, (..., 9N, 9N) over the leading axes of the UE pose."""
+    _, blocks, (weight,) = _unit_fim(ue, anchors, ue_array, sig, beams, [sig.tx_power_dbm])
+    n_anchors = len(anchors)
+    # stacked positions of each anchor's [tau, t_ue, t_bs, Re gain, Im gain]
+    n = np.arange(n_anchors)[:, None]
+    idx = np.hstack([n, n_anchors + 6 * n + np.arange(6), 7 * n_anchors + 2 * n + np.arange(2)])
+    unit = np.zeros(blocks.shape[:-3] + (PARAMS_PER_ANCHOR * n_anchors,) * 2)
+    unit[..., idx[:, :, None], idx[:, None, :]] = blocks
     return weight * unit
 
 

@@ -48,7 +48,7 @@ from .tracking import (
 FILTER_NAMES = ("fusion", "eskf", "euler")
 # cap on mc_runs x trajectory steps: a study holds about 1.1 kB per run-step, 2.2 GB at the cap
 MAX_RUN_STEPS = 2_000_000
-# cap on trajectory steps alone: the bound pipeline holds about 15.3 kB per truth pose, 2.0 GB at the cap
+# cap on trajectory steps alone: the bound pipeline holds about 14 kB per truth pose, 1.8 GB at the cap
 MAX_TRAJECTORY_STEPS = 2**17
 # libyaml's parser when PyYAML was built with it; the constructor is SafeLoader's either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -730,13 +730,14 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     on a missing, unknown or invalid key.
 
     The keys and value types of ``_DEFAULT_SCENARIO`` are the schema
-    (``_typed``). A top-level setting that is absent takes the literal's
-    value, and an absent optional signal key the ``SignalConfig`` default.
+    (``_typed``). An absent setting or ``signal.rng_seed`` takes the literal's
+    value; an absent ``bandwidth_hz`` or ``clock_bias_s``, SignalConfig's.
     """
     template = _DEFAULT_SCENARIO
     try:
         raw = _known_keys(raw, template, "scenario")
         sig_raw = _known_keys(raw["signal"], template["signal"], "signal")
+        sig_raw = {"rng_seed": template["signal"]["rng_seed"], **sig_raw}
         anchors_raw = [_known_keys(a, template["anchors"][0], "anchor") for a in raw["anchors"]]
         ue_raw = _known_keys(raw["ue"], template["ue"], "ue")
         segments_raw = [_known_keys(s, template["segments"][0], "segment") for s in raw["segments"]]

@@ -3,7 +3,7 @@ library computes another way, and conversions only the tests need."""
 
 import numpy as np
 
-from radiopose import channel, lie
+from radiopose import bounds, channel, lie
 
 
 def pose_from_matrix(m) -> lie.Pose:
@@ -84,3 +84,29 @@ def signal_of(z, ue, anchors, ue_array, sig, beams):
         phases = channel._subcarrier_phases(par.delay_s, sig)
         out.append(gain * sig.subcarrier_amplitude * np.outer(beam, phases).ravel())
     return np.concatenate(out)
+
+
+def gain_schur_complement(f, n_keep):
+    """Schur complement of a (..., M, M) FIM keeping its leading ``n_keep``
+    rows, with the trailing gain rows removed as one block: where that block's
+    smallest eigenvalue is <= 0 or its condition number exceeds 1e12, it first
+    gets the ridge 1e-12 * tr/2."""
+    f = np.asarray(f, dtype=float)
+    faa, fab, fbb = f[..., :n_keep, :n_keep], f[..., :n_keep, n_keep:], f[..., n_keep:, n_keep:]
+    eig = np.linalg.eigvalsh(fbb)
+    ridge = (eig[..., 0] <= 0) | (eig[..., -1] > 1e12 * eig[..., 0])
+    shift = np.where(ridge, 1e-12 * np.trace(fbb, axis1=-2, axis2=-1) / 2.0, 0.0)
+    fbb = fbb + shift[..., None, None] * np.eye(fbb.shape[-1])
+    return faa - fab @ np.linalg.solve(fbb, fab.mT)
+
+
+def intrinsic_bound(ue, anchors, ue_array, sig, beams) -> np.ndarray:
+    """The 6x6 bound in its intrinsic form, over the leading axes of ``ue``:
+    the unconstrained FIM projected onto the tangent planes of the direction
+    spheres, the 2N gain rows removed as one block, the result mapped to the
+    state by ``state_jacobian_tz`` and inverted by ``icrb_report``."""
+    params = [channel.channel_params(ue, a, sig) for a in anchors]
+    f_z = bounds.project_fim(channel.fim_unconstrained(ue, anchors, ue_array, sig, beams), params)
+    f_z = gain_schur_complement(f_z, 5 * len(anchors))
+    tz = bounds.state_jacobian_tz(ue, anchors)
+    return bounds.icrb_report(tz.mT @ f_z @ tz).icrb

@@ -6,10 +6,8 @@ the bound's coordinates [delta p, theta] (global position offset, left
 rotation increment R <- exp(hat(theta)) R) plus each anchor's free complex
 gain (Re, Im). The Slepian-Bangs formula F = (2 / sigma^2) Re(J^H J) (Kay,
 Fundamentals of Statistical Signal Processing, Vol. I, ch. 15), with the
-gains removed by a Schur complement, must equal the state FIM that the
-pipeline composes from the unconstrained FIM, the tangent projection, the
-gain Schur complement and ``state_jacobian_tz``; its inverse must equal
-``icrb_report(...).icrb``.
+gains removed by a Schur complement, must equal the inverse of the bound
+that ``pose_error_bounds`` returns, and its inverse that bound.
 """
 
 from dataclasses import replace
@@ -83,10 +81,8 @@ def oracle_state_fim(ue, anchors, ue_array, sig, beams):
 
 
 def pipeline_state_fim(ue, anchors, ue_array, sig, beams):
-    params = [channel.channel_params(ue, a, sig) for a in anchors]
-    f_raw = channel.fim_unconstrained(ue, anchors, ue_array, sig, beams)
-    f_z = bounds.efim_remove_gains(bounds.project_fim(f_raw, params))
-    return bounds.state_fim(f_z, bounds.state_jacobian_tz(ue, anchors))
+    """The state FIM of the bound that runs: the inverse of ``pose_error_bounds``."""
+    return np.linalg.inv(bounds.pose_error_bounds(ue, anchors, ue_array, sig, beams).icrb)
 
 
 def worst_relative(actual, expected):
@@ -127,7 +123,6 @@ def test_bound_matches_direct_signal_differentiation(case):
     beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
     args = (ue, cfg.anchors, cfg.ue_array, cfg.signal, beams)
     expected = oracle_state_fim(*args)
-    f_x = pipeline_state_fim(*args)
-    assert worst_relative(f_x, expected) < TOL
-    icrb = bounds.icrb_report(f_x).icrb
+    assert worst_relative(pipeline_state_fim(*args), expected) < TOL
+    icrb = bounds.pose_error_bounds(*args).icrb
     assert worst_relative(icrb, np.linalg.inv(expected)) < TOL

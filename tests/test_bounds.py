@@ -11,22 +11,13 @@ from radiopose import bounds, channel, lie, simkit
 from radiopose.channel import ArrayGeometry
 from radiopose.errors import SingularNuisanceBlock, UnobservableState
 from radiopose.simkit import bounds_sweep, default_scenario, generate_trajectory
-from test_bound_oracle import worst_relative
+from references import gain_schur_complement, intrinsic_bound
+from test_bound_oracle import CASES, worst_relative
 
 
 def _random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
-
-
-_DEFAULT_BASIS = bounds.tangent_basis  # captured before any test patches it
-
-
-def rotated_basis(direction):
-    """Alternative valid tangent basis: the default one spun by 40 degrees."""
-    b = _DEFAULT_BASIS(direction)
-    c, s = np.cos(0.7), np.sin(0.7)
-    return np.array([[c, s], [-s, c]]) @ b
 
 
 class TestTangentBasis:
@@ -96,49 +87,87 @@ class TestProjectFim:
             assert eo[i] <= ef[i + 2] + 1e-10
 
 
+def _gain_blocks(fbb, keep=2.0, coupling=(0.5, 1e-8)):
+    """Per-anchor 3x3 blocks [keep row, Re gain, Im gain] over gain blocks
+    ``fbb`` (..., N, 2, 2), each keep row coupled to its gains by ``coupling``."""
+    fbb = np.asarray(fbb, dtype=float)
+    f = np.zeros(fbb.shape[:-2] + (3, 3))
+    f[..., 0, 0] = keep
+    f[..., 0, 1:] = f[..., 1:, 0] = coupling
+    f[..., 1:, 1:] = fbb
+    return f
+
+
+def _assembled(blocks):
+    """(..., 3N, 3N) FIM of per-anchor 3x3 blocks: the N keep rows, then the
+    2N gain rows, as ``project_fim`` orders them."""
+    n = blocks.shape[-3]
+    idx = np.column_stack([np.arange(n), n + 2 * np.arange(n), n + 2 * np.arange(n) + 1])
+    out = np.zeros(blocks.shape[:-3] + (3 * n, 3 * n))
+    out[..., idx[:, :, None], idx[:, None, :]] = blocks
+    return out
+
+
 class TestEfimRemoveGains:
     def test_block_diagonal_keeps_top_left(self):
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((5, 5))
-        top = a @ a.T
-        f = np.zeros((7, 7))
-        f[:5, :5] = top
-        f[5:, 5:] = np.diag([2.0, 3.0])
+        a = rng.standard_normal((2, 7, 7))
+        top = a @ a.mT
+        f = np.zeros((2, 9, 9))
+        f[:, :7, :7] = top
+        f[:, 7:, 7:] = np.diag([2.0, 3.0])
         np.testing.assert_allclose(bounds.efim_remove_gains(f), top)
 
     def test_hand_schur_complement(self):
-        # independent oracle: keep block a, remove block b:
-        # out = f_aa - f_ab f_bb^-1 f_ba = 4 - 2 * (1/2) * 2 = 2
-        out = bounds.schur_complement_keep_top(np.array([[4.0, 2.0], [2.0, 2.0]]), 1)
-        np.testing.assert_allclose(out, [[2.0]])
+        # independent oracle: keep row a, remove the gain rows b:
+        # out = f_aa - f_ab f_bb^-1 f_ba = 4 - 2 * (1/2) * 2 - 1 * 1 * 1 = 1
+        f = np.array([[[4.0, 2.0, 1.0], [2.0, 2.0, 0.0], [1.0, 0.0, 1.0]]])
+        np.testing.assert_allclose(bounds.efim_remove_gains(f), [[[1.0]]])
+
+    def test_ridge_spans_the_anchors(self):
+        # each anchor's 2x2 gain block is well conditioned, but the gain
+        # energies of the two differ by 1e13: the whole 2N block has
+        # condition 1e13 and both anchors take its 1e-12 tr/2 ridge, as the
+        # single 2N-block complement does
+        f = _gain_blocks([np.diag([1.0, 0.5]), np.diag([1e-13, 0.5e-13])], coupling=(1e-7, 1e-8))
+        out = bounds.efim_remove_gains(f)
+        expected = np.diag(gain_schur_complement(_assembled(f), 2))
+        assert np.abs(out[:, 0, 0] / expected - 1.0).max() < 1e-12
+        plain = 2.0 - 1e-14 / 1e-13 - 1e-16 / 0.5e-13
+        assert abs(out[1, 0, 0] - plain) > 1e-3  # the ridge moved the second anchor
 
     def test_ridge_and_failure_stay_in_their_rows(self):
-        # one keep-row over a 2x2 nuisance block: the middle row's block has
-        # condition 1e14 and gets the 1e-12 ridge, the last row's block is
-        # zero and stays singular; the other rows neither get the ridge nor
-        # see the failure, and each row equals its unbatched complement
-        fbb = np.array([np.diag([1.0, 0.5]), np.diag([1.0, 1e-14]), np.diag([2.0, 0.25]), np.zeros((2, 2))])
-        f = np.zeros((4, 3, 3))
-        f[:, 0, 0] = 2.0
-        f[:, 0, 1:] = f[:, 1:, 0] = [0.5, 1e-8]
-        f[:, 1:, 1:] = fbb
-        out = bounds.schur_complement_keep_top(f, 1)
+        # two anchors per row: in the middle row one gain block has
+        # condition 1e14 and the row gets the 1e-12 ridge, the last row's
+        # blocks are zero and stay singular; the other rows neither get the
+        # ridge nor see the failure, and each row equals its unbatched call
+        # bit for bit
+        fbb = np.array([
+            [np.diag([1.0, 0.5]), np.diag([3.0, 1.0])],
+            [np.diag([1.0, 1e-14]), np.diag([3.0, 1.0])],
+            [np.diag([2.0, 0.25]), np.diag([3.0, 1.0])],
+            np.zeros((2, 2, 2)),
+        ])
+        f = _gain_blocks(fbb)
+        out = bounds.efim_remove_gains(f)
         for row in range(3):
-            assert np.array_equal(out[row], bounds.schur_complement_keep_top(f[row], 1))
-        assert out[0, 0, 0] == 2.0 - 0.25 / 1.0 - 1e-16 / 0.5
-        assert out[2, 0, 0] == 2.0 - 0.25 / 2.0 - 1e-16 / 0.25
+            assert np.array_equal(out[row], bounds.efim_remove_gains(f[row]))
+        assert out[0, 0, 0, 0] == 2.0 - 0.25 / 1.0 - 1e-16 / 0.5
+        assert out[2, 0, 0, 0] == 2.0 - 0.25 / 2.0 - 1e-16 / 0.25
         no_ridge = 2.0 - 0.25 - 1e-16 / 1e-14
-        assert abs(out[1, 0, 0] - no_ridge) > 1e-4  # the ridge took 1e-16 / 1e-14 down to about 2e-4
+        assert abs(out[1, 0, 0, 0] - no_ridge) > 1e-4  # the ridge took 1e-16 / 1e-14 down to about 2e-4
+        expected = np.diag(gain_schur_complement(_assembled(f[1]), 2))
+        assert np.abs(out[1, :, 0, 0] / expected - 1.0).max() < 1e-12
         assert np.isnan(out[3]).all()
         with pytest.raises(SingularNuisanceBlock):
-            bounds.schur_complement_keep_top(f[3], 1)
+            bounds.efim_remove_gains(f[3])
 
     def test_information_never_increases(self):
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((7, 10))
-        f = a @ a.T
+        a = rng.standard_normal((3, 9, 12))
+        f = a @ a.mT
         out = bounds.efim_remove_gains(f)
-        diff = f[:5, :5] - out
+        diff = f[:, :7, :7] - out
         assert np.linalg.eigvalsh(diff).min() >= -1e-10 * np.abs(f).max()
 
 
@@ -210,19 +239,20 @@ class TestStateJacobian:
 
 class TestStateFim:
     def test_zero_input(self):
-        tz = np.random.default_rng(9).standard_normal((10, 6))
-        assert np.array_equal(bounds.state_fim(np.zeros((10, 10)), tz), np.zeros((6, 6)))
+        jac = np.random.default_rng(9).standard_normal((2, 7, 6))
+        assert np.array_equal(bounds.state_fim(np.zeros((2, 7, 7)), jac), np.zeros((6, 6)))
 
     def test_identity_gram(self):
-        tz = np.random.default_rng(10).standard_normal((10, 6))
-        np.testing.assert_allclose(bounds.state_fim(np.eye(10), tz), tz.T @ tz)
+        jac = np.random.default_rng(10).standard_normal((2, 7, 6))
+        np.testing.assert_allclose(bounds.state_fim(np.eye(7), jac), jac[0].T @ jac[0] + jac[1].T @ jac[1])
 
     def test_random_triple_product(self):
         rng = np.random.default_rng(11)
-        a = rng.standard_normal((10, 10))
-        fz = a @ a.T
-        tz = rng.standard_normal((10, 6))
-        np.testing.assert_allclose(bounds.state_fim(fz, tz), tz.T @ fz @ tz, atol=1e-12)
+        a = rng.standard_normal((3, 7, 7))
+        e = a @ a.mT
+        jac = rng.standard_normal((3, 7, 6))
+        expected = sum(jac[n].T @ e[n] @ jac[n] for n in range(3))
+        np.testing.assert_allclose(bounds.state_fim(e, jac), expected, atol=1e-12)
 
 
 class TestIcrbReport:
@@ -245,7 +275,7 @@ class TestIcrbReport:
         # reach full rank
         cfg = default_scenario()
         tz = bounds.state_jacobian_tz(cfg.ue_start, cfg.anchors[:1])
-        f_x = bounds.state_fim(np.eye(5), tz)
+        f_x = bounds.state_fim(np.eye(5)[None], tz[None])
         with pytest.raises(UnobservableState):
             bounds.icrb_report(f_x)
 
@@ -300,18 +330,37 @@ class TestMeasurementCovariance:
             assert np.linalg.norm(out - out.T) < 1e-12 * np.abs(out).max()
 
 
+class TestIntrinsicIdentity:
+    """The per-anchor chain-rule bound equals the intrinsic form: the tangent
+    projection, the gain Schur complement of the whole 2N block and
+    ``state_jacobian_tz`` (``references.intrinsic_bound``)."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_oracle_cases(self, case):
+        cfg, ue = CASES[case]()
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        args = (ue, cfg.anchors, cfg.ue_array, cfg.signal, beams)
+        assert worst_relative(bounds.pose_error_bounds(*args).icrb, intrinsic_bound(*args)) < 1e-12
+
+    def test_trajectory_batch(self):
+        cfg = default_scenario()
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths = lie.Pose.stack(generate_trajectory(cfg.ue_start, cfg.segments))
+        args = (truths, cfg.anchors, cfg.ue_array, cfg.signal, beams)
+        icrb, expected = bounds.pose_error_bounds(*args).icrb, intrinsic_bound(*args)
+        assert icrb.shape == expected.shape == (120, 6, 6)
+        # the two routes round the state FIM differently, by about 1e-16 of
+        # its largest eigenvalue; the bound shows that times its condition
+        # number, 1.1e5 at the worst-conditioned pose (94)
+        cond = np.linalg.cond(expected)
+        for k in range(len(icrb)):
+            assert worst_relative(icrb[k], expected[k]) < 1e-12 + 1e-16 * cond[k]
+
+
 class TestPipelineInvariants:
     def setup_method(self):
         self.cfg = default_scenario()
         self.beams = channel.draw_beams(self.cfg.anchors, self.cfg.ue_array, self.cfg.signal)
-
-    def test_basis_independence(self, monkeypatch):
-        cfg = self.cfg
-        a = bounds.pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, self.beams)
-        monkeypatch.setattr(bounds, "tangent_basis", rotated_basis)
-        b = bounds.pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, self.beams)
-        assert abs(a.peb_m - b.peb_m) < 1e-9 * a.peb_m
-        assert abs(a.rmeb_rad - b.rmeb_rad) < 1e-9 * a.rmeb_rad
 
     def test_third_anchor_never_hurts(self):
         cfg = self.cfg

@@ -607,7 +607,7 @@ class TestErrorPaths:
         from radiopose.errors import SingularNuisanceBlock
 
         with pytest.raises(SingularNuisanceBlock):
-            efim_remove_gains(np.zeros((14, 14)))
+            efim_remove_gains(np.zeros((2, 9, 9)))
 
     def test_singular_source_covariance_rejected_in_fusion(self):
         from radiopose import tracking

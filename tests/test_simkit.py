@@ -601,14 +601,14 @@ class TestRunMonteCarlo:
     def test_unobservable_truth_pose_is_named(self, monkeypatch):
         # a study needs the bound at every true pose: the first pose whose
         # state FIM is unobservable ends it, by index
-        original = bounds.state_jacobian_tz
+        original = bounds._chain_jacobian
 
-        def blind_at_4_and_6(ue, anchors):
-            tz = original(ue, anchors)
-            tz[[4, 6]] = 0.0
-            return tz
+        def blind_at_4_and_6(*args):
+            jac = original(*args)
+            jac[[4, 6]] = 0.0
+            return jac
 
-        monkeypatch.setattr(bounds, "state_jacobian_tz", blind_at_4_and_6)
+        monkeypatch.setattr(bounds, "_chain_jacobian", blind_at_4_and_6)
         cfg = tiny_scenario(steps=4)
         beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
         with pytest.raises(UnobservableState, match="truth pose 4 of 8"):
@@ -679,17 +679,19 @@ class TestBoundsSweep:
     @pytest.mark.parametrize("n_powers", [1, 9])
     def test_one_bound_pass_per_sweep(self, monkeypatch, n_powers):
         # the pipeline runs once, at unit weight, whatever the number of
-        # powers: one state FIM row into icrb_report, and one channel_params
-        # call per anchor
+        # powers: one state FIM row into icrb_report, and one LOS geometry
+        # for all anchors; it takes no tangent basis and no projection
         cfg = simkit.default_scenario()
-        shapes, links = [], []
-        report, params = bounds.icrb_report, channel.channel_params
+        shapes, geometries = [], []
+        report, geometry = bounds.icrb_report, channel._los_geometry
         monkeypatch.setattr(bounds, "icrb_report", lambda f: shapes.append(np.shape(f)) or report(f))
-        monkeypatch.setattr(channel, "channel_params", lambda *args: links.append(1) or params(*args))
+        monkeypatch.setattr(channel, "_los_geometry", lambda *args: geometries.append(1) or geometry(*args))
+        for name in ("tangent_basis", "project_fim", "state_jacobian_tz"):
+            monkeypatch.setattr(bounds, name, lambda *args: pytest.fail("the bound took the intrinsic route"))
         rows = simkit.bounds_sweep(cfg, [-20.0 + 5.0 * k for k in range(n_powers)])
         assert len(rows) == n_powers and all(r["observable"] for r in rows)
         assert shapes == [(1, 6, 6)]
-        assert len(links) == len(cfg.anchors)
+        assert len(geometries) == 1
 
     def test_empty_power_list_rejected(self):
         with pytest.raises(ValueError):
@@ -1012,8 +1014,8 @@ class TestScenarioIo:
         assert type(loaded.mc_runs) is int
 
     def test_optional_keys_take_the_literal_and_signal_defaults(self, tmp_path):
-        # the six settings default to the literal's values, the three signal
-        # keys to SignalConfig's
+        # the six settings and the beam seed default to the literal's values,
+        # the other two signal keys to SignalConfig's
         raw = simkit.scenario_to_dict(tiny_scenario(mc_runs=7, seed=11, measurement_noise_scale=2.0))
         options = ("seed", "mc_runs", "filter_selection", "measurement_noise_scale",
                    "process_noise_rho_m", "process_noise_rot_rad")
@@ -1030,10 +1032,10 @@ class TestScenarioIo:
         sig = loaded.signal
         assert sig == channel.SignalConfig(
             sig.carrier_hz, sig.subcarrier_spacing_hz, sig.num_subcarriers, sig.num_transmissions,
-            sig.tx_power_dbm, sig.noise_psd_dbm_hz,
+            sig.tx_power_dbm, sig.noise_psd_dbm_hz, rng_seed=simkit._DEFAULT_SCENARIO["signal"]["rng_seed"],
         )
         assert sig.bandwidth_hz == sig.num_subcarriers * sig.subcarrier_spacing_hz
-        assert (sig.clock_bias_s, sig.rng_seed) == (0.0, 0)
+        assert (sig.clock_bias_s, sig.rng_seed) == (0.0, 1)
 
     def test_file_without_seed_runs_the_literal_seed(self, tmp_path):
         raw = simkit.scenario_to_dict(tiny_scenario(seed=simkit._DEFAULT_SCENARIO["seed"]))
@@ -1045,6 +1047,14 @@ class TestScenarioIo:
             assert rc == 0
         for suffix in ("_rmse.csv", "_rmse_cdf_fusion.csv", "_rmse_cdf_eskf.csv", "_rmse_cdf_euler.csv"):
             assert (tmp_path / f"bare{suffix}").read_bytes() == (tmp_path / f"seeded{suffix}").read_bytes()
+
+    def test_file_without_beam_seed_draws_the_literal_beams(self, tmp_path):
+        raw = simkit.scenario_to_dict(simkit.default_scenario())
+        del raw["signal"]["rng_seed"]
+        (tmp_path / "bare.yaml").write_text(yaml.safe_dump(raw, sort_keys=False))
+        for name, config in (("default", []), ("bare", ["--config", str(tmp_path / "bare.yaml")])):
+            assert cli.main(["bounds", *config, "--powers=-20:10:20", "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
     def test_missing_key_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
