@@ -292,9 +292,9 @@ def pose_error_bounds(
     weight = weight.reshape(weight.shape + (1,) * (blocks.ndim - 4)) if sweep else weight[0]
     report = icrb_report(state_fim(efim_remove_gains(blocks), _chain_jacobian(ue, anchors, u, dist)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ok = report.observable & np.isfinite(report.icrb / weight[..., None, None]).all(axis=(-2, -1))
+        icrb = report.icrb / weight[..., None, None]
+    ok = report.observable & np.isfinite(icrb).all(axis=(-2, -1))
     if ok.ndim == 0 and not ok:
         raise SingularNuisanceBlock(f"bound is not finite at FIM weight {weight:g}: no information")
-    weight = np.where(ok, weight, np.nan)  # NaN bounds in the rows that are not ok
-    root = np.sqrt(weight)
-    return IcrbReport(report.icrb / weight[..., None, None], report.peb_m / root, report.rmeb_rad / root, ok)
+    root = np.sqrt(np.where(ok, weight, np.nan))  # NaN bounds in the rows that are not ok
+    return IcrbReport(np.where(ok[..., None, None], icrb, np.nan), report.peb_m / root, report.rmeb_rad / root, ok)

@@ -4,6 +4,12 @@ Fisher information of the channel geometric parameters. All three come from
 one set of per-link beam factors (``_beam_factors``), and the FIM sums over
 subcarriers in closed form.
 
+The beam factors carry an anchor axis: ``_unit_fim`` computes every link's
+factors and 9x9 block in one pass over beams stacked once per ``BeamSet``
+(``BeamSet.stacked``). Anchors whose arrays have fewer elements than the
+largest are zero-padded, in their precoder columns and in their element
+positions; that is exact, as a padded element adds 0 * exp(j0) to every sum.
+
 Every function of a UE pose also takes a pose with leading axes (a batch of
 poses) and returns its results with the same leading axes; the unbatched
 pose is the same code at batch size one.
@@ -19,7 +25,7 @@ direction components [t_ue, t_bs], then per anchor the two gain components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +46,8 @@ MAX_ARRAY_ELEMENTS = 4_096
 #: beam sets kept per process; one draw of the wideband benchmark (4 anchors x
 #: 64 beams x (256 + 64) elements) is about 1.3 MB
 _BEAM_CACHE_SIZE = 8
+#: subcarrier Grams kept per process, one per (num_subcarriers, subcarrier_spacing_hz)
+_GRAM_CACHE_SIZE = 8
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -196,6 +204,26 @@ class BeamSet:
     precoders: tuple  # one (G, n_bs_elements) complex array per anchor
     combiners: tuple  # one (G, n_ue_elements) complex array per anchor
 
+    @cached_property
+    def stacked(self) -> tuple:
+        """(precoders (N, G, E_max), combiners (N, G, n_ue_elements)): the
+        beams along an anchor axis, built on first access and read-only. An
+        anchor with fewer than the largest count E_max of anchor elements has
+        zero precoder columns after its own (``_stack_padded``)."""
+        out = _stack_padded(self.precoders), _stack_padded(self.combiners)
+        for array in out:
+            array.flags.writeable = False
+        return out
+
+
+def _stack_padded(arrays) -> np.ndarray:
+    """Equal-rank arrays of one dtype stacked on a new leading axis, each
+    zero-padded at the end of every axis to the largest size there."""
+    out = np.zeros((len(arrays), *map(max, zip(*(a.shape for a in arrays)))), dtype=arrays[0].dtype)
+    for n, a in enumerate(arrays):
+        out[(n, *map(slice, a.shape))] = a
+    return out
+
 
 def draw_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig) -> BeamSet:
     """Draw random unit-norm complex Gaussian beams, reproducible from the seed.
@@ -217,22 +245,23 @@ def _draw_beams(rng_seed: int, num_transmissions: int, bs_elements: tuple, ue_el
     each anchor's element count in order, the UE element count) and kept for
     the ``_BEAM_CACHE_SIZE`` most recent keys. Per anchor the precoder
     Gaussians are drawn before the combiner ones, real part before imaginary.
-    Every returned array is read-only, as all callers of a key share it."""
+    The draw is written into the arrays of ``BeamSet.stacked``, and each
+    anchor's arrays are views of them, so the set holds one copy of its
+    beams. Every returned array is read-only, as all callers of a key share it."""
     rng = np.random.default_rng(rng_seed)
-    precoders = []
-    combiners = []
-    for n_bs in bs_elements:
-        shape_b = (num_transmissions, n_bs)
-        shape_u = (num_transmissions, ue_elements)
-        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
-        u = rng.standard_normal(shape_u) + 1j * rng.standard_normal(shape_u)
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        b.flags.writeable = False
-        u.flags.writeable = False
-        precoders.append(b)
-        combiners.append(u)
-    return BeamSet(tuple(precoders), tuple(combiners))
+    g = num_transmissions
+    precoders = np.zeros((len(bs_elements), g, max(bs_elements)), dtype=complex)
+    combiners = np.empty((len(bs_elements), g, ue_elements), dtype=complex)
+    for n, n_bs in enumerate(bs_elements):
+        b = rng.standard_normal((g, n_bs)) + 1j * rng.standard_normal((g, n_bs))
+        u = rng.standard_normal((g, ue_elements)) + 1j * rng.standard_normal((g, ue_elements))
+        precoders[n, :, :n_bs] = b / np.linalg.norm(b, axis=1, keepdims=True)
+        combiners[n] = u / np.linalg.norm(u, axis=1, keepdims=True)
+    precoders.flags.writeable = False
+    combiners.flags.writeable = False
+    beams = BeamSet(tuple(p[:, :n_bs] for p, n_bs in zip(precoders, bs_elements)), tuple(combiners))
+    beams.__dict__["stacked"] = (precoders, combiners)  # the cached_property, filled by the draw
+    return beams
 
 
 def _check_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: BeamSet) -> None:
@@ -317,9 +346,13 @@ def channel_params(ue: Pose, anchor: AnchorConfig, sig: SignalConfig) -> Channel
 def steering_vector(array: ArrayGeometry, direction: np.ndarray, carrier_hz: float) -> np.ndarray:
     """Array response exp(j 2 pi f_c / c * p_d . t), unit modulus per element,
     over the leading axes of ``direction``."""
-    direction = np.asarray(direction, dtype=float)
-    phase = (2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT) * np.matvec(array.element_positions, direction)
-    return np.exp(1j * phase)
+    return _steering(array.element_positions, np.asarray(direction, dtype=float), carrier_hz)
+
+
+def _steering(positions: np.ndarray, direction: np.ndarray, carrier_hz: float) -> np.ndarray:
+    """``steering_vector`` of element positions (..., E, 3): (..., E) over the
+    leading axes of ``positions`` and ``direction`` broadcast."""
+    return np.exp(1j * ((2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT) * np.matvec(positions, direction)))
 
 
 def _subcarrier_phases(delay_s: float, sig: SignalConfig) -> np.ndarray:
@@ -327,9 +360,14 @@ def _subcarrier_phases(delay_s: float, sig: SignalConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * delay_s * c_idx * sig.subcarrier_spacing_hz)
 
 
-def _beam_factors(dir_ue, dir_bs, gain, anchor, ue_array, sig, precoders, combiners):
-    """Beam factors f of one link, shape (..., 9, G) over the leading axes of
-    its local directions and gain, at unit transmit amplitude.
+def _beam_factors(dir_ue, dir_bs, gain, bs_positions, ue_array, sig, precoders, combiners):
+    """Beam factors f of the links to N anchors, shape (..., N, 9, G) over
+    the leading axes of their local directions (..., N, 3) and gains
+    (..., N), at unit transmit amplitude. ``bs_positions`` (N, E, 3) holds
+    each anchor's element positions and ``precoders`` (N, G, E) and
+    ``combiners`` (N, G, n_ue_elements) its beams (``BeamSet.stacked``); an
+    anchor with fewer than E elements is zero-padded in both, which is exact,
+    as a padded element adds 0 * exp(j0) to each beam gain and derivative.
 
     The only copy of the steering vectors, beam gains and their direction
     derivatives; none of it depends on the transmit power. Over
@@ -340,15 +378,15 @@ def _beam_factors(dir_ue, dir_bs, gain, anchor, ue_array, sig, precoders, combin
     mu_gc = x gain f_7(g) phi_c.
     """
     kappa = 2.0 * np.pi * sig.carrier_hz / SPEED_OF_LIGHT
-    a_ue = steering_vector(ue_array, dir_ue, sig.carrier_hz)  # (..., N_ue)
-    a_bs = steering_vector(anchor.array, dir_bs, sig.carrier_hz)  # (..., N_bs)
-    # one matrix-vector product per pose, so a row does not depend on its batch
-    ue_gain = np.matvec(combiners, a_ue)  # (..., G)
-    bs_gain = np.matvec(precoders, a_bs)  # (..., G)
+    a_ue = _steering(ue_array.element_positions, dir_ue, sig.carrier_hz)  # (..., N, N_ue)
+    a_bs = _steering(bs_positions, dir_bs, sig.carrier_hz)  # (..., N, E)
+    # one matrix-vector product per pose and anchor, so a row does not depend on its batch
+    ue_gain = np.matvec(combiners, a_ue)  # (..., N, G)
+    bs_gain = np.matvec(precoders, a_bs)  # (..., N, G)
     # gradient of (combiner . a_ue) wrt t_ue: j kappa combiner (a_ue * P),
-    # whose temporary is (..., elements, 3) rather than (..., G, elements)
-    d_ue = 1j * kappa * (combiners @ (a_ue[..., None] * ue_array.element_positions))  # (..., G, 3)
-    d_bs = 1j * kappa * (precoders @ (a_bs[..., None] * anchor.array.element_positions))
+    # whose temporary is (..., N, elements, 3) rather than (..., N, G, elements)
+    d_ue = 1j * kappa * (combiners @ (a_ue[..., None] * ue_array.element_positions))  # (..., N, G, 3)
+    d_bs = 1j * kappa * (precoders @ (a_bs[..., None] * bs_positions))
     gain = np.asarray(gain)[..., None]
     f = np.empty(ue_gain.shape[:-1] + (PARAMS_PER_ANCHOR, ue_gain.shape[-1]), dtype=complex)
     f[..., 7, :] = ue_gain * bs_gain
@@ -357,6 +395,12 @@ def _beam_factors(dir_ue, dir_bs, gain, anchor, ue_array, sig, precoders, combin
     f[..., 1:4, :] = gain[..., None] * (d_ue * bs_gain[..., None]).mT
     f[..., 4:7, :] = gain[..., None] * (ue_gain[..., None] * d_bs).mT
     return f
+
+
+def _link_factors(par: ChannelParams, anchor, ue_array, sig, precoders, combiners) -> np.ndarray:
+    """``_beam_factors`` (..., 9, G) of one link, through a one-anchor axis."""
+    return _beam_factors(par.dir_ue[..., None, :], par.dir_bs[..., None, :], np.asarray(par.gain)[..., None],
+                         anchor.array.element_positions[None], ue_array, sig, precoders[None], combiners[None])[..., 0, :, :]
 
 
 def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
@@ -370,7 +414,7 @@ def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
     out = np.zeros((len(anchors), sig.num_transmissions, sig.num_subcarriers), dtype=complex)
     for n, (anchor, precoders, combiners) in enumerate(zip(anchors, beams.precoders, beams.combiners)):
         par = channel_params(ue, anchor, sig)
-        f = _beam_factors(par.dir_ue, par.dir_bs, par.gain, anchor, ue_array, sig, precoders, combiners)
+        f = _link_factors(par, anchor, ue_array, sig, precoders, combiners)
         out[n] = (sig.subcarrier_amplitude * par.gain) * np.outer(f[7], _subcarrier_phases(par.delay_s, sig))
     return out
 
@@ -383,10 +427,30 @@ def _anchor_signal_gradient(ue, anchor, ue_array, sig, precoders, combiners) -> 
     come from the steering phase gradients; tau and gain are elementary.
     """
     par = channel_params(ue, anchor, sig)
-    f = _beam_factors(par.dir_ue, par.dir_bs, par.gain, anchor, ue_array, sig, precoders, combiners)
+    f = _link_factors(par, anchor, ue_array, sig, precoders, combiners)
     grad = sig.subcarrier_amplitude * f[:, :, None] * _subcarrier_phases(par.delay_s, sig)
     grad[0] *= -2j * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
     return grad
+
+
+@lru_cache(maxsize=_GRAM_CACHE_SIZE)
+def _subcarrier_gram(num_subcarriers: int, subcarrier_spacing_hz: float) -> np.ndarray:
+    """Read-only 9x9 Gram S_ij = sum_c conj(s_i(c)) s_j(c) of the subcarrier
+    profiles of ``_beam_factors`` (-j w_c on the delay row, w_c = 2 pi c df,
+    and 1 on the others), kept for the ``_GRAM_CACHE_SIZE`` most recent keys.
+    As |phi_c| = 1 it holds only C, sum w_c and sum w_c^2. A spacing so wide
+    that S overflows raises RadioPoseError, without numpy warnings, on every
+    call (a raising call is not cached)."""
+    gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(num_subcarriers))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = 2.0 * np.pi * subcarrier_spacing_hz * np.arange(num_subcarriers)
+        gram[0, 0] = w @ w
+    if not np.isfinite(gram[0, 0]):  # a finite sum of squares bounds each |w_c|, and with it sum w_c
+        raise RadioPoseError(f"Fisher information is not finite: subcarrier_spacing_hz {subcarrier_spacing_hz:g}")
+    gram[0, 1:] = 1j * w.sum()
+    gram[1:, 0] = -1j * w.sum()
+    gram.flags.writeable = False
+    return gram
 
 
 def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
@@ -398,34 +462,24 @@ def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
     both direction vectors carried as free 3-vectors; the sphere constraint
     is applied downstream. With the factors of ``_beam_factors`` each
     anchor's block is w Re[(conj(f) f^T) o S], with w = 2 |x|^2 / sigma^2
-    and S_ij = sum_c conj(s_i(c)) s_j(c) the Gram of the subcarrier
-    profiles: as |phi_c| = 1 it holds only C, sum w_c and sum w_c^2
-    (w_c = 2 pi c df) and does not depend on the delay. Power and noise
-    enter only through w, 0 or inf where it underflows or overflows.
-    RadioPoseError, without numpy warnings, names a subcarrier spacing so
-    wide that S overflows, and otherwise the first power at which w F is not
-    finite: exactly where w times the largest |entry| of F is not. Beams
-    that do not fit the scenario raise ValueError.
+    and S the Gram of the subcarrier profiles (``_subcarrier_gram``), which
+    does not depend on the delay. All anchors go through one
+    ``_beam_factors`` pass on ``BeamSet.stacked``, with the element
+    positions zero-padded as the precoders are. Power and noise enter only
+    through w, 0 or inf where it underflows or overflows. RadioPoseError,
+    without numpy warnings, names a subcarrier spacing so wide that S
+    overflows, and otherwise the first power at which w F is not finite:
+    exactly where w times the largest |entry| of F is not. Beams that do not
+    fit the scenario raise ValueError.
     """
     _check_beams(anchors, ue_array, sig, beams)
-    # Gram of the subcarrier profiles: -j w on the delay row, 1 on the others
-    gram = np.full((PARAMS_PER_ANCHOR, PARAMS_PER_ANCHOR), complex(sig.num_subcarriers))
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = 2.0 * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
-        gram[0, 0] = w @ w
-    if not np.isfinite(gram[0, 0]):  # a finite sum of squares bounds each |w_c|, and with it sum w_c
-        raise RadioPoseError(f"Fisher information is not finite: subcarrier_spacing_hz {sig.subcarrier_spacing_hz:g}")
-    gram[0, 1:] = 1j * w.sum()
-    gram[1:, 0] = -1j * w.sum()
+    gram = _subcarrier_gram(sig.num_subcarriers, sig.subcarrier_spacing_hz)
     # every link along an anchor axis: u (..., N, 3), dist (..., N)
     u, dist, links = _links(ue.position[..., None, :], ue.rotation[..., None, :, :],
-                            np.stack([a.position for a in anchors]), np.stack([a.orientation for a in anchors]), sig)
-    blocks = []
-    for n, anchor in enumerate(anchors):
-        f = _beam_factors(links.dir_ue[..., n, :], links.dir_bs[..., n, :], links.gain[..., n], anchor,
-                          ue_array, sig, beams.precoders[n], beams.combiners[n])
-        blocks.append(np.real((np.conj(f) @ f.mT) * gram))
-    blocks = np.stack(blocks, axis=-3)
+                            np.array([a.position for a in anchors]), np.array([a.orientation for a in anchors]), sig)
+    f = _beam_factors(links.dir_ue, links.dir_bs, links.gain, _stack_padded([a.array.element_positions for a in anchors]),
+                      ue_array, sig, *beams.stacked)
+    blocks = np.real((np.conj(f) @ f.mT) * gram)
     powers = [float(p) for p in powers_dbm]
     # dBm -> W in a scalar loop: numpy's vectorized power differs from pow in the last bit
     watts = np.array([dbm_to_watt(p) for p in powers])

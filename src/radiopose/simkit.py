@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .bounds import pose_error_bounds
+from .bounds import IcrbReport, pose_error_bounds
 from .channel import (
     AnchorConfig,
     ArrayGeometry,
@@ -48,8 +48,10 @@ from .tracking import (
 FILTER_NAMES = ("fusion", "eskf", "euler")
 # cap on mc_runs x trajectory steps: a study holds about 1.1 kB per run-step, 2.2 GB at the cap
 MAX_RUN_STEPS = 2_000_000
-# cap on trajectory steps alone: the bound pipeline holds about 14 kB per truth pose, 1.8 GB at the cap
+# cap on trajectory steps alone: the truth poses and their bounds hold about 1.5 kB per truth pose, 0.2 GB at the cap
 MAX_TRAJECTORY_STEPS = 2**17
+# truth poses per pass of the bound pipeline in scenario_reports; the default trajectory is one pass
+_REPORT_CHUNK = 512
 # libyaml's parser when PyYAML was built with it; the constructor is SafeLoader's either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -272,10 +274,12 @@ class MetricSeries:
 
 def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
     """Truth trajectory (a list of K poses) with the error-bound report at
-    every true pose: one report with a leading axis of K rows, from one
-    batched pass of the bound pipeline. Raises RadioPoseError naming the first
-    true pose that is not finite, before any bound, and UnobservableState
-    naming the first whose bound is unobservable."""
+    every true pose: one report with a leading axis of K rows, from batched
+    passes of the bound pipeline over ``_REPORT_CHUNK`` poses at a time, so
+    that its temporaries do not grow with K (rows are independent, so the
+    chunking does not change a number). Raises RadioPoseError naming the
+    first true pose that is not finite, before any bound, and
+    UnobservableState naming the first whose bound is unobservable."""
     with np.errstate(over="ignore", invalid="ignore"):
         truths = generate_trajectory(cfg.ue_start, cfg.segments)
     stacked = Pose.stack(truths)
@@ -283,11 +287,15 @@ def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
     if not finite.all():
         first = int(np.flatnonzero(~finite)[0])
         raise RadioPoseError(f"truth pose {first} of {len(truths)} is not finite: the trajectory overflows")
-    reports = pose_error_bounds(stacked, cfg.anchors, cfg.ue_array, cfg.signal, beams)
-    if not reports.observable.all():
-        first = int(np.flatnonzero(~reports.observable)[0])
-        raise UnobservableState(f"state FIM unobservable at truth pose {first} of {len(truths)}")
-    return truths, reports
+    chunks = []
+    for start in range(0, len(truths), _REPORT_CHUNK):
+        chunk = pose_error_bounds(stacked[start : start + _REPORT_CHUNK], cfg.anchors, cfg.ue_array, cfg.signal, beams)
+        if not chunk.observable.all():
+            first = start + int(np.flatnonzero(~chunk.observable)[0])
+            raise UnobservableState(f"state FIM unobservable at truth pose {first} of {len(truths)}")
+        chunks.append(chunk)
+    fields = ("icrb", "peb_m", "rmeb_rad", "observable")
+    return truths, IcrbReport(*(np.concatenate([getattr(c, name) for c in chunks]) for name in fields))
 
 
 # Per filter: (state from the first measurement, one predict + update step,

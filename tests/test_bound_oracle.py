@@ -61,6 +61,18 @@ def reduced_wideband():
     )
 
 
+def mixed_arrays():
+    """The default scenario's two anchors with 8x8 and 4x4 arrays and a third
+    with a 2x3 array: three element counts, so the beam-factor pass zero-pads
+    the two smaller anchors to 64 elements."""
+    cfg = default_scenario()
+    carrier = cfg.signal.carrier_hz
+    arrays = [ArrayGeometry.half_wavelength_upa(nx, ny, carrier) for nx, ny in ((8, 8), (4, 4), (2, 3))]
+    anchors = [AnchorConfig(a.position, a.orientation, arr) for a, arr in zip(cfg.anchors, arrays)]
+    anchors.append(_anchor(*EXTRA_ANCHORS[0], arrays[2]))
+    return replace(cfg, anchors=tuple(anchors))
+
+
 def oracle_state_fim(ue, anchors, ue_array, sig, beams):
     """Slepian-Bangs FIM over [delta p, theta] with the gains Schur-complemented out."""
     gains = [channel.channel_params(ue, a, sig).gain for a in anchors]
@@ -114,6 +126,7 @@ CASES = {
     "three_anchors": lambda: (with_extra_anchors(default_scenario(), 1), default_scenario().ue_start),
     "four_anchors": lambda: (with_extra_anchors(default_scenario(), 2), default_scenario().ue_start),
     "wideband_reduced": lambda: (reduced_wideband(), default_scenario().ue_start),
+    "mixed_arrays": lambda: (mixed_arrays(), default_scenario().ue_start),
 }
 
 

@@ -2,6 +2,7 @@
 received-signal tensor against a scalar-loop oracle, and the unconstrained
 FIM against central finite differences."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 
 from radiopose import bounds, channel, lie, simkit
 from radiopose.channel import SPEED_OF_LIGHT, ArrayGeometry
-from radiopose.errors import CoincidentPositions, PolarSingularity
+from radiopose.errors import CoincidentPositions, PolarSingularity, RadioPoseError
 from radiopose.simkit import default_scenario
 from references import fim_angles_per_anchor, fim_direction_from_angles
-from test_bound_oracle import reduced_wideband
+from test_bound_oracle import mixed_arrays, reduced_wideband
 
 
 def small_signal(**overrides):
@@ -216,6 +217,27 @@ class TestDrawBeams:
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
+    @pytest.mark.parametrize("source", ["drawn", "built"])
+    def test_stacked_beams_are_padded_read_only_and_built_once(self, source):
+        # the anchor axis of the beam-factor pass, over anchors of 64, 16 and 6
+        # elements: a drawn set and a set built from separate arrays
+        cfg = mixed_arrays()
+        draw = channel.draw_beams if source == "drawn" else reference_beams
+        beams = draw(cfg.anchors, cfg.ue_array, cfg.signal)
+        precoders, combiners = beams.stacked
+        assert beams.stacked[0] is precoders and beams.stacked[1] is combiners
+        g = cfg.signal.num_transmissions
+        assert precoders.shape == (3, g, 64) and combiners.shape == (3, g, cfg.ue_array.num_elements)
+        for n, (b, u) in enumerate(zip(beams.precoders, beams.combiners)):
+            elements = cfg.anchors[n].array.num_elements
+            assert np.array_equal(precoders[n, :, :elements], b) and not precoders[n, :, elements:].any()
+            assert np.array_equal(combiners[n], u)
+            # a drawn set keeps one copy: its per-anchor arrays are views of the stacked ones
+            assert np.shares_memory(b, precoders) == np.shares_memory(u, combiners) == (source == "drawn")
+        for array in (precoders, combiners):
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 1.0
+
     def test_cold_and_warm_sweeps_agree(self):
         cfg = reduced_wideband()
         channel._draw_beams.cache_clear()
@@ -256,6 +278,27 @@ class TestBeamMismatch:
         beams = channel.draw_beams(cfg.anchors, small_ue, cfg.signal)
         with pytest.raises(ValueError, match=r"anchor 0 combiners have shape \(20, 4\)"):
             call(cfg.ue_start, cfg.anchors, cfg.ue_array, cfg.signal, beams)
+
+
+class TestSubcarrierGram:
+    """The Gram of the subcarrier profiles is kept per (C, spacing), read-only."""
+
+    def test_cached_and_read_only(self):
+        gram = channel._subcarrier_gram(100, 120e3)
+        assert channel._subcarrier_gram(100, 120e3) is gram
+        with pytest.raises(ValueError):
+            gram[0, 0] = 1.0
+
+    def test_overflowing_spacing_raises_on_every_call(self):
+        # a raising call is not cached: the second call raises the same error
+        cfg = default_scenario()
+        sig = replace(cfg.signal, subcarrier_spacing_hz=1e300)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, sig)
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RadioPoseError, match="not finite: subcarrier_spacing_hz 1e\\+300"):
+                    bounds.pose_error_bounds(cfg.ue_start, cfg.anchors, cfg.ue_array, sig, beams)
 
 
 class TestNoiseFreeSignal:

@@ -614,6 +614,48 @@ class TestRunMonteCarlo:
         with pytest.raises(UnobservableState, match="truth pose 4 of 8"):
             simkit.scenario_reports(cfg, beams)
 
+    def test_unobservable_pose_of_a_later_chunk_is_named_globally(self, monkeypatch):
+        # chunks of 3 truth poses: pose 4 is row 1 of the second chunk, and
+        # the study ends there, before the chunk that holds pose 6 runs
+        original = bounds._chain_jacobian
+        seen = [0]
+
+        def blind_at_4_and_6(*args):
+            jac = original(*args)
+            rows = seen[0] + np.arange(len(jac))
+            seen[0] += len(jac)
+            jac[np.isin(rows, [4, 6])] = 0.0
+            return jac
+
+        monkeypatch.setattr(bounds, "_chain_jacobian", blind_at_4_and_6)
+        monkeypatch.setattr(simkit, "_REPORT_CHUNK", 3)
+        cfg = tiny_scenario(steps=4)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        with pytest.raises(UnobservableState, match="truth pose 4 of 8"):
+            simkit.scenario_reports(cfg, beams)
+        assert seen[0] == 6
+
+    @pytest.mark.parametrize("chunk", [1, 7, 120])
+    def test_report_chunks_do_not_change_a_number(self, monkeypatch, chunk):
+        # the default trajectory's 120 poses are one chunk at the module's size
+        cfg = simkit.default_scenario()
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        calls = []
+        original = simkit.pose_error_bounds
+
+        def counted(ue, *args):
+            calls.append(len(ue.rotation))
+            return original(ue, *args)
+
+        monkeypatch.setattr(simkit, "pose_error_bounds", counted)
+        truths, whole = simkit.scenario_reports(cfg, beams)
+        assert calls == [len(truths)] == [120]
+        monkeypatch.setattr(simkit, "_REPORT_CHUNK", chunk)
+        _, chunked = simkit.scenario_reports(cfg, beams)
+        assert calls[1:] == [min(chunk, 120 - k) for k in range(0, 120, chunk)]
+        for name in ("icrb", "peb_m", "rmeb_rad", "observable"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+
     def test_overflowing_trajectory_names_its_first_pose(self, monkeypatch):
         # the third segment turns through dt * w = inf rad; the error names its
         # first pose, without a numpy warning, before the bound pipeline runs
