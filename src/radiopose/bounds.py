@@ -36,7 +36,7 @@ from .channel import (
     _unit_fim,
 )
 from .errors import RadioPoseError, SingularNuisanceBlock, UnobservableState
-from .lie import Pose, _norm, _readonly, hat3
+from .lie import Pose, _coupling_block, _left_jacobian, _norm, _readonly, _so3_terms, hat3
 
 _COND_LIMIT = 1e12
 
@@ -201,47 +201,14 @@ def icrb_report(f_x: np.ndarray) -> IcrbReport:
 
 
 def translation_block_wrt_rotvec(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """3x3 partial derivative of J_l(r) @ rho with respect to r.
-
-    Closed form built from the derivatives of the Rodrigues coefficients;
-    below a small-angle threshold the series expansion
-    -hat(rho)/2 - (hat(r x rho) + hat(r) hat(rho))/6 is used instead.
-    """
-    rho = np.asarray(rho, dtype=float)
-    r = np.asarray(r, dtype=float)
-    lam = np.linalg.norm(r)
-    if lam < 1e-6:
-        return -0.5 * hat3(rho) - (hat3(np.cross(r, rho)) + hat3(r) @ hat3(rho)) / 6.0
-
-    zeta = r / lam
-    if lam < 1e-2:
-        a_coef = -lam / 3.0 + lam**3 / 30.0 - lam**5 / 840.0
-        b_coef = 0.5 - lam**2 / 8.0 + lam**4 / 144.0
-        e_scal = lam**2 / 6.0 - lam**4 / 120.0 + lam**6 / 5040.0
-    else:
-        a_coef = (np.cos(lam) * lam - np.sin(lam)) / lam**2
-        b_coef = (np.sin(lam) * lam + np.cos(lam) - 1.0) / lam**2
-        e_scal = 1.0 - np.sin(lam) / lam
-    a_vec = zeta * a_coef  # d(sin lam / lam)/dr
-    b_vec = zeta * b_coef  # d((1 - cos lam)/lam)/dr
-    c_mat = (np.eye(3) - np.outer(zeta, zeta)) / lam  # d zeta_i / d r_j
-    d_scal = float(rho @ zeta)
-    f_scal = 2.0 * np.sin(lam / 2.0) ** 2 / lam  # (1 - cos lam) / lam
-
-    cross = np.cross(zeta, rho)
-    rho_c = rho @ c_mat  # sum_k rho_k C[k, j], shape (3,)
-    out = np.empty((3, 3))
-    for i in range(3):
-        i2, i3 = (i + 1) % 3, (i + 2) % 3
-        out[i] = (
-            rho[i] * a_vec
-            - a_vec * zeta[i] * d_scal
-            + e_scal * zeta[i] * rho_c
-            + c_mat[i] * d_scal * e_scal
-            + b_vec * cross[i]
-            + f_scal * (rho[i3] * c_mat[i2] - rho[i2] * c_mat[i3])
-        )
-    return out
+    """3x3 derivative of J_l(r) @ rho, the translation of exp([rho, r]), with
+    respect to r, over their leading axes: Q - hat(J rho) J, with J = J_l(r) and Q
+    the coupling block of the SE(3) left Jacobian [[J, Q], [0, J]] at [rho, r]
+    (``lie._so3_terms``), as exp(xi + delta) = exp(J_l(xi) delta) exp(xi) to first order."""
+    rho, r = np.asarray(rho, dtype=float), np.asarray(r, dtype=float)
+    terms = _so3_terms(r)
+    jac = _left_jacobian(terms)
+    return _coupling_block(np.concatenate([rho, r], axis=-1), terms) - hat3(np.matvec(jac, rho)) @ jac
 
 
 def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray:

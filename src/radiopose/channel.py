@@ -1,14 +1,14 @@
 """Channel geometry for LOS MIMO-OFDM links: delays, direction vectors,
 steering vectors, the noise-free received signal, and the unconstrained
 Fisher information of the channel geometric parameters. All three come from
-one set of per-link beam factors (``_beam_factors``), and the FIM sums over
-subcarriers in closed form.
+one link pass (``_anchor_links``) of links and beam factors (``_beam_factors``),
+and the FIM sums over subcarriers in closed form.
 
-The beam factors carry an anchor axis: ``_unit_fim`` computes every link's
-factors and 9x9 block in one pass over beams stacked once per ``BeamSet``
-(``BeamSet.stacked``). Anchors whose arrays have fewer elements than the
-largest are zero-padded, in their precoder columns and in their element
-positions; that is exact, as a padded element adds 0 * exp(j0) to every sum.
+The link pass has an anchor axis, with no per-anchor loop, over beams stacked
+once per ``BeamSet`` (``BeamSet.stacked``). Anchors whose arrays have fewer
+elements than the largest are zero-padded, in their precoder columns and in
+their element positions; that is exact, as a padded element adds
+0 * exp(j0) to every sum.
 
 Every function of a UE pose also takes a pose with leading axes (a batch of
 poses) and returns its results with the same leading axes; the unbatched
@@ -355,11 +355,6 @@ def _steering(positions: np.ndarray, direction: np.ndarray, carrier_hz: float) -
     return np.exp(1j * ((2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT) * np.matvec(positions, direction)))
 
 
-def _subcarrier_phases(delay_s: float, sig: SignalConfig) -> np.ndarray:
-    c_idx = np.arange(sig.num_subcarriers)
-    return np.exp(-2j * np.pi * delay_s * c_idx * sig.subcarrier_spacing_hz)
-
-
 def _beam_factors(dir_ue, dir_bs, gain, bs_positions, ue_array, sig, precoders, combiners):
     """Beam factors f of the links to N anchors, shape (..., N, 9, G) over
     the leading axes of their local directions (..., N, 3) and gains
@@ -397,39 +392,51 @@ def _beam_factors(dir_ue, dir_bs, gain, bs_positions, ue_array, sig, precoders, 
     return f
 
 
-def _link_factors(par: ChannelParams, anchor, ue_array, sig, precoders, combiners) -> np.ndarray:
-    """``_beam_factors`` (..., 9, G) of one link, through a one-anchor axis."""
-    return _beam_factors(par.dir_ue[..., None, :], par.dir_bs[..., None, :], np.asarray(par.gain)[..., None],
-                         anchor.array.element_positions[None], ue_array, sig, precoders[None], combiners[None])[..., 0, :, :]
+def _anchor_links(ue, anchors, ue_array, sig, beams: BeamSet):
+    """The link pass of the signal, its gradient and the FIM, over the leading
+    axes of the UE pose: u (..., N, 3), dist (..., N) and ``ChannelParams`` of
+    the links to all N anchors from one ``_links`` call, and their factors f
+    (..., N, 9, G) from one ``_beam_factors`` call on ``BeamSet.stacked``.
+    Beams that do not fit the scenario raise ValueError (``_check_beams``)."""
+    _check_beams(anchors, ue_array, sig, beams)
+    u, dist, par = _links(ue.position[..., None, :], ue.rotation[..., None, :, :],
+                          np.array([a.position for a in anchors]), np.array([a.orientation for a in anchors]), sig)
+    f = _beam_factors(par.dir_ue, par.dir_bs, par.gain, _stack_padded([a.array.element_positions for a in anchors]),
+                      ue_array, sig, *beams.stacked)
+    return u, dist, par, f
+
+
+def _subcarrier_phases(delay_s: np.ndarray, sig: SignalConfig) -> np.ndarray:
+    """exp(-j 2 pi tau c df) over subcarriers c, (..., C) over the leading axes of the delays."""
+    c_idx = np.arange(sig.num_subcarriers)
+    return np.exp(-2j * np.pi * delay_s[..., None] * c_idx * sig.subcarrier_spacing_hz)
 
 
 def noise_free_signal(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:
-    """Noise-free received tensor, shape (n_anchors, G, C).
+    """Noise-free received tensor, shape (..., n_anchors, G, C) over the
+    leading axes of the UE pose, from the link pass (``_anchor_links``).
 
     Entry (n, g, c) is gain * (combiner . a_ue) * (a_bs . precoder)
     * exp(-j 2 pi tau (c-1) df) * x, with x the per-subcarrier amplitude.
     Beams that do not fit the scenario raise ValueError.
     """
-    _check_beams(anchors, ue_array, sig, beams)
-    out = np.zeros((len(anchors), sig.num_transmissions, sig.num_subcarriers), dtype=complex)
-    for n, (anchor, precoders, combiners) in enumerate(zip(anchors, beams.precoders, beams.combiners)):
-        par = channel_params(ue, anchor, sig)
-        f = _link_factors(par, anchor, ue_array, sig, precoders, combiners)
-        out[n] = (sig.subcarrier_amplitude * par.gain) * np.outer(f[7], _subcarrier_phases(par.delay_s, sig))
-    return out
+    _, _, par, f = _anchor_links(ue, anchors, ue_array, sig, beams)
+    mu = f[..., 7, :, None] * _subcarrier_phases(par.delay_s, sig)[..., None, :]
+    # in place, one (..., N, G, C) array; the scale on the left, as a swapped complex product can round apart
+    return np.multiply((sig.subcarrier_amplitude * par.gain)[..., None, None], mu, out=mu)
 
 
 def _anchor_signal_gradient(ue, anchor, ue_array, sig, precoders, combiners) -> np.ndarray:
-    """Closed-form d mu / d eta for one anchor, shape (9, G, C), expanded from
-    the beam factors of ``_beam_factors``.
+    """Closed-form d mu / d eta for one anchor, shape (..., 9, G, C) over the
+    leading axes of the UE pose, from the link pass (``_anchor_links``).
 
     eta = [tau, t_ue(3), t_bs(3), Re gain, Im gain]. Direction derivatives
     come from the steering phase gradients; tau and gain are elementary.
     """
-    par = channel_params(ue, anchor, sig)
-    f = _link_factors(par, anchor, ue_array, sig, precoders, combiners)
-    grad = sig.subcarrier_amplitude * f[:, :, None] * _subcarrier_phases(par.delay_s, sig)
-    grad[0] *= -2j * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
+    _, _, par, f = _anchor_links(ue, [anchor], ue_array, sig, BeamSet((precoders,), (combiners,)))
+    phases = _subcarrier_phases(par.delay_s[..., 0], sig)
+    grad = sig.subcarrier_amplitude * f[..., 0, :, :, None] * phases[..., None, None, :]
+    grad[..., 0, :, :] *= -2j * np.pi * sig.subcarrier_spacing_hz * np.arange(sig.num_subcarriers)
     return grad
 
 
@@ -463,22 +470,16 @@ def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
     is applied downstream. With the factors of ``_beam_factors`` each
     anchor's block is w Re[(conj(f) f^T) o S], with w = 2 |x|^2 / sigma^2
     and S the Gram of the subcarrier profiles (``_subcarrier_gram``), which
-    does not depend on the delay. All anchors go through one
-    ``_beam_factors`` pass on ``BeamSet.stacked``, with the element
-    positions zero-padded as the precoders are. Power and noise enter only
-    through w, 0 or inf where it underflows or overflows. RadioPoseError,
+    does not depend on the delay, from the link pass the signal shares
+    (``_anchor_links``). Power and noise enter only through w, 0 or inf
+    where it underflows or overflows. RadioPoseError,
     without numpy warnings, names a subcarrier spacing so wide that S
     overflows, and otherwise the first power at which w F is not finite:
     exactly where w times the largest |entry| of F is not. Beams that do not
     fit the scenario raise ValueError.
     """
-    _check_beams(anchors, ue_array, sig, beams)
+    u, dist, _, f = _anchor_links(ue, anchors, ue_array, sig, beams)
     gram = _subcarrier_gram(sig.num_subcarriers, sig.subcarrier_spacing_hz)
-    # every link along an anchor axis: u (..., N, 3), dist (..., N)
-    u, dist, links = _links(ue.position[..., None, :], ue.rotation[..., None, :, :],
-                            np.array([a.position for a in anchors]), np.array([a.orientation for a in anchors]), sig)
-    f = _beam_factors(links.dir_ue, links.dir_bs, links.gain, _stack_padded([a.array.element_positions for a in anchors]),
-                      ue_array, sig, *beams.stacked)
     blocks = np.real((np.conj(f) @ f.mT) * gram)
     powers = [float(p) for p in powers_dbm]
     # dBm -> W in a scalar loop: numpy's vectorized power differs from pow in the last bit

@@ -289,7 +289,8 @@ class TestTranslationBlockPartials:
         rng = np.random.default_rng(12)
         for _ in range(40):
             rho = rng.uniform(-3, 3, 3)
-            scale = rng.choice([1e-8, 1e-5, 1e-3, 0.3, 1.5, 2.8])
+            # 1e-6, 1.01e-2 and 0.2: the old series switches of this derivative and lie's Taylor switch
+            scale = rng.choice([1e-8, 1e-6, 1e-5, 1e-3, 1.01e-2, 0.2, 0.3, 1.5, 2.8])
             r = _random_unit(rng) * scale * rng.uniform(0.5, 1.5)
             out = bounds.translation_block_wrt_rotvec(rho, r)
             h = 1e-6 * max(1.0, np.linalg.norm(r))

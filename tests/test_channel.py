@@ -307,55 +307,69 @@ class TestNoiseFreeSignal:
         ue, anchor, ue_array = random_geometry(rng)
         sig = small_signal()
         beams = channel.draw_beams([anchor], ue_array, sig)
-        par = channel.channel_params(ue, anchor, sig)
-        silent = channel.ChannelParams(par.delay_s, par.dir_ue, par.dir_bs, 0.0)
-        monkeypatch.setattr(channel, "channel_params", lambda *args: silent)
+        links = channel._links
+
+        def silent_links(*args):
+            u, dist, par = links(*args)
+            return u, dist, replace(par, gain=np.zeros_like(par.gain))
+
+        monkeypatch.setattr(channel, "_links", silent_links)
         out = channel.noise_free_signal(ue, [anchor], ue_array, sig, beams)
         assert np.array_equal(out, np.zeros_like(out))
 
-    def test_single_antennas_zero_delay_constant_over_subcarriers(self, monkeypatch):
-        rng = np.random.default_rng(4)
+    def test_single_antennas_zero_delay_constant_over_subcarriers(self):
         anchor = channel.AnchorConfig(np.zeros(3), np.eye(3), ArrayGeometry(np.zeros((1, 3))))
         ue = lie.Pose.from_rotation_position(np.eye(3), np.array([7.0, 0, 0]))
         ue_array = ArrayGeometry(np.zeros((1, 3)))
-        sig = small_signal()
+        # a clock bias that cancels the propagation time: zero delay from the physics
+        sig = small_signal(clock_bias_s=-7.0 / SPEED_OF_LIGHT)
+        assert channel.delay(ue, anchor, sig.clock_bias_s) == 0.0
         beams = channel.draw_beams([anchor], ue_array, sig)
-        par = channel.channel_params(ue, anchor, sig)
-        flat = channel.ChannelParams(0.0, par.dir_ue, par.dir_bs, par.gain)
-        monkeypatch.setattr(channel, "channel_params", lambda *args: flat)
         out = channel.noise_free_signal(ue, [anchor], ue_array, sig, beams)
         # each transmission is constant across subcarriers
         np.testing.assert_allclose(out, out[:, :, :1] * np.ones(sig.num_subcarriers), atol=1e-18)
+
+    @pytest.mark.parametrize("scenario", ["default", "mixed_arrays"])
+    def test_pose_batch_matches_unbatched_calls(self, scenario):
+        cfg = default_scenario() if scenario == "default" else mixed_arrays()
+        sig = replace(cfg.signal, num_subcarriers=16)
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, sig)
+        poses = simkit.generate_trajectory(cfg.ue_start, cfg.segments)[::23]
+        out = channel.noise_free_signal(lie.Pose.stack(poses), cfg.anchors, cfg.ue_array, sig, beams)
+        rows = [channel.noise_free_signal(pose, cfg.anchors, cfg.ue_array, sig, beams) for pose in poses]
+        assert out.shape == (len(poses), len(cfg.anchors), sig.num_transmissions, sig.num_subcarriers)
+        assert np.array_equal(out, np.stack(rows))
 
     def test_matches_scalar_loop_oracle(self):
         cfg = default_scenario()
         sig = replace(cfg.signal, num_subcarriers=6, num_transmissions=2)
         beams = channel.draw_beams(cfg.anchors, cfg.ue_array, sig)
-        out = channel.noise_free_signal(cfg.ue_start, cfg.anchors, cfg.ue_array, sig, beams)
-
         kappa = 2 * np.pi * sig.carrier_hz / SPEED_OF_LIGHT
         x = np.sqrt(10 ** ((sig.tx_power_dbm - 30) / 10) / sig.num_subcarriers)
-        for n, anchor in enumerate(cfg.anchors):
-            diff = cfg.ue_start.position - anchor.position
-            dist = np.linalg.norm(diff)
-            u = diff / dist
-            t_bs = anchor.orientation.T @ u
-            t_ue = -(cfg.ue_start.rotation.T @ u)
-            lam = SPEED_OF_LIGHT / sig.carrier_hz
-            gain = lam / (4 * np.pi * dist) * np.exp(-2j * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT)
-            tau = dist / SPEED_OF_LIGHT
-            for g in range(sig.num_transmissions):
-                bu = sum(
-                    beams.combiners[n][g, d] * np.exp(1j * kappa * (cfg.ue_array.element_positions[d] @ t_ue))
-                    for d in range(cfg.ue_array.num_elements)
-                )
-                bb = sum(
-                    beams.precoders[n][g, d] * np.exp(1j * kappa * (anchor.array.element_positions[d] @ t_bs))
-                    for d in range(anchor.array.num_elements)
-                )
-                for c in range(sig.num_subcarriers):
-                    expected = gain * bu * bb * np.exp(-2j * np.pi * tau * c * sig.subcarrier_spacing_hz) * x
-                    assert abs(out[n, g, c] - expected) < 1e-12 * abs(expected)
+        # the start pose is equidistant from both anchors; trajectory pose 37 is not
+        for ue in (cfg.ue_start, simkit.generate_trajectory(cfg.ue_start, cfg.segments)[37]):
+            out = channel.noise_free_signal(ue, cfg.anchors, cfg.ue_array, sig, beams)
+            for n, anchor in enumerate(cfg.anchors):
+                diff = ue.position - anchor.position
+                dist = np.linalg.norm(diff)
+                u = diff / dist
+                t_bs = anchor.orientation.T @ u
+                t_ue = -(ue.rotation.T @ u)
+                lam = SPEED_OF_LIGHT / sig.carrier_hz
+                gain = lam / (4 * np.pi * dist) * np.exp(-2j * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT)
+                tau = dist / SPEED_OF_LIGHT
+                for g in range(sig.num_transmissions):
+                    bu = sum(
+                        beams.combiners[n][g, d] * np.exp(1j * kappa * (cfg.ue_array.element_positions[d] @ t_ue))
+                        for d in range(cfg.ue_array.num_elements)
+                    )
+                    bb = sum(
+                        beams.precoders[n][g, d] * np.exp(1j * kappa * (anchor.array.element_positions[d] @ t_bs))
+                        for d in range(anchor.array.num_elements)
+                    )
+                    for c in range(sig.num_subcarriers):
+                        expected = gain * bu * bb * np.exp(-2j * np.pi * tau * c * sig.subcarrier_spacing_hz) * x
+                        assert abs(out[n, g, c] - expected) < 1e-12 * abs(expected)
 
 
 class TestFimUnconstrained:
