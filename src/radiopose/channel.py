@@ -103,6 +103,8 @@ class AnchorConfig:
     array: ArrayGeometry
 
     def __post_init__(self):
+        if np.shape(self.orientation) != (3, 3):
+            raise ValueError(f"rotation must be 3x3, got {np.shape(self.orientation)}")
         require_rotation(self.orientation)
         p = np.asarray(self.position, dtype=float)
         if p.shape != (3,) or not np.all(np.isfinite(p)):

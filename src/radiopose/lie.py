@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import NearPiRotation, NotSkew
 
-_SMALL_ANGLE = 1e-8
 _TAYLOR_ANGLE = 0.2
 _NEAR_PI = 1e-3
 _LOG_PI_MARGIN = 1e-6  # se3_log raises NearPiRotation this close to pi
@@ -60,21 +59,6 @@ def _norm(v: np.ndarray):
 def _m(c):
     """A coefficient over leading axes, shaped to scale 3x3 matrices."""
     return c[..., None, None]
-
-
-def _switch(taylor_rows, taylor, closed) -> tuple:
-    """Coefficients from ``taylor()`` in the rows where ``taylor_rows`` holds and
-    from ``closed()`` in the others. A batch whose rows all sit on one side
-    evaluates that branch alone; a mixed batch evaluates both and picks per row,
-    silencing what each branch divides by zero or overflows in the rows it
-    does not keep."""
-    count = np.count_nonzero(taylor_rows)
-    if count == taylor_rows.size:
-        return taylor()
-    if count == 0:
-        return closed()
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return tuple(np.where(taylor_rows, a, b) for a, b in zip(taylor(), closed()))
 
 
 def hat3(v: np.ndarray) -> np.ndarray:
@@ -113,13 +97,24 @@ def _left_jacobian(terms) -> np.ndarray:
 
 
 def so3_exp(r: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp(hat(r)), the Rodrigues formula (``_rodrigues``)."""
-    return _rodrigues(_so3_terms(np.asarray(r, dtype=float)))
+    """Rotation matrix exp(hat(r)), the Rodrigues formula (``_rodrigues``).
+
+    exp is 2 pi periodic along an axis, so a row with |r| >= 2 pi is first
+    reduced to the angle |r| mod 2 pi along its axis; the coefficients then
+    never see a huge angle, and the result is a rotation wherever |r|^2 is
+    finite. Rows below 2 pi are used as given."""
+    r = np.asarray(r, dtype=float)
+    angle = _norm(r)
+    turns = angle >= 2.0 * np.pi
+    if np.count_nonzero(turns):
+        r = r * np.where(turns, np.mod(angle, 2.0 * np.pi) / np.where(turns, angle, 1.0), 1.0)[..., None]
+    return _rodrigues(_so3_terms(r))
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix, with norm in [0, pi]; raises
-    ValueError unless ``rot`` is a rotation (``require_rotation``)."""
+    """Axis-angle vector of a rotation matrix, or (..., 3) of a (..., 3, 3)
+    stack, with norm in [0, pi]; raises ValueError unless every matrix is a
+    rotation (``require_rotation``)."""
     rot = np.asarray(rot, dtype=float)
     require_rotation(rot)
     return _so3_log(rot)
@@ -128,37 +123,29 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
 def _so3_log(rot: np.ndarray) -> np.ndarray:
     """``so3_log`` of matrices already known to be rotations.
 
-    The generic branch evaluates angle/(2 sin angle) times the antisymmetric
-    part s. Near zero that ratio is replaced by its Taylor expansion. Within
+    Every row is r = (angle / sin angle) s, s the antisymmetric part. Below
+    2^-26 rad sin angle rounds to angle, so r is s exactly, with no series;
+    the ratio is 1 where the angle is 0, also once s . s underflows. Within
     1e-3 of pi, where dividing by sin angle costs eps/(pi - angle), the axis
     a comes from the exact identity ((R + R^T)/2 - cos(angle) I) /
-    (1 - cos(angle)) = a a^T, its sign from s = sin(angle) a; such rows are
-    rare and are taken one at a time.
+    (1 - cos(angle)) = a a^T, its sign from s = sin(angle) a, in one pass.
     """
     terms = rot.reshape(rot.shape[:-2] + (9,)) @ _LOG_TERMS
     s = terms[..., :3] / 2.0
     cos_angle = (terms[..., 3] - 1.0) / 2.0
     angle = np.arctan2(_norm(s), cos_angle)
-    # r = (angle / sin angle) * s, the ratio expanded around 0 for tiny angles
-    (ratio,) = _switch(
-        angle < _SMALL_ANGLE,
-        lambda: (1.0 + angle**2 / 6.0 + 7.0 * angle**4 / 360.0,),
-        lambda: (angle / np.sin(angle),),
-    )
+    ratio = np.divide(angle, np.sin(angle), out=np.ones_like(angle), where=angle != 0.0)
     out = s * ratio[..., None]
     near_pi = angle > np.pi - _NEAR_PI
     if np.count_nonzero(near_pi):
-        rows, logs = rot.reshape(-1, 3, 3), out.reshape(-1, 3)
-        cos_rows, angles, halves = np.ravel(cos_angle), np.ravel(angle), s.reshape(-1, 3)
-        for i in np.flatnonzero(near_pi):
-            m, c = rows[i], cos_rows[i]
-            aat = ((m + m.T) / 2.0 - c * _I3) / (1.0 - c)
-            col = int(np.argmax(np.diag(aat)))
-            axis = aat[:, col] / np.sqrt(aat[col, col])
-            lead = int(np.argmax(np.abs(halves[i])))
-            if halves[i, lead] * axis[lead] < 0:
-                axis = -axis
-            logs[i] = angles[i] * axis
+        m, c, half = rot[near_pi], cos_angle[near_pi], s[near_pi]
+        aat = ((m + m.mT) / 2.0 - _m(c) * _I3) / _m(1.0 - c)
+        rows = np.arange(len(m))
+        col = np.argmax(np.diagonal(aat, axis1=-2, axis2=-1), axis=-1)
+        axis = aat[rows, :, col] / np.sqrt(aat[rows, col, col])[:, None]
+        lead = np.argmax(np.abs(half), axis=-1)
+        axis[half[rows, lead] * axis[rows, lead] < 0] *= -1.0
+        out[near_pi] = angle[near_pi][:, None] * axis
     return out
 
 
@@ -169,7 +156,10 @@ def _so3_coeffs(angle) -> tuple:
     c1 = 2 s^2/a^2, q2 = (a - 2s)(a + 2s)/(2 a^4), whose first factor is an
     exact difference, and q3 = (3 c2 - c1)/(2 a^2); below it, where those
     forms cancel, they come from the series of ``_SERIES``, summed for every
-    row of a^2 in one product."""
+    row of a^2 in one product. A batch whose rows all sit on one side of
+    ``_TAYLOR_ANGLE`` evaluates that branch alone; a mixed batch evaluates
+    both and picks per row, silencing what each branch divides by zero or
+    overflows in the rows it does not keep."""
     a2 = angle * angle
 
     def closed():
@@ -181,7 +171,14 @@ def _so3_coeffs(angle) -> tuple:
         series = (a2[..., None] ** _POWERS) @ _SERIES
         return series[..., 0], series[..., 1], series[..., 2], series[..., 3]
 
-    return _switch(angle < _TAYLOR_ANGLE, taylor, closed)
+    taylor_rows = angle < _TAYLOR_ANGLE
+    count = np.count_nonzero(taylor_rows)
+    if count == taylor_rows.size:
+        return taylor()
+    if count == 0:
+        return closed()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return tuple(np.where(taylor_rows, a, b) for a, b in zip(taylor(), closed()))
 
 
 def so3_left_jacobian(r: np.ndarray) -> np.ndarray:
@@ -199,14 +196,15 @@ def _so3_jacobian_inv(terms):
 
 
 def require_rotation(m: np.ndarray) -> None:
-    """Check orthonormality and unit determinant of a 3x3 matrix to ``_ROTATION_TOL``;
-    a non-finite entry fails both checks, which are written so that NaN compares false."""
+    """Check orthonormality and unit determinant of a 3x3 matrix, or of every
+    matrix of a (..., 3, 3) stack, to ``_ROTATION_TOL``; a non-finite entry
+    fails both checks, which are written so that NaN compares false."""
     m = np.asarray(m)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {m.shape}")
-    if not np.linalg.norm(m.T @ m - np.eye(3)) <= _ROTATION_TOL:
+    if not np.all(_norm((m.mT @ m - _I3).reshape(m.shape[:-2] + (9,))) <= _ROTATION_TOL):
         raise ValueError("matrix is not orthonormal within tolerance")
-    if not abs(np.linalg.det(m) - 1.0) <= _ROTATION_TOL:
+    if not np.all(np.abs(np.linalg.det(m) - 1.0) <= _ROTATION_TOL):
         raise ValueError("matrix determinant is not +1 within tolerance")
 
 
@@ -230,6 +228,8 @@ class Pose:
     translation_block: np.ndarray
 
     def __post_init__(self):
+        if np.shape(self.rotation) != (3, 3):
+            raise ValueError(f"rotation must be 3x3, got {np.shape(self.rotation)}")
         require_rotation(self.rotation)
         b = np.asarray(self.translation_block, dtype=float)
         if b.shape != (3,):
@@ -330,21 +330,22 @@ def se3_log(pose: Pose) -> np.ndarray:
 
 
 def _se3_log(pose: Pose):
-    """``se3_log`` and the ``_so3_terms`` of its rotation part."""
+    """``se3_log``, the ``_so3_terms`` of its rotation part r and J_l(r)^-1."""
     r = _so3_log(pose.rotation)
     if np.count_nonzero(_norm(r) > np.pi - _LOG_PI_MARGIN):
         raise NearPiRotation("rotation angle within 1e-6 of pi")
     terms = _so3_terms(r)
-    return np.concatenate([np.matvec(_so3_jacobian_inv(terms), pose.translation_block), r], axis=-1), terms
+    jac_inv = _so3_jacobian_inv(terms)
+    return np.concatenate([np.matvec(jac_inv, pose.translation_block), r], axis=-1), terms, jac_inv
 
 
 def se3_log_and_inv_jacobian(pose: Pose):
     """h = ``se3_log(pose)`` and the inverse of ``se3_left_jacobian(-h)``, [[J^-1, -J^-1 Q J^-1],
-    [0, J^-1]] in closed form, from one ``_so3_terms`` evaluation: at -h the
-    terms are those at h with hat(r) negated, exactly."""
-    h, (k, *rest) = _se3_log(pose)
-    terms = (-k, *rest)
-    jac_inv = _so3_jacobian_inv(terms)
+    [0, J^-1]] in closed form, from one ``_so3_terms`` and one ``_so3_jacobian_inv``
+    evaluation: at -h the terms are those at h with hat(r) negated, exactly,
+    and J_l(-r)^-1 = J_l(r)^-T, because hat(r) is skew and hat(r)^2 symmetric."""
+    h, (k, *rest), jac_inv = _se3_log(pose)
+    terms, jac_inv = (-k, *rest), jac_inv.mT
     return h, _block_triangular(jac_inv, -(jac_inv @ _coupling_block(-h, terms) @ jac_inv))
 
 

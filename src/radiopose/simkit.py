@@ -340,13 +340,15 @@ def _track(name: str, n_runs: int, measurements, commands) -> tuple:
     finite, is taken again run by run through the unbatched kernels. A run
     that fails alone ends with its own message and the batched step is taken
     again for the others, whose numbers equal their unbatched calls. When no
-    run fails alone, the batch's error propagates.
+    run fails alone, the batch's error propagates. A step that overflows
+    fails through the finiteness check, without numpy warnings.
     """
     init, step, pose_of = _FILTERS[name]
 
     def advance(k, state, meas):
-        new = init(meas) if k == 0 else step(state, commands[k], meas)
-        est = pose_of(new)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = init(meas) if k == 0 else step(state, commands[k], meas)
+            est = pose_of(new)
         if not (np.isfinite(est.rotation).all() and np.isfinite(est.translation_block).all()):
             raise RadioPoseError(f"estimate is not finite at step {k}")
         return new, est

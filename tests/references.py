@@ -28,6 +28,33 @@ def se3_left_jacobian_inv(xi) -> np.ndarray:
     return np.linalg.inv(lie.se3_left_jacobian(xi))
 
 
+def so3_log_row_loop(rot) -> np.ndarray:
+    """The SO(3) log of rotation matrices (..., 3, 3) with the ratio
+    angle / sin(angle) replaced by its Taylor series below 1e-8 rad and the
+    rows within ``lie._NEAR_PI`` of pi taken one at a time in a Python loop:
+    the per-row form that ``lie._so3_log`` computes in one pass."""
+    rot = np.asarray(rot, dtype=float)
+    terms = rot.reshape(rot.shape[:-2] + (9,)) @ lie._LOG_TERMS
+    s = terms[..., :3] / 2.0
+    cos_angle = (terms[..., 3] - 1.0) / 2.0
+    angle = np.arctan2(lie._norm(s), cos_angle)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(angle < 1e-8, 1.0 + angle**2 / 6.0 + 7.0 * angle**4 / 360.0, angle / np.sin(angle))
+    out = s * ratio[..., None]
+    rows, logs = rot.reshape(-1, 3, 3), out.reshape(-1, 3)
+    cos_rows, angles, halves = np.ravel(cos_angle), np.ravel(angle), s.reshape(-1, 3)
+    for i in np.flatnonzero(angles > np.pi - lie._NEAR_PI):
+        m, c = rows[i], cos_rows[i]
+        aat = ((m + m.T) / 2.0 - c * np.eye(3)) / (1.0 - c)
+        col = int(np.argmax(np.diag(aat)))
+        axis = aat[:, col] / np.sqrt(aat[col, col])
+        lead = int(np.argmax(np.abs(halves[i])))
+        if halves[i, lead] * axis[lead] < 0:
+            axis = -axis
+        logs[i] = angles[i] * axis
+    return out
+
+
 def fim_direction_from_angles(angle_fim, direction) -> np.ndarray:
     """Pull a 2x2 azimuth/elevation FIM back to the 3d direction vector.
 

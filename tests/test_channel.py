@@ -50,6 +50,10 @@ def _random_unit(rng):
 
 
 class TestDirectionVectors:
+    def test_anchor_rejects_orientation_stack(self):
+        with pytest.raises(ValueError, match=r"rotation must be 3x3, got \(2, 3, 3\)"):
+            channel.AnchorConfig(np.zeros(3), np.stack([np.eye(3)] * 2), ArrayGeometry(np.zeros((1, 3))))
+
     def test_axis_aligned(self):
         ue = lie.Pose.from_rotation_position(np.eye(3), np.array([1.0, 0, 0]))
         anchor = channel.AnchorConfig(np.zeros(3), np.eye(3), ArrayGeometry(np.zeros((1, 3))))

@@ -7,7 +7,7 @@ import pytest
 
 from radiopose import lie
 from radiopose.errors import NearPiRotation, NotSkew
-from references import pose_from_matrix, se3_left_jacobian_inv, small_adjoint
+from references import pose_from_matrix, se3_left_jacobian_inv, small_adjoint, so3_log_row_loop
 
 
 def expm_series(m: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -128,6 +128,21 @@ class TestSo3Exp:
             assert np.linalg.norm(m.T @ m - np.eye(3)) < 1e-10
             assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("a", [1e6, 1e10, 1e15])
+    def test_rotation_at_huge_angles(self, a):
+        # the angle is reduced modulo 2 pi along the axis before the coefficients
+        m = lie.so3_exp(np.array([a, 0.3 * a, 0.1]))
+        assert np.abs(m @ m.T - np.eye(3)).max() < 1e-12
+        assert abs(np.linalg.det(m) - 1.0) < 1e-12
+
+    def test_whole_turns_change_nothing_below_two_pi(self):
+        # rows below 2 pi are used as given, in a batch with a reduced row too
+        r = np.array([[0.3, -0.2, 0.1], [2.0 * np.pi - 1e-9, 0.0, 0.0], [2.0 * np.pi + 0.5, 0.0, 0.0]])
+        out = lie.so3_exp(r)
+        np.testing.assert_array_equal(out[0], lie.so3_exp(r[0]))
+        np.testing.assert_array_equal(out[1], lie.so3_exp(r[1]))
+        np.testing.assert_allclose(out[2], lie.so3_exp(np.array([0.5, 0.0, 0.0])), atol=1e-14)
+
 
 class TestSo3Log:
     def test_identity(self):
@@ -170,6 +185,43 @@ class TestSo3Log:
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             lie.so3_log(np.eye(3) * 1.001)
+
+    def test_stack_equals_its_rows(self):
+        rot = lie.so3_exp(np.random.default_rng(6).uniform(-2.0, 2.0, (5, 3)))
+        log = lie.so3_log(rot)
+        assert log.shape == (5, 3)
+        for i in range(5):
+            np.testing.assert_array_equal(log[i], lie.so3_log(rot[i]))
+
+    def test_stack_with_one_non_rotation_raises(self):
+        rot = lie.so3_exp(np.random.default_rng(7).uniform(-2.0, 2.0, (2, 3, 3)))
+        rot[1, 2] *= 1.001
+        with pytest.raises(ValueError, match="orthonormal"):
+            lie.so3_log(rot)
+
+    @pytest.mark.parametrize("angle", [0.0, 5e-324, 1e-300, 1e-12, 1e-9, 1e-8, 1.4e-8])
+    def test_tiny_angle_log_is_antisymmetric_half(self, angle):
+        # below 2^-26 rad sin(angle) rounds to angle, so r = (angle / sin angle) s is s exactly;
+        # from 1e-162 down s . s underflows and the angle reads 0 although s need not be
+        axes = np.random.default_rng(8).standard_normal((6, 3))
+        rot = lie.so3_exp(axes / np.linalg.norm(axes, axis=1, keepdims=True) * angle)
+        s = np.stack([rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]], -1) / 2
+        np.testing.assert_array_equal(lie._so3_log(rot), s)
+        for i in range(len(rot)):
+            np.testing.assert_array_equal(lie._so3_log(rot[i]), s[i])
+
+    def test_near_pi_pass_matches_row_loop(self):
+        # near-pi rows whose largest axis component is positive and negative take
+        # both outcomes of the sign test, mixed with tiny, generic and exact-pi rows
+        rng = np.random.default_rng(9)
+        gaps = [1e-3 * (1 - 1e-9), 3e-4, 1e-4, 1e-5, 2e-6, 1e-6]
+        angles = np.concatenate([np.pi - np.array(gaps * 2), [0.0, 1e-9, 0.5, 2.0, np.pi - 2e-3, np.pi]])
+        axes = rng.standard_normal((len(angles), 3))
+        axes *= np.sign(axes[np.arange(len(axes)), np.argmax(np.abs(axes), axis=1)])[:, None]
+        axes[len(gaps) : 2 * len(gaps)] *= -1.0
+        rot = lie.so3_exp(axes / np.linalg.norm(axes, axis=1, keepdims=True) * angles[:, None]).reshape(2, -1, 3, 3)
+        assert lie._so3_log(rot).tobytes() == so3_log_row_loop(rot).tobytes()
+        assert lie._so3_log(rot[1, 2]).tobytes() == so3_log_row_loop(rot[1, 2]).tobytes()
 
     def test_log_norm_at_most_pi(self):
         rng = np.random.default_rng(4)
@@ -328,6 +380,10 @@ class TestPose:
         with pytest.raises(ValueError):
             lie.Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    def test_rejects_rotation_stack(self):
+        with pytest.raises(ValueError, match=r"rotation must be 3x3, got \(5, 3, 3\)"):
+            lie.Pose(np.broadcast_to(np.eye(3), (5, 3, 3)), np.zeros(3))
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
@@ -358,11 +414,11 @@ class TestPose:
         np.testing.assert_allclose(pose_from_matrix(pose.matrix()).matrix(), pose.matrix())
 
 
-# Edge angles of the property tests: zero, both sides of each Taylor switch
-# and of 1e-2 rad, where the closed form of c2 would lose up to 1e-11, and
-# the near-pi band of the SO(3) log, all in one mixed batch.
-_EDGE_ANGLES = [0.0, 1e-12, 1e-9, lie._SMALL_ANGLE - 1e-20, lie._SMALL_ANGLE, lie._SMALL_ANGLE + 1e-20,
-                1e-6, 1e-3, 1e-2 - 1e-14, 1e-2, 1e-2 + 1e-14,
+# Edge angles of the property tests: zero, both sides of 1e-8 rad and 2^-26
+# rad, below which sin a rounds to a, both sides of the Taylor switch and of
+# 1e-2 rad, where the closed form of c2 would lose up to 1e-11, and the
+# near-pi band of the SO(3) log, all in one mixed batch.
+_EDGE_ANGLES = [0.0, 1e-12, 1e-9, 1e-8 - 1e-20, 1e-8, 1e-8 + 1e-20, 2.0**-26, 1e-6, 1e-3, 1e-2 - 1e-14, 1e-2, 1e-2 + 1e-14,
                 lie._TAYLOR_ANGLE - 1e-12, lie._TAYLOR_ANGLE, lie._TAYLOR_ANGLE + 1e-12,
                 0.5, 1.5, 3.0, np.pi - 1e-3, np.pi - 1e-5]
 
@@ -440,23 +496,24 @@ class TestBatchedKernels:
             lie.se3_log(pose[i])
 
 
-# Angles of the shared-term checks: below _SMALL_ANGLE, on both sides of the
-# Taylor switch and within 1e-14 of it, and up to near pi.
-_SHARED_ANGLES = [0.0, 1e-12, lie._SMALL_ANGLE / 2, 1e-3, 0.1, lie._TAYLOR_ANGLE - 1e-14, lie._TAYLOR_ANGLE,
+# Angles of the shared-term checks: below 1e-8 rad, on both sides of 2^-26
+# rad, on both sides of the Taylor switch and within 1e-14 of it, and up to
+# near pi.
+_SHARED_ANGLES = [0.0, 1e-12, 5e-9, 1.4e-8, 2.0**-26, 1e-3, 0.1, lie._TAYLOR_ANGLE - 1e-14, lie._TAYLOR_ANGLE,
                   lie._TAYLOR_ANGLE + 1e-14, 0.3, 1.5, 3.0, np.pi - 1e-5]
 
 
 def shared_batches(seed=43):
     """Tangents [rho, r] at ``_SHARED_ANGLES``: the mixed batch, its rows below
-    ``_SMALL_ANGLE``, below and from ``_TAYLOR_ANGLE`` on, a (2, 6) batch with
+    1e-8 rad, below and from ``_TAYLOR_ANGLE`` on, a (2, 7) batch with
     two leading axes, and each row unbatched."""
     rng = np.random.default_rng(seed)
     axes = rng.standard_normal((len(_SHARED_ANGLES), 3))
     r = axes / np.linalg.norm(axes, axis=1, keepdims=True) * np.array(_SHARED_ANGLES)[:, None]
     xi = np.concatenate([rng.uniform(-5.0, 5.0, r.shape), r], axis=1)
     angle = np.array(_SHARED_ANGLES)
-    return [xi, xi[angle < lie._SMALL_ANGLE], xi[angle < lie._TAYLOR_ANGLE], xi[angle >= lie._TAYLOR_ANGLE],
-            xi.reshape(2, 6, 6)] + list(xi)
+    return [xi, xi[angle < 1e-8], xi[angle < lie._TAYLOR_ANGLE], xi[angle >= lie._TAYLOR_ANGLE],
+            xi.reshape(2, 7, 6)] + list(xi)
 
 
 class TestSharedTerms:
@@ -489,6 +546,15 @@ class TestSharedTerms:
         lie.se3_exp_and_jacobian(xi)
         lie.se3_log_and_inv_jacobian(pose)
         assert calls == [(len(xi), 3)] * 2
+
+    def test_inverse_jacobian_evaluated_once_per_call(self, monkeypatch):
+        # J_l(-h)^-1 is the transpose of the J_l(h)^-1 that gives rho
+        pose = lie.se3_exp(shared_batches()[0])
+        calls = []
+        original = lie._so3_jacobian_inv
+        monkeypatch.setattr(lie, "_so3_jacobian_inv", lambda terms: calls.append(1) or original(terms))
+        lie.se3_log_and_inv_jacobian(pose)
+        assert calls == [1]
 
     def test_near_pi_rotation_raises(self):
         pose = lie.se3_exp(np.array([1.0, 2.0, 3.0, 0.0, 0.0, np.pi - 1e-8]))

@@ -1,6 +1,7 @@
 """Property tests (hypothesis, derandomized): Lie-core identities over angles
-that include 0, the switches (1e-8 rad for the SO(3) log, 0.2 rad for the
-coefficients that the SO(3)/SE(3) exp, log and Jacobians share), 1e-2 rad,
+that include 0, 1e-8 rad and 2^-26 rad, below which the SO(3) log's ratio
+angle / sin(angle) is exactly 1, the 0.2 rad switch of the coefficients that
+the SO(3)/SE(3) exp, log and Jacobians share, 1e-2 rad,
 inside the Taylor range where the closed forms would cancel, and the
 neighbourhood of pi, and the scenario save -> load round trip."""
 
@@ -19,8 +20,8 @@ from test_lie import expm_series, jacobian_series
 LIE = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SCENARIO = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 
-_LOG_SWITCH, _SWITCH = lie._SMALL_ANGLE, lie._TAYLOR_ANGLE
-_EDGE_ANGLES = [0.0, 1e-12, 1e-9, _LOG_SWITCH - 1e-20, _LOG_SWITCH, _LOG_SWITCH + 1e-20, 1e-6, 1e-3,
+_SWITCH = lie._TAYLOR_ANGLE
+_EDGE_ANGLES = [0.0, 1e-12, 1e-9, 1e-8 - 1e-20, 1e-8, 1e-8 + 1e-20, 2.0**-26, 1e-6, 1e-3,
                 1e-2 - 1e-14, 1e-2, 1e-2 + 1e-14,
                 _SWITCH - 1e-12, _SWITCH, _SWITCH + 1e-12, np.pi - 1e-3, np.pi - 1e-5]
 

@@ -228,6 +228,16 @@ class TestSampleMeasurement:
         for rot in simkit.sample_measurement(cfg.ue_start, report.icrb_sqrt, normals, 1.0).rotation:
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
 
+    def test_huge_finite_noise_still_samples_rotations(self):
+        # rotation errors of about 1e44 rad are whole turns plus a remainder
+        cfg = simkit.default_scenario()
+        normals = simkit.run_rng(2, 0).standard_normal((50, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rot = simkit.sample_measurement(cfg.ue_start, 1e44 * np.eye(6), normals, 1.0).rotation
+        assert np.abs(rot @ rot.mT - np.eye(3)).max() < 1e-12
+        assert np.abs(np.linalg.det(rot) - 1.0).max() < 1e-12
+
     def test_overflowing_noise_is_a_radiopose_error(self):
         # the draw overflows at this scale: the sampler names the setting,
         # without a numpy warning, before any filter runs
@@ -1368,9 +1378,9 @@ class TestCli:
     @pytest.mark.parametrize("command", ["mc", "track"])
     @pytest.mark.parametrize("bandwidth", [1e200, 1e300])
     def test_huge_bandwidth_exits_3_where_the_covariance_overflows(self, tmp_path, command, bandwidth, capsys):
-        # the bound grows with the noise bandwidth and stays finite, but the
-        # rotations measured with that much noise are far from orthonormal,
-        # and their tangent covariance overflows
+        # the bound grows with the noise bandwidth and stays finite, and the
+        # measurements drawn with it are rotations, but the filter steps taken
+        # with that much noise overflow, so every run fails
         raw = simkit.scenario_to_dict(tiny_scenario())
         raw["signal"]["bandwidth_hz"] = bandwidth
         path = tmp_path / "wide.yaml"
@@ -1383,7 +1393,7 @@ class TestCli:
             warnings.simplefilter("error")
             rc = cli.main([command, "--config", str(path), *args])
         assert rc == 3
-        assert "measurement covariance is not finite" in capsys.readouterr().err
+        assert "all Monte Carlo runs failed" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
