@@ -36,7 +36,8 @@ from .channel import (
     _unit_fim,
 )
 from .errors import RadioPoseError, SingularNuisanceBlock, UnobservableState
-from .lie import Pose, _coupling_block, _left_jacobian, _norm, _readonly, _so3_terms, hat3
+from .lie import (Pose, _coupling_block, _indexed, _left_jacobian, _norm, _readonly, _record, _so3_terms,
+                  _symmetrize, hat3)
 
 _COND_LIMIT = 1e12
 
@@ -72,8 +73,7 @@ def project_fim(f_unconstrained: np.ndarray, params) -> np.ndarray:
     k = np.arange(2 * n)[:, None, None]
     b[..., n + 2 * k + np.arange(2)[:, None], n + 3 * k + np.arange(3)] = tangent_basis(dirs)
     b[..., 5 * n :, 7 * n :] = np.eye(2 * n)
-    out = b @ np.asarray(f_unconstrained, dtype=float) @ b.mT
-    return (out + out.mT) / 2.0
+    return _symmetrize(b @ np.asarray(f_unconstrained, dtype=float) @ b.mT)
 
 
 def efim_remove_gains(blocks: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def efim_remove_gains(blocks: np.ndarray) -> np.ndarray:
             raise SingularNuisanceBlock("nuisance block singular after regularization")
         fbb = np.where(singular, eye, fbb)
     out = faa - fab @ np.linalg.solve(fbb, fab.mT)
-    return np.where(singular, np.nan, (out + out.mT) / 2.0)
+    return np.where(singular, np.nan, _symmetrize(out))
 
 
 def _chain_jacobian(ue: Pose, anchors, u: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -146,13 +146,14 @@ def state_fim(e: np.ndarray, jac: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class IcrbReport:
     """Inverse state FIM with the scalar position / rotation error bounds, for
-    one pose or with leading axes (a batch of rows); indexing selects rows.
+    one pose or with leading axes (a batch of rows); indexing selects rows
+    (``lie._indexed``), read-only, and the slice carries ``icrb_sqrt`` if evaluated.
 
     An unobservable row of a batch has ``observable`` False and NaN in its
     bound and its error bounds.
     """
 
-    icrb: np.ndarray  # (..., 6, 6) over [position(3), rotation tangent(3)], read-only copy
+    icrb: np.ndarray  # (..., 6, 6) over [position(3), rotation tangent(3)], read-only
     peb_m: float | np.ndarray
     rmeb_rad: float | np.ndarray
     observable: bool | np.ndarray = True
@@ -160,8 +161,7 @@ class IcrbReport:
     def __post_init__(self):
         object.__setattr__(self, "icrb", _readonly(self.icrb))
 
-    def __getitem__(self, index) -> "IcrbReport":
-        return IcrbReport(self.icrb[index], self.peb_m[index], self.rmeb_rad[index], self.observable[index])
+    __getitem__ = _indexed
 
     @cached_property
     def icrb_sqrt(self) -> np.ndarray:
@@ -169,7 +169,7 @@ class IcrbReport:
         once per report and shared by every measurement drawn from it; NaN on
         unobservable rows."""
         ok = np.asarray(self.observable)[..., None, None]
-        eig, vec = np.linalg.eigh(np.where(ok, (self.icrb + self.icrb.mT) / 2.0, 0.0))
+        eig, vec = np.linalg.eigh(np.where(ok, _symmetrize(self.icrb), 0.0))
         return _readonly(np.where(ok, vec * np.sqrt(np.clip(eig, 0.0, None))[..., None, :], np.nan))
 
 
@@ -183,7 +183,7 @@ def icrb_report(f_x: np.ndarray) -> IcrbReport:
     """
     f = np.asarray(f_x, dtype=float)
     finite = np.isfinite(f).all(axis=(-2, -1))
-    f = np.where(finite[..., None, None], (f + f.mT) / 2.0, np.eye(6))
+    f = np.where(finite[..., None, None], _symmetrize(f), np.eye(6))
     eig, vec = np.linalg.eigh(f)
     observable = finite & (eig[..., -1] > 0) & (eig[..., 0] > eig[..., -1] / _COND_LIMIT)
     if f.ndim == 2 and not observable:
@@ -191,8 +191,9 @@ def icrb_report(f_x: np.ndarray) -> IcrbReport:
             f"state FIM condition number exceeds {_COND_LIMIT:.1e}; geometry unobservable"
         )
     icrb = (vec / np.where(observable[..., None], eig, 1.0)[..., None, :]) @ vec.mT
-    icrb = np.where(observable[..., None, None], (icrb + icrb.mT) / 2.0, np.nan)
-    return IcrbReport(
+    icrb = np.where(observable[..., None, None], _symmetrize(icrb), np.nan)
+    return _record(
+        IcrbReport,
         icrb=icrb,
         peb_m=np.sqrt(np.trace(icrb[..., :3, :3], axis1=-2, axis2=-1)),
         rmeb_rad=np.sqrt(np.trace(icrb[..., 3:, 3:], axis1=-2, axis2=-1)),
@@ -222,15 +223,15 @@ def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray
     r, so to first order rho = R delta p and r = theta: the map is
     T @ icrb @ T.T with T = diag(R, I3). Both arguments broadcast over
     leading axes. A map that is not finite, as where it overflows, raises
-    RadioPoseError without numpy warnings.
+    RadioPoseError without numpy warnings. The bounds of a study do not reach
+    that check, as their R is orthonormal; it guards direct calls.
     """
     rotation = np.asarray(rotation, dtype=float)
     t = np.zeros(rotation.shape[:-2] + (6, 6))
     t[..., :3, :3] = rotation
     t[..., 3:, 3:] = np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = t @ np.asarray(icrb, dtype=float) @ t.mT
-        out = (out + out.mT) / 2.0
+        out = _symmetrize(t @ np.asarray(icrb, dtype=float) @ t.mT)
     if not np.isfinite(out).all():
         raise RadioPoseError("measurement covariance is not finite: the bound overflows at the measured pose")
     return out
@@ -264,4 +265,5 @@ def pose_error_bounds(
     if ok.ndim == 0 and not ok:
         raise SingularNuisanceBlock(f"bound is not finite at FIM weight {weight:g}: no information")
     root = np.sqrt(np.where(ok, weight, np.nan))  # NaN bounds in the rows that are not ok
-    return IcrbReport(np.where(ok[..., None, None], icrb, np.nan), report.peb_m / root, report.rmeb_rad / root, ok)
+    return _record(IcrbReport, icrb=np.where(ok[..., None, None], icrb, np.nan), peb_m=report.peb_m / root,
+                   rmeb_rad=report.rmeb_rad / root, observable=ok)

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CoincidentPositions, PolarSingularity, RadioPoseError
-from .lie import Pose, _norm, require_rotation
+from .lie import Pose, _frozen, _norm, _readonly, _record, _symmetrize, require_rotation
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -70,9 +70,7 @@ class ArrayGeometry:
             raise ValueError("element_positions must be an (n, 3) array with n >= 1")
         if np.linalg.norm(pos.mean(axis=0)) > 1e-12:
             raise ValueError("array centroid must sit at the local origin")
-        pos = pos.copy()
-        pos.flags.writeable = False
-        object.__setattr__(self, "element_positions", pos)
+        object.__setattr__(self, "element_positions", _readonly(pos))
 
     @property
     def num_elements(self) -> int:
@@ -109,12 +107,8 @@ class AnchorConfig:
         p = np.asarray(self.position, dtype=float)
         if p.shape != (3,) or not np.all(np.isfinite(p)):
             raise ValueError("anchor position must be a finite 3-vector")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "position", p)
-        r = np.array(self.orientation, dtype=float)
-        r.flags.writeable = False
-        object.__setattr__(self, "orientation", r)
+        object.__setattr__(self, "position", _readonly(p))
+        object.__setattr__(self, "orientation", _readonly(self.orientation))
 
 
 @dataclass(frozen=True)
@@ -176,9 +170,9 @@ class SignalConfig:
 @dataclass(frozen=True)
 class ChannelParams:
     """Geometric observables of one anchor-UE link, with the leading axes of
-    the UE pose. The constructor checks that both directions are unit
-    vectors; ``channel_params`` builds them from a valid geometry and does
-    not check again."""
+    the UE pose. The constructor checks that both directions are unit vectors
+    and copies them; the link pass (``_links``) builds them from a valid
+    geometry through ``lie._record``, unchecked. Every array is read-only."""
 
     delay_s: float
     dir_ue: np.ndarray  # unit vector at the UE, local frame
@@ -190,9 +184,7 @@ class ChannelParams:
             d = np.asarray(getattr(self, name), dtype=float)
             if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > 1e-12):
                 raise ValueError(f"{name} must be a unit vector")
-            d = d.copy()
-            d.flags.writeable = False
-            object.__setattr__(self, name, d)
+            object.__setattr__(self, name, _readonly(d))
 
 
 @dataclass(frozen=True)
@@ -212,10 +204,7 @@ class BeamSet:
         beams along an anchor axis, built on first access and read-only. An
         anchor with fewer than the largest count E_max of anchor elements has
         zero precoder columns after its own (``_stack_padded``)."""
-        out = _stack_padded(self.precoders), _stack_padded(self.combiners)
-        for array in out:
-            array.flags.writeable = False
-        return out
+        return _frozen(_stack_padded(self.precoders)), _frozen(_stack_padded(self.combiners))
 
 
 def _stack_padded(arrays) -> np.ndarray:
@@ -247,9 +236,9 @@ def _draw_beams(rng_seed: int, num_transmissions: int, bs_elements: tuple, ue_el
     each anchor's element count in order, the UE element count) and kept for
     the ``_BEAM_CACHE_SIZE`` most recent keys. Per anchor the precoder
     Gaussians are drawn before the combiner ones, real part before imaginary.
-    The draw is written into the arrays of ``BeamSet.stacked``, and each
-    anchor's arrays are views of them, so the set holds one copy of its
-    beams. Every returned array is read-only, as all callers of a key share it."""
+    The draw is written into the arrays of the set's ``stacked`` field
+    (``lie._record``), and each anchor's arrays are views of them, so the set
+    holds one copy of its beams. Every array is read-only, as all callers of a key share it."""
     rng = np.random.default_rng(rng_seed)
     g = num_transmissions
     precoders = np.zeros((len(bs_elements), g, max(bs_elements)), dtype=complex)
@@ -259,11 +248,9 @@ def _draw_beams(rng_seed: int, num_transmissions: int, bs_elements: tuple, ue_el
         u = rng.standard_normal((g, ue_elements)) + 1j * rng.standard_normal((g, ue_elements))
         precoders[n, :, :n_bs] = b / np.linalg.norm(b, axis=1, keepdims=True)
         combiners[n] = u / np.linalg.norm(u, axis=1, keepdims=True)
-    precoders.flags.writeable = False
-    combiners.flags.writeable = False
-    beams = BeamSet(tuple(p[:, :n_bs] for p, n_bs in zip(precoders, bs_elements)), tuple(combiners))
-    beams.__dict__["stacked"] = (precoders, combiners)  # the cached_property, filled by the draw
-    return beams
+    stacked = _frozen(precoders), _frozen(combiners)  # frozen before the per-anchor views are taken
+    return _record(BeamSet, precoders=tuple(p[:, :n_bs] for p, n_bs in zip(precoders, bs_elements)),
+                   combiners=tuple(combiners), stacked=stacked)
 
 
 def _check_beams(anchors, ue_array: ArrayGeometry, sig: SignalConfig, beams: BeamSet) -> None:
@@ -329,14 +316,14 @@ def _links(position, rotation, anchor_position, anchor_orientation, sig: SignalC
     directions, free-space gain: amplitude lambda/(4 pi d), carrier
     propagation phase) of the links from anchors at ``anchor_position``
     (orientation local -> global) to a UE at ``position`` with ``rotation``,
-    from one ``_los_geometry`` call over the leading axes of all four."""
+    from one ``_los_geometry`` call over the leading axes of all four; the
+    params unchecked (``lie._record``), as the geometry gives unit directions."""
     u, dist = _los_geometry(position, anchor_position)
     dir_bs, dir_ue = _local_directions(rotation, anchor_orientation, u)
     amp = SPEED_OF_LIGHT / sig.carrier_hz / (4.0 * np.pi * dist)
-    par = object.__new__(ChannelParams)  # unchecked: the geometry gives unit directions
     # the phase in real arithmetic: a complex division rounds differently in a batch than for one pose
-    par.__dict__.update(delay_s=dist / SPEED_OF_LIGHT + sig.clock_bias_s, dir_ue=dir_ue, dir_bs=dir_bs,
-                        gain=amp * np.exp(-1j * (2.0 * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT)))
+    par = _record(ChannelParams, delay_s=dist / SPEED_OF_LIGHT + sig.clock_bias_s, dir_ue=dir_ue, dir_bs=dir_bs,
+                  gain=amp * np.exp(-1j * (2.0 * np.pi * sig.carrier_hz * dist / SPEED_OF_LIGHT)))
     return u, dist, par
 
 
@@ -458,8 +445,7 @@ def _subcarrier_gram(num_subcarriers: int, subcarrier_spacing_hz: float) -> np.n
         raise RadioPoseError(f"Fisher information is not finite: subcarrier_spacing_hz {subcarrier_spacing_hz:g}")
     gram[0, 1:] = 1j * w.sum()
     gram[1:, 0] = -1j * w.sum()
-    gram.flags.writeable = False
-    return gram
+    return _frozen(gram)
 
 
 def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
@@ -494,7 +480,7 @@ def _unit_fim(ue, anchors, ue_array, sig, beams: BeamSet, powers_dbm):
             f"Fisher information is not finite at tx_power_dbm {powers[int(np.argmin(finite))]:g}, "
             f"noise_psd_dbm_hz {sig.noise_psd_dbm_hz:g}"
         )
-    return (u, dist), (blocks + blocks.mT) / 2.0, weight
+    return (u, dist), _symmetrize(blocks), weight
 
 
 def fim_unconstrained(ue, anchors, ue_array, sig, beams: BeamSet) -> np.ndarray:

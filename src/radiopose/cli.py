@@ -16,6 +16,7 @@ import numpy as np
 from .errors import CoincidentPositions, ConfigError, RadioPoseError, UnobservableState
 from .simkit import (
     _DEFAULT_SCENARIO,
+    FILTER_NAMES,
     _read_scenario,
     bounds_sweep,
     bounds_table,
@@ -117,32 +118,30 @@ def _cmd_mc(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --seed goes before the command or after it; a command's unset --seed (SUPPRESS) keeps the first
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the scenario seed")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[seed])
+    scenario.add_argument("--config", default=None, help="scenario YAML (default: built-in scenario)")
+    study = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    study.add_argument("--filter", default=None, choices=FILTER_NAMES + ("all",))
     parser = argparse.ArgumentParser(
-        prog="radiopose",
+        prog="radiopose", parents=[seed],
         description="6D localization error bounds and tracking over multi-anchor radio links",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bounds = sub.add_parser("bounds", help="sweep PEB/RMEB over transmit powers")
-    p_bounds.add_argument("--config", default=None, help="scenario YAML (default: built-in scenario)")
+    p_bounds = sub.add_parser("bounds", parents=[scenario], help="sweep PEB/RMEB over transmit powers")
     p_bounds.add_argument("--powers", required=True, help="dBm values, 'start:step:stop' or comma list")
     p_bounds.add_argument("--out", required=True, help="output CSV path")
-    p_bounds.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    p_track = sub.add_parser("track", help="run one tracking pass and emit per-step errors")
-    p_track.add_argument("--config", default=None)
-    p_track.add_argument("--filter", default=None, choices=["fusion", "eskf", "euler", "all"])
+    p_track = sub.add_parser("track", parents=[study], help="run one tracking pass and emit per-step errors")
     p_track.add_argument("--out", required=True)
-    p_track.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_track.set_defaults(func=_cmd_track)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo tracking study")
-    p_mc.add_argument("--config", default=None)
-    p_mc.add_argument("--filter", default=None, choices=["fusion", "eskf", "euler", "all"])
+    p_mc = sub.add_parser("mc", parents=[study], help="Monte Carlo tracking study")
     p_mc.add_argument("--runs", type=int, default=None, help="override mc_runs")
-    p_mc.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_mc.add_argument("--out-prefix", required=True, help="prefix for the emitted CSV files")
     p_mc.set_defaults(func=_cmd_mc)
     return parser

@@ -61,6 +61,10 @@ def _m(c):
     return c[..., None, None]
 
 
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    return (m + m.mT) / 2.0
+
+
 def hat3(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector, so that hat3(v) @ w == cross(v, w)."""
     v = np.asarray(v, dtype=float)
@@ -139,7 +143,7 @@ def _so3_log(rot: np.ndarray) -> np.ndarray:
     near_pi = angle > np.pi - _NEAR_PI
     if np.count_nonzero(near_pi):
         m, c, half = rot[near_pi], cos_angle[near_pi], s[near_pi]
-        aat = ((m + m.mT) / 2.0 - _m(c) * _I3) / _m(1.0 - c)
+        aat = (_symmetrize(m) - _m(c) * _I3) / _m(1.0 - c)
         rows = np.arange(len(m))
         col = np.argmax(np.diagonal(aat, axis1=-2, axis2=-1), axis=-1)
         axis = aat[rows, :, col] / np.sqrt(aat[rows, col, col])[:, None]
@@ -208,10 +212,29 @@ def require_rotation(m: np.ndarray) -> None:
         raise ValueError("matrix determinant is not +1 within tolerance")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _readonly(a) -> np.ndarray:
+    return _frozen(np.array(a, dtype=float))
+
+
+def _record(cls, **fields):
+    """A ``cls`` record of values the library computed from checked ones: built
+    without its constructor, neither checked nor copied, each ndarray field frozen in place."""
+    out = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            _frozen(value)
+    vars(out).update(fields)
     return out
+
+
+def _indexed(obj, index):
+    """``obj[index]``: each field and evaluated cached term of a record indexed, None kept (``_record``)."""
+    return _record(type(obj), **{name: None if value is None else value[index] for name, value in vars(obj).items()})
 
 
 @dataclass(frozen=True)
@@ -273,19 +296,14 @@ class Pose:
             np.matvec(self.rotation, other.translation_block) + self.translation_block,
         )
 
-    def __getitem__(self, index) -> "Pose":
-        return _pose(self.rotation[index], self.translation_block[index])
+    __getitem__ = _indexed
 
 
 def _pose(rotation: np.ndarray, translation_block: np.ndarray) -> Pose:
     """Pose from float arrays computed out of already valid poses or rotation
-    vectors: frozen in place, neither copied nor checked, because the group
-    operations keep a rotation a rotation."""
-    pose = object.__new__(Pose)
-    for name, value in (("rotation", rotation), ("translation_block", translation_block)):
-        value.flags.writeable = False
-        object.__setattr__(pose, name, value)
-    return pose
+    vectors (``_record``): frozen in place, neither copied nor checked,
+    because the group operations keep a rotation a rotation."""
+    return _record(Pose, rotation=rotation, translation_block=translation_block)
 
 
 def se3_hat(xi: np.ndarray) -> np.ndarray:

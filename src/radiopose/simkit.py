@@ -28,7 +28,7 @@ from .channel import (
 )
 from . import tracking
 from .errors import ConfigError, LengthMismatch, RadioPoseError, UnobservableState
-from .lie import _LOG_PI_MARGIN, Pose, _norm, _pose, _so3_log, se3_log, so3_exp
+from .lie import _LOG_PI_MARGIN, Pose, _norm, _pose, _record, _so3_log, se3_log, so3_exp
 from .tracking import (
     FilterState,
     MotionCommand,
@@ -295,7 +295,7 @@ def scenario_reports(cfg: ScenarioConfig, beams: BeamSet):
             raise UnobservableState(f"state FIM unobservable at truth pose {first} of {len(truths)}")
         chunks.append(chunk)
     fields = ("icrb", "peb_m", "rmeb_rad", "observable")
-    return truths, IcrbReport(*(np.concatenate([getattr(c, name) for c in chunks]) for name in fields))
+    return truths, _record(IcrbReport, **{name: np.concatenate([getattr(c, name) for c in chunks]) for name in fields})
 
 
 # Per filter: (state from the first measurement, one predict + update step,
@@ -339,9 +339,9 @@ def _track(name: str, n_runs: int, measurements, commands) -> tuple:
     step that raises a RadioPoseError, or leaves an estimate that is not
     finite, is taken again run by run through the unbatched kernels. A run
     that fails alone ends with its own message and the batched step is taken
-    again for the others, whose numbers equal their unbatched calls. When no
-    run fails alone, the batch's error propagates. A step that overflows
-    fails through the finiteness check, without numpy warnings.
+    again, once, for the others, whose numbers equal their unbatched calls.
+    When no run fails alone, or the retaken step fails, its error propagates.
+    A step that overflows fails the finiteness check, without numpy warnings.
     """
     init, step, pose_of = _FILTERS[name]
 
@@ -368,24 +368,22 @@ def _track(name: str, n_runs: int, measurements, commands) -> tuple:
     alive = np.arange(n_runs)
     state = None
     for k in range(n_steps):
-        while alive.size:
-            meas = measurements[k] if alive.size == n_runs else measurements[k][alive]
-            try:
-                new, est = advance(k, state, meas)
+        meas = measurements[k] if alive.size == n_runs else measurements[k][alive]
+        try:
+            new, est = advance(k, state, meas)
+        except RadioPoseError as exc:
+            # an unbatched run's failure is its own
+            own = [str(exc)] if n_runs == 1 else [failure_alone(k, state, meas, i) for i in range(alive.size)]
+            ended = np.array([message is not None for message in own])
+            if not ended.any():
+                raise
+            for run, message in zip(alive, own):
+                failed[run] = message
+            alive = alive[~ended]
+            if not alive.size:
                 break
-            except RadioPoseError as exc:
-                # an unbatched run's failure is its own
-                own = [str(exc)] if n_runs == 1 else [failure_alone(k, state, meas, i) for i in range(alive.size)]
-                ended = np.array([message is not None for message in own])
-                if not ended.any():
-                    raise
-                for run, message in zip(alive, own):
-                    failed[run] = message
-                alive = alive[~ended]
-                if alive.size:
-                    state = _runs_of(state, ~ended)
-        if not alive.size:
-            break
+            # no run left fails alone, so this batch steps or fails as a batch
+            new, est = advance(k, _runs_of(state, ~ended), measurements[k][alive])
         state = new
         rotation[alive, k], block[alive, k] = est.rotation, est.translation_block
         if getattr(new, "iterations", None) is not None:

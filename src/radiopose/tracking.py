@@ -27,9 +27,12 @@ from .bounds import measurement_covariance
 from .errors import GimbalLock, SingularInnovationCovariance, SingularNormalEquations
 from .lie import (
     Pose,
+    _frozen,
+    _indexed,
     _norm,
     _pose,
-    _readonly,
+    _record,
+    _symmetrize,
     adjoint,
     hat3,
     se3_exp,
@@ -42,10 +45,6 @@ from .lie import (
 _GIMBAL_GUARD = 1e-3
 _FUSION_EPS = 1e-8
 _FUSION_MAX_ITERS = 50
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.mT) / 2.0
 
 
 def _checked(routine, error, message: str, a: np.ndarray, *args):
@@ -74,27 +73,14 @@ def check_cov_tangent(cov: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _indexed(obj, index):
-    """``obj`` with its fields and evaluated cached terms indexed, read-only and unchecked."""
-    out = object.__new__(type(obj))
-    for name, value in vars(obj).items():
-        value = None if value is None else value[index]
-        vars(out)[name] = _frozen(value) if isinstance(value, np.ndarray) else value
-    return out
-
-
 @dataclass(frozen=True)
 class FilterState:
     """Nominal pose plus 6x6 tangent covariance (left perturbation), over
-    leading run axes that indexing selects. The constructor checks each
-    covariance (``check_cov_tangent``); the states that ``predict`` and the
-    updates return are symmetrized, not checked. ``iterations`` counts the
-    Gauss-Newton steps of ``fuse_poses`` per run, None where no fusion ran."""
+    leading run axes that indexing selects (``lie._indexed``). The constructor
+    checks each covariance (``check_cov_tangent``); the states that ``predict``
+    and the updates return are symmetrized, not checked (``_state``).
+    ``iterations`` counts the Gauss-Newton steps of ``fuse_poses`` per run,
+    None where no fusion ran. Every array of a state is read-only."""
 
     pose: Pose
     cov: np.ndarray
@@ -112,10 +98,8 @@ class FilterState:
 
 
 def _state(pose: Pose, cov: np.ndarray, iterations=None) -> FilterState:
-    """FilterState of a covariance the filters computed: symmetrized and frozen, not checked."""
-    state = object.__new__(FilterState)
-    vars(state).update(pose=pose, cov=_frozen(_symmetrize(cov)), iterations=iterations)
-    return state
+    """FilterState of a covariance the filters computed (``_record``): symmetrized, frozen, not checked."""
+    return _record(FilterState, pose=pose, cov=_symmetrize(cov), iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -143,14 +127,15 @@ class MotionCommand:
 
     @cached_property
     def factor_adjoint(self) -> np.ndarray:
-        return _readonly(adjoint(self.factor))
+        return _frozen(adjoint(self.factor))
 
 
 @dataclass(frozen=True)
 class PoseMeasurement:
     """Measured pose with its 6x6 state-domain bound over [position, rotation],
     broadcast to the pose's leading axes as a read-only view. Indexing selects
-    along them; a slice holds the slices of the terms already evaluated."""
+    along them (``lie._indexed``); a slice holds read-only slices of the terms
+    already evaluated."""
 
     pose: Pose
     cov_state_icrb: np.ndarray

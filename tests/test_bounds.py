@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radiopose import bounds, channel, lie, simkit
+from radiopose import bounds, channel, lie, simkit, tracking
 from radiopose.channel import ArrayGeometry
-from radiopose.errors import SingularNuisanceBlock, UnobservableState
+from radiopose.errors import RadioPoseError, SingularNuisanceBlock, UnobservableState
 from radiopose.simkit import bounds_sweep, default_scenario, generate_trajectory
 from references import gain_schur_complement, intrinsic_bound
 from test_bound_oracle import CASES, worst_relative
@@ -329,6 +329,13 @@ class TestMeasurementCovariance:
             out = bounds.measurement_covariance(icrb, rot)
             assert np.linalg.eigvalsh(out).min() > 0
             assert np.linalg.norm(out - out.T) < 1e-12 * np.abs(out).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_map_is_a_radiopose_error(self):
+        # a study's bounds do not reach this check; a direct call with a bound near the float limit does
+        rot = tracking.rotation_from_euler(np.array([0.7, 0.3, 0.2]))
+        with pytest.raises(RadioPoseError, match="^measurement covariance is not finite: "):
+            bounds.measurement_covariance(1.5e308 * np.ones((6, 6)), rot)
 
 
 class TestIntrinsicIdentity:

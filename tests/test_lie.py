@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radiopose import lie
+from radiopose import bounds, channel, lie, simkit, tracking
 from radiopose.errors import NearPiRotation, NotSkew
 from references import pose_from_matrix, se3_left_jacobian_inv, small_adjoint, so3_log_row_loop
 
@@ -560,3 +560,97 @@ class TestSharedTerms:
         pose = lie.se3_exp(np.array([1.0, 2.0, 3.0, 0.0, 0.0, np.pi - 1e-8]))
         with pytest.raises(NearPiRotation):
             lie.se3_log_and_inv_jacobian(pose)
+
+
+def _fields(record, prefix=""):
+    """Every field and evaluated cached term of a record by name, the arrays
+    of a nested ``Pose`` as ``pose.rotation`` and ``pose.translation_block``."""
+    out = {}
+    for name, value in vars(record).items():
+        if isinstance(value, lie.Pose):
+            out.update(_fields(value, f"{prefix}{name}."))
+        else:
+            out[prefix + name] = value
+    return out
+
+
+def _assert_read_only(record):
+    for name, value in _fields(record).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+
+
+class TestRecords:
+    """Every record the library builds from computed values holds read-only
+    arrays (``lie._record``), and indexing a record indexes each of its
+    fields (``lie._indexed``)."""
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        cfg = simkit.default_scenario()
+        beams = channel.draw_beams(cfg.anchors, cfg.ue_array, cfg.signal)
+        truths, reports = simkit.scenario_reports(cfg, beams)
+        return cfg, beams, lie.Pose.stack(truths[:4]), reports
+
+    @pytest.fixture(scope="class")
+    def records(self, study):
+        """One batched record of each indexable kind, over a leading axis of 4."""
+        cfg, beams, poses, _ = study
+        rng = np.random.default_rng(70)
+        report = bounds.pose_error_bounds(poses, cfg.anchors, cfg.ue_array, cfg.signal, beams)
+        _ = report.icrb_sqrt
+        measured = lie.se3_exp(0.01 * rng.standard_normal((4, 6))) @ poses
+        meas = tracking.PoseMeasurement(measured, report.icrb).evaluated()
+        fused = tracking.fuse_poses([(measured, meas.cov_tangent), (poses, 1e-4 * np.eye(6))], initial=poses)
+        return {"Pose": poses, "IcrbReport": report, "FilterState": fused, "PoseMeasurement": meas}
+
+    def test_link_params_are_read_only(self, study):
+        cfg, beams, poses, _ = study
+        par = channel._anchor_links(poses, cfg.anchors, cfg.ue_array, cfg.signal, beams)[2]
+        assert {"delay_s", "dir_ue", "dir_bs", "gain"} <= _fields(par).keys()
+        _assert_read_only(par)
+        _assert_read_only(channel.channel_params(poses[0], cfg.anchors[0], cfg.signal))
+
+    def test_filter_states_are_read_only(self, records):
+        fused = records["FilterState"]
+        assert fused.iterations is not None
+        _assert_read_only(fused)
+        _assert_read_only(tracking.predict(fused, simkit.segment_commands(simkit.default_scenario().segments)[0]))
+
+    def test_drawn_beams_are_read_only(self, study):
+        _, beams, _, _ = study
+        for array in (*beams.precoders, *beams.combiners, *beams.stacked):
+            assert not array.flags.writeable
+
+    def test_bound_reports_are_read_only(self, study):
+        cfg, beams, poses, reports = study
+        _assert_read_only(reports)
+        for ue, powers in ((poses[0], None), (poses, None), (poses[0], [-20.0, 0.0]), (poses, [-20.0, 0.0])):
+            _assert_read_only(bounds.pose_error_bounds(ue, cfg.anchors, cfg.ue_array, cfg.signal, beams, powers))
+
+    @pytest.mark.parametrize("kind", ["Pose", "IcrbReport", "FilterState", "PoseMeasurement"])
+    @pytest.mark.parametrize(
+        "index", [1, slice(1, 3), np.array([True, False, True, True]), np.array([3, 0])],
+        ids=["int", "slice", "mask", "take"],
+    )
+    def test_index_selects_every_field(self, records, kind, index):
+        record = records[kind]
+        part = record[index]
+        assert type(part) is type(record)
+        whole, sliced = _fields(record), _fields(part)
+        assert sliced.keys() == whole.keys()
+        for name, value in whole.items():
+            if value is None:
+                assert sliced[name] is None, name
+            else:
+                np.testing.assert_array_equal(sliced[name], value[index])
+                assert not sliced[name].flags.writeable, name
+
+    def test_report_slice_is_a_view_with_its_factor(self, study):
+        _, _, _, reports = study
+        root = reports.icrb_sqrt
+        part = reports[:5]
+        assert np.shares_memory(part.icrb, reports.icrb)
+        assert "icrb_sqrt" in vars(part)
+        assert np.shares_memory(part.icrb_sqrt, root)
+        np.testing.assert_array_equal(part.icrb_sqrt, root[:5])

@@ -1,5 +1,6 @@
 """Scenario, trajectory, sampling, Monte Carlo, CSV, config, and CLI tests."""
 
+import argparse
 import copy
 import pathlib
 import subprocess
@@ -1225,6 +1226,13 @@ class TestCli:
         lines = out.read_bytes().decode().strip().split("\r\n")
         assert lines[0] == "power_dbm,peb_m,rmeb_rad"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("command", ["track", "mc"])
+    def test_filter_choices_are_the_filter_set(self, command):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        option = next(a for a in sub.choices[command]._actions if a.dest == "filter")
+        assert tuple(option.choices) == simkit.FILTER_NAMES + ("all",)
 
     def test_powers_comma_list(self):
         assert cli.parse_powers("1,2.5,3") == [1.0, 2.5, 3.0]
