@@ -213,7 +213,7 @@ def require_rotation(m: np.ndarray) -> None:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)  # the flag of ``a.flags.writeable = False``, without building a flags object
     return a
 
 
