@@ -223,8 +223,8 @@ def measurement_covariance(icrb: np.ndarray, rotation: np.ndarray) -> np.ndarray
     r, so to first order rho = R delta p and r = theta: the map is
     T @ icrb @ T.T with T = diag(R, I3). Both arguments broadcast over
     leading axes. A map that is not finite, as where it overflows, raises
-    RadioPoseError without numpy warnings. The bounds of a study do not reach
-    that check, as their R is orthonormal; it guards direct calls.
+    RadioPoseError without numpy warnings. No study input is known to reach
+    that check, as a sampled R is orthonormal; it guards direct calls.
     """
     rotation = np.asarray(rotation, dtype=float)
     t = np.zeros(rotation.shape[:-2] + (6, 6))
